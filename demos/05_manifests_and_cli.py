@@ -2,12 +2,14 @@
 
 Systems serialize to a strict JSON manifest (format_version 1): the node
 set with weights, both sample families, the target, and optionally a
-claimed bound pair and a label.  The `biframekit` console command works
-entirely in terms of these files.
+claimed bound pair and a label.  The command-line interface
+(`python -m biframekit`, or the `biframekit` console script once the package
+is installed) works entirely in terms of these files.
 """
 
 import json
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -37,9 +39,10 @@ print(f"optimal bounds from the loaded copy: ({report.lower_opt}, {report.upper_
 # The same analyses, through the CLI.  Exit codes are part of the
 # interface: 0 = verified/valid, 1 = refuted/invalid, 2 = unusable input.
 def run(*args):
-    proc = subprocess.run(["biframekit", *args], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-m", "biframekit", *args],
+                          capture_output=True, text=True)
     body = (proc.stdout + proc.stderr).strip()
-    print(f"\n$ biframekit {' '.join(args)}   [exit {proc.returncode}]")
+    print(f"\n$ python -m biframekit {' '.join(args)}   [exit {proc.returncode}]")
     print("\n".join("  " + line for line in body.splitlines()))
     return proc
 

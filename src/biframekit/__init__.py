@@ -13,10 +13,11 @@ Layout: :mod:`biframekit.linalg` (dense Hermitian kernel), :mod:`~.measure`
 (weighted nodes and quadrature), :mod:`~.biframe` (systems, forms, optimal
 bounds), :mod:`~.opcalc` (construction calculus), :mod:`~.quotient`
 (operator quotients and validity cross-checks), :mod:`~.tensor` (product
-systems), :mod:`biframekit.app` (manifest files, reference systems, CLI).
+systems); :mod:`biframekit.app` (manifest files, reference systems, CLI) is
+imported only on request (``from biframekit import app``).
 """
 
-from . import app, biframe, errors, linalg, measure, opcalc, quotient, tensor
+from . import biframe, errors, linalg, measure, opcalc, quotient, tensor
 from .biframe import (
     BiframeSystem,
     BoundsReport,
@@ -51,7 +52,6 @@ __all__ = [
     "SampledField",
     "TensorSystem",
     "analysis",
-    "app",
     "biframe",
     "biframe_form",
     "check_bounds",

@@ -15,6 +15,7 @@ as a machine-readable object at full precision.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import click
@@ -37,7 +38,7 @@ from ..opcalc import (
     perturb_positive,
     sandwich,
 )
-from ..tensor import factor_bounds_check, kron, tensor_system
+from ..tensor import kron, product_law, tensor_system
 from . import manifest
 from .fixtures import fixture_names, fixture_record
 
@@ -47,9 +48,7 @@ _DOMINANCE_SLACK = 1e-8
 def _num(x) -> str:
     if x is None:
         return "none"
-    if isinstance(x, float) and np.isinf(x):
-        return "inf"
-    return f"{x:.12g}"
+    return f"{x:.12g}"  # "inf" and "-inf" for infinities
 
 
 def _scalar_repr(z) -> str:
@@ -75,9 +74,18 @@ def _vec_json(v):
     return [float(z) for z in arr]
 
 
+def _finite(obj):
+    """Strict JSON has no infinities: write them as strings, as the text report does."""
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_finite(value) for value in obj]
+    return str(obj) if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _emit(ctx: click.Context, payload: dict, lines: list[str]) -> None:
     if ctx.obj["format"] == "json":
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        click.echo(json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False))
     else:
         for line in lines:
             click.echo(line)
@@ -207,14 +215,22 @@ def verify(ctx: click.Context, file: str, lower: float | None, upper: float | No
     ctx.exit(0 if outcome.ok else 1)
 
 
-_OPS_NEEDING_OPERATOR = {"apply", "dual", "sandwich", "perturb", "product", "commute"}
+# --op name -> the opcalc rule, called with the system, its operand (the
+# --operator matrix; for "sum" the --term list), --power and the tolerance.
+_RULES = {
+    "apply": lambda system, x, power, tol: apply_operator(system, x, tol=tol),
+    "dual": lambda system, x, power, tol: canonical_dual(system, x, tol=tol),
+    "sandwich": lambda system, x, power, tol: sandwich(system, x, tol=tol),
+    "perturb": lambda system, x, power, tol: perturb_positive(system, x, power, tol=tol),
+    "sum": lambda system, x, power, tol: combine_sum(system, x, tol=tol),
+    "product": lambda system, x, power, tol: combine_product(system, x, tol=tol),
+    "commute": lambda system, x, power, tol: commuting_transform(system, x, tol=tol),
+}
 
 
 @main.command()
 @click.argument("file", type=click.Path())
-@click.option("--op", "op_name", required=True,
-              type=click.Choice(["apply", "dual", "sandwich", "perturb",
-                                 "sum", "product", "commute"]),
+@click.option("--op", "op_name", required=True, type=click.Choice(list(_RULES)),
               help="Construction rule to apply.")
 @click.option("--operator", "operator_text", default=None,
               help="Operator matrix as JSON rows (inline, or a path to a JSON "
@@ -240,14 +256,14 @@ def construct(ctx: click.Context, file: str, op_name: str, operator_text: str | 
     tol = ctx.obj["tol"]
     complex_field = system.field_name == "complex"
 
-    if op_name in _OPS_NEEDING_OPERATOR and operator_text is None:
+    if op_name != "sum" and operator_text is None:
         raise click.UsageError(f"--op {op_name} needs --operator")
     if op_name == "sum" and not terms_text:
         raise click.UsageError("--op sum needs at least one --term")
 
     try:
         if op_name == "sum":
-            terms = []
+            operand = []
             for raw in terms_text:
                 try:
                     obj = json.loads(raw)
@@ -258,22 +274,10 @@ def construct(ctx: click.Context, file: str, op_name: str, operator_text: str | 
                 coeff = manifest._parse_scalar(obj["coeff"], complex_field, "coeff")
                 target = manifest._parse_matrix(obj["target"], system.dim, system.dim,
                                                 complex_field, "target")
-                terms.append((coeff, target))
-            result = combine_sum(system, terms, tol=tol)
+                operand.append((coeff, target))
         else:
-            mat = _read_matrix(operator_text, system.dim, complex_field, "--operator")
-            if op_name == "apply":
-                result = apply_operator(system, mat, tol=tol)
-            elif op_name == "dual":
-                result = canonical_dual(system, mat, tol=tol)
-            elif op_name == "sandwich":
-                result = sandwich(system, mat, tol=tol)
-            elif op_name == "perturb":
-                result = perturb_positive(system, mat, power, tol=tol)
-            elif op_name == "product":
-                result = combine_product(system, mat, tol=tol)
-            else:
-                result = commuting_transform(system, mat, tol=tol)
+            operand = _read_matrix(operator_text, system.dim, complex_field, "--operator")
+        result = _RULES[op_name](system, operand, power, tol)
     except ManifestError as exc:
         raise click.UsageError(str(exc)) from exc
     except BiframeError as exc:
@@ -341,12 +345,12 @@ def tensor(ctx: click.Context, left: str, right: str, output: str) -> None:
     kron_gap /= max(1.0, float(np.linalg.norm(s_comb)))
 
     try:
-        law_ok = factor_bounds_check(ts, tol=tol)
+        lb, rb, cb = (optimal_bounds(s, tol=tol) for s in (ts.left, ts.right, ts.combined))
+        law_ok = product_law(lb, rb, cb, tol=tol)
     except BiframeError as exc:
         click.echo(f"tensor check failed: {exc}", err=True)
         ctx.exit(1)
 
-    lb, rb, cb = (optimal_bounds(s, tol=tol) for s in (ts.left, ts.right, ts.combined))
     manifest.save(ts.combined, output,
                   label=f"tensor of {left_rec.label or left} and {right_rec.label or right}")
     payload = {
@@ -426,7 +430,3 @@ def demo(ctx: click.Context, name: str) -> None:
         ]
     _emit(ctx, payload, lines)
     ctx.exit(0 if outcome.ok else 1)
-
-
-if __name__ == "__main__":
-    main()

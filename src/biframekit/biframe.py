@@ -263,19 +263,14 @@ def optimal_bounds(system: BiframeSystem, tol: float | None = None) -> BoundsRep
     herm = linalg.hermitian_part(s)
     asym = linalg.asymmetry(s)
     eig = linalg.hermitian_eigen(herm, tol=tol)
-    upper = eig.max
-
-    scale = max(1.0, float(np.max(np.abs(eig.values))))
-    negative_witness = None
-    if eig.min < -tol * scale:
-        negative_witness = eig.vectors[:, 0].copy()
+    negative_witness = None if eig.is_psd(tol) else eig.vectors[:, 0].copy()
 
     shift = linalg.max_psd_shift(herm, gram_target(system), tol=tol)
     lower = shift.amount
     valid = lower is not None and lower > 0.0
     return BoundsReport(
         lower_opt=lower,
-        upper_opt=upper,
+        upper_opt=eig.max,
         valid=valid,
         witness_lower=shift.witness,
         witness_negative_form=negative_witness,
@@ -308,26 +303,18 @@ def check_bounds(system: BiframeSystem, lower: float, upper: float,
             f"need 0 < lower <= upper, got lower={lower!r} upper={upper!r}"
         )
     herm = linalg.hermitian_part(frame_operator(system))
-    low_min, low_vec = linalg.min_eigenpair(herm - lower * gram_target(system), tol=tol)
-    upper_matrix = upper * np.eye(system.dim, dtype=herm.dtype) - herm
-    up_min, up_vec = linalg.min_eigenpair(upper_matrix, tol=tol)
-
-    low_scale = max(1.0, linalg.spectral_norm(herm - lower * gram_target(system)))
-    up_scale = max(1.0, linalg.spectral_norm(upper_matrix))
-    lower_ok = low_min >= -tol * low_scale
-    upper_ok = up_min >= -tol * up_scale
-    witness = None
-    if not lower_ok:
-        witness = low_vec
-    elif not upper_ok:
-        witness = up_vec
+    low = linalg.hermitian_eigen(herm - lower * gram_target(system), tol=tol)
+    up = linalg.hermitian_eigen(upper * np.eye(system.dim, dtype=herm.dtype) - herm, tol=tol)
+    lower_ok = low.is_psd(tol)
+    upper_ok = up.is_psd(tol)
+    failed = low if not lower_ok else up if not upper_ok else None
     return BoundsVerification(
         ok=lower_ok and upper_ok,
         lower_ok=lower_ok,
         upper_ok=upper_ok,
-        lower_margin=float(low_min),
-        upper_margin=float(up_min),
-        witness=witness,
+        lower_margin=low.min,
+        upper_margin=up.min,
+        witness=None if failed is None else failed.vectors[:, 0].copy(),
     )
 
 

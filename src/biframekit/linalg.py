@@ -31,8 +31,8 @@ from .errors import (
 )
 
 #: Default tolerance for verdict-style checks (PSD tests, Hermitian tests,
-#: bound verification).  Scale-invariant: routines multiply it by
-#: ``max(1, norm)`` of the matrix under test.
+#: bound verification).  Routines multiply it by ``max(1, norm)`` of the
+#: matrix under test; for PSD verdicts that is :meth:`EigenDecomposition.cutoff`.
 DEFAULT_TOL = 1e-9
 
 #: Default relative cutoff separating "zero" from "nonzero" singular values.
@@ -147,6 +147,16 @@ class EigenDecomposition:
     def max(self) -> float:
         return float(self.values[-1])
 
+    def cutoff(self, tol: float) -> float:
+        """Eigenvalues within this distance of zero count as zero:
+        ``tol * max(1, max|lambda|)``, the one tolerance rule of every PSD
+        verdict in the package."""
+        return tol * max(1.0, float(np.max(np.abs(self.values))))
+
+    def is_psd(self, tol: float) -> bool:
+        """Whether the matrix is positive semidefinite at tolerance."""
+        return self.min >= -self.cutoff(tol)
+
 
 def hermitian_eigen(a, tol: float | None = None) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi.
@@ -254,9 +264,7 @@ def is_psd(a, tol: float | None = None) -> bool:
     """
     if tol is None:
         tol = DEFAULT_TOL
-    eig = hermitian_eigen(a, tol=tol)
-    scale = max(1.0, float(np.max(np.abs(eig.values))) if eig.values.size else 0.0)
-    return eig.min >= -tol * scale
+    return hermitian_eigen(a, tol=tol).is_psd(tol)
 
 
 def sqrt_psd(a, tol: float | None = None) -> np.ndarray:
@@ -269,13 +277,13 @@ def sqrt_psd(a, tol: float | None = None) -> np.ndarray:
     if tol is None:
         tol = DEFAULT_TOL
     eig = hermitian_eigen(a, tol=tol)
-    scale = max(1.0, float(np.max(np.abs(eig.values))) if eig.values.size else 0.0)
-    if eig.min < -tol * scale:
-        raise NotPSDError(f"matrix has eigenvalue {eig.min:.6e} < -{tol:.1e} * {scale:.3e}")
+    cutoff = eig.cutoff(tol)
+    if not eig.is_psd(tol):
+        raise NotPSDError(f"matrix has eigenvalue {eig.min:.6e} < -{cutoff:.3e}")
     # clamp at the tolerance, not at zero: a +1e-16 round-off eigenvalue
     # would otherwise surface as a 1e-8 singular value of the root, well
     # above any rank cutoff downstream consumers can reasonably use
-    clamped = np.where(eig.values <= tol * scale, 0.0, eig.values)
+    clamped = np.where(eig.values <= cutoff, 0.0, eig.values)
     root = (eig.vectors * np.sqrt(clamped)) @ adjoint(eig.vectors)
     return (root + adjoint(root)) / 2.0
 
@@ -415,15 +423,13 @@ def max_psd_shift(s, p, tol: float | None = None) -> ShiftResult:
 
     s_eig = hermitian_eigen(s_m, tol=tol)
     p_eig = hermitian_eigen(p_m, tol=tol)
-    p_max = float(p_eig.values[-1])
-    p_scale = max(1.0, abs(p_max), abs(float(p_eig.values[0])))
-    if p_eig.values[0] < -tol * p_scale:
-        raise NotPSDError(f"reference matrix has eigenvalue {p_eig.values[0]:.6e} < 0")
+    p_max = p_eig.max
+    if not p_eig.is_psd(tol):
+        raise NotPSDError(f"reference matrix has eigenvalue {p_eig.min:.6e} < 0")
 
-    s_scale = max(1.0, float(np.max(np.abs(s_eig.values))))
-    s_is_psd = s_eig.min >= -tol * s_scale
+    s_is_psd = s_eig.is_psd(tol)
 
-    if p_max <= tol * p_scale:
+    if p_max <= p_eig.cutoff(tol):
         # p vanishes: the shift is unconstrained whenever s itself is PSD.
         if s_is_psd:
             return ShiftResult(amount=math.inf, witness=None, degenerate=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .biframe import BiframeSystem, frame_operator, gram_target, optimal_bounds
-from .errors import DimensionMismatchError, NotPSDError
+from .errors import DimensionMismatchError
 from .linalg import DEFAULT_TOL, RANK_TOL
 from .opcalc import apply_operator
 
@@ -120,15 +120,13 @@ def validity_cross_check(system: BiframeSystem, *, tol: float = DEFAULT_TOL,
     """Cross-check pencil validity against quotient existence.
 
     Requires the Hermitian part of the frame operator to be PSD (the upper
-    estimate alone); its PSD square root is the quotient's denominator.
+    estimate alone); its PSD square root is the quotient's denominator, and
+    :func:`~biframekit.linalg.sqrt_psd` raises
+    :class:`~biframekit.errors.NotPSDError` otherwise.
     """
-    herm = linalg.hermitian_part(frame_operator(system))
-    if not linalg.is_psd(herm, tol=tol):
-        raise NotPSDError("frame operator's Hermitian part has a negative eigenvalue")
-
+    root = linalg.sqrt_psd(linalg.hermitian_part(frame_operator(system)), tol=tol)
     report = optimal_bounds(system, tol=tol)
-    quot = quotient_norm(linalg.adjoint(system.target), linalg.sqrt_psd(herm, tol=tol),
-                         rank_tol=rank_tol)
+    quot = quotient_norm(linalg.adjoint(system.target), root, rank_tol=rank_tol)
     agree = bool(report.valid) == bool(quot.exists)
     return ValidityCrossCheck(
         pencil_valid=bool(report.valid),
@@ -170,13 +168,11 @@ def transform_equivalences(system: BiframeSystem, t, *, tol: float = DEFAULT_TOL
             f"transform is {t_mat.shape[0]}x{t_mat.shape[1]}, system dimension is {system.dim}"
         )
     herm = linalg.hermitian_part(frame_operator(system))
-    if not linalg.is_psd(herm, tol=tol):
-        raise NotPSDError("frame operator's Hermitian part has a negative eigenvalue")
+    root = linalg.sqrt_psd(herm, tol=tol)  # NotPSDError unless herm is PSD
 
     pushed = apply_operator(system, t_mat, tol=tol)
     pushed_report = optimal_bounds(pushed.system, tol=tol)
 
-    root = linalg.sqrt_psd(herm, tol=tol)
     numerator = linalg.adjoint(pushed.system.target)
     plain = quotient_norm(numerator, root @ linalg.adjoint(t_mat), rank_tol=rank_tol)
     pushed_root = linalg.sqrt_psd(t_mat @ herm @ linalg.adjoint(t_mat), tol=tol)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biframe import BiframeSystem, optimal_bounds
+from .biframe import BiframeSystem, BoundsReport, optimal_bounds
 from .errors import FieldMismatchError, NotABiframeError
 from .linalg import DEFAULT_TOL
 from .measure import product_measure
@@ -65,22 +65,24 @@ def tensor_system(s1: BiframeSystem, s2: BiframeSystem) -> TensorSystem:
 
 
 def factor_bounds_check(ts: TensorSystem, *, tol: float = DEFAULT_TOL) -> bool:
-    """Check that optimal bounds of a combined system multiply from its factors.
+    """Check that optimal bounds of a combined system multiply from its factors
+    (:func:`product_law` on the three optimal bound reports)."""
+    return product_law(*(optimal_bounds(s, tol=tol) for s in (ts.left, ts.right, ts.combined)),
+                       tol=tol)
 
-    All three systems must be valid (otherwise :class:`NotABiframeError`);
-    returns whether ``lower_opt(combined) >= lower_opt(left)*lower_opt(right) - tol``
-    and ``upper_opt(combined) <= upper_opt(left)*upper_opt(right) + tol``.
+
+def product_law(left: BoundsReport, right: BoundsReport, combined: BoundsReport, *,
+                tol: float = DEFAULT_TOL) -> bool:
+    """Whether a combined system's optimal bounds multiply from its factors':
+    ``lower_opt(combined) >= lower_opt(left)*lower_opt(right) - tol`` and
+    ``upper_opt(combined) <= upper_opt(left)*upper_opt(right) + tol``.
+
+    All three systems must be valid (otherwise :class:`NotABiframeError`).
     """
-    combined = optimal_bounds(ts.combined, tol=tol)
-    if not combined.valid:
-        raise NotABiframeError("combined system is not valid against its target")
-    left = optimal_bounds(ts.left, tol=tol)
-    right = optimal_bounds(ts.right, tol=tol)
-    if not left.valid:
-        raise NotABiframeError("left factor is not valid against its target")
-    if not right.valid:
-        raise NotABiframeError("right factor is not valid against its target")
-
+    for report, what in ((combined, "combined system"), (left, "left factor"),
+                         (right, "right factor")):
+        if not report.valid:
+            raise NotABiframeError(f"{what} is not valid against its target")
     lower_ok = combined.lower_opt >= left.lower_opt * right.lower_opt - tol
     upper_ok = combined.upper_opt <= left.upper_opt * right.upper_opt + tol
     return bool(lower_ok and upper_ok)

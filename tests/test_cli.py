@@ -57,6 +57,19 @@ class TestBounds:
         assert payload["valid"] is True
         assert isinstance(payload["witness"], list)
 
+    def test_json_report_of_zero_target_is_strict_json(self, runner, tmp_path):
+        path = tmp_path / "zero.json"
+        save(fixture("example-3-3").with_target(np.zeros((3, 3))), path)
+        result = runner.invoke(main, ["--format", "json", "bounds", str(path)])
+        assert result.exit_code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(result.output, parse_constant=reject)
+        assert payload["lower"] == "inf"
+        assert payload["degenerate"] is True
+
     def test_missing_file_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["bounds", str(tmp_path / "absent.json")])
         assert result.exit_code == 2
