@@ -253,9 +253,10 @@ class BoundsReport:
 def optimal_bounds(system: BiframeSystem, tol: float | None = None) -> BoundsReport:
     """Best achievable bound pair for the system against its target.
 
-    The lower constant solves ``max { a : Herm(S) - a K K* >= 0 }`` by
-    bisection; the upper constant is ``lambda_max(Herm(S))``.  Validity means
-    a strictly positive lower constant exists.
+    The lower constant solves ``max { a : Herm(S) - a K K* >= 0 }`` in closed
+    form (:func:`linalg.max_psd_shift`); the upper constant is
+    ``lambda_max(Herm(S))``.  Validity means a strictly positive lower
+    constant exists.
     """
     if tol is None:
         tol = DEFAULT_TOL

@@ -8,11 +8,12 @@ control (deterministic ordering and sign).  Singular-value based helpers
 (pseudo-inverse, spectral norm, range/null bases) sit on ``numpy.linalg.svd``
 with explicit rank thresholding.
 
-The one genuinely non-textbook routine is :func:`max_psd_shift`, which
-computes the largest ``a >= 0`` with ``s - a*p`` positive semidefinite.  That
-quantity is the optimal lower bound of every sampled system in this package,
-so its contract (bracketing, bisection, tolerance semantics, witness vector)
-is spelled out in detail below.
+The central routine is :func:`max_psd_shift`, which computes the largest
+``a >= 0`` with ``s - a*p`` positive semidefinite.  That quantity is the
+optimal lower bound of every sampled system in this package; it is solved in
+closed form (a Schur complement on ``null(p)`` and one whitened eigensolve),
+and its contract (tolerance semantics, witness vector) is spelled out in
+detail below.
 """
 
 from __future__ import annotations
@@ -376,33 +377,27 @@ class ShiftResult:
     degenerate: bool = False
 
 
-def _psd_predicate(m: np.ndarray, tol: float) -> bool:
-    # Fast feasibility test used only inside the bisection loop: m is PSD at
-    # tolerance iff m + tol*scale*I admits a Cholesky factor.  Endpoints and
-    # witnesses are re-derived with the eigensolver afterwards.
-    scale = max(1.0, float(np.linalg.norm(m, 2)))
-    shifted = m + (tol * scale) * np.eye(m.shape[0], dtype=m.dtype)
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def max_psd_shift(s, p, tol: float | None = None) -> ShiftResult:
     """Largest ``a >= 0`` such that ``s - a*p`` stays positive semidefinite.
 
-    ``s`` and ``p`` must be Hermitian and ``p`` PSD.  Semidefiniteness is
-    tested at tolerance (``>= -tol * max(1, norm)``), so the result may
-    exceed the exact supremum by a sliver of order ``tol``; a final
-    Rayleigh-quotient polish against the tight eigenvector keeps that sliver
-    around machine precision whenever the pencil touches cleanly.
+    ``s`` and ``p`` must be Hermitian and ``p`` PSD.  Semidefiniteness of the
+    inputs is tested at tolerance (:meth:`EigenDecomposition.is_psd`).
 
-    The search is a 60-step bisection on ``[0, lambda_max(s) / lambda_min^+(p)]``
-    (the upper end is a rigorous bracket: pair any unit eigenvector of ``p``
-    at its smallest positive eigenvalue with the largest eigenvalue of
-    ``s``).  Monotonicity of the feasible set in ``a`` makes bisection exact
-    up to the bracket resolution.
+    Once ``s`` is PSD the pencil has a closed form (the symmetric-definite
+    problem of Golub & Van Loan, *Matrix Computations*, section 8.7).  Split
+    the space into ``range(p)`` (basis ``Q1``, eigenvalues ``Lambda``) and
+    ``null(p)`` (basis ``Q2``) at p's own cutoff.  ``s - a*p`` is PSD iff the
+    Schur complement ``C = s11 - s12 s22^+ s21`` dominates ``a*Lambda`` (``s``
+    PSD makes ``s22`` PSD with ``range(s21)`` inside ``range(s22)``), so the
+    supremum is ``lambda_min(Lambda^{-1/2} C Lambda^{-1/2})``.  Its bottom
+    eigenvector ``y`` lifts to the tight direction
+    ``Q1 x1 - Q2 s22^+ s21 x1`` with ``x1 = Lambda^{-1/2} y``.
+
+    ``s22^+`` inverts the eigenvalues of ``s22`` floored at its cutoff, so
+    ``C`` is the exact Schur complement of a matrix within tolerance of ``s``.
+    A zero eigenvalue cannot simply be dropped: an ``s`` that is PSD only at
+    tolerance may couple ``range(p)`` to it by ``sqrt(tol)``, and dropping
+    that coupling reports a shift that ``s - a*p`` violates by as much.
 
     Returns
     -------
@@ -423,13 +418,12 @@ def max_psd_shift(s, p, tol: float | None = None) -> ShiftResult:
 
     s_eig = hermitian_eigen(s_m, tol=tol)
     p_eig = hermitian_eigen(p_m, tol=tol)
-    p_max = p_eig.max
     if not p_eig.is_psd(tol):
         raise NotPSDError(f"reference matrix has eigenvalue {p_eig.min:.6e} < 0")
 
     s_is_psd = s_eig.is_psd(tol)
 
-    if p_max <= p_eig.cutoff(tol):
+    if p_eig.max <= p_eig.cutoff(tol):
         # p vanishes: the shift is unconstrained whenever s itself is PSD.
         if s_is_psd:
             return ShiftResult(amount=math.inf, witness=None, degenerate=True)
@@ -439,48 +433,22 @@ def max_psd_shift(s, p, tol: float | None = None) -> ShiftResult:
         # Even a = 0 fails; the bottom eigenvector certifies it.
         return ShiftResult(amount=None, witness=s_eig.vectors[:, 0].copy())
 
-    positive = p_eig.values[p_eig.values > 1e-12 * p_max]
-    lam_plus = float(positive[0])
-    hi = max(float(s_eig.values[-1]), 0.0) / lam_plus
-
-    def feasible(a: float) -> bool:
-        return _psd_predicate(s_m - a * p_m, tol)
-
-    # The tolerance-relaxed feasible set can poke slightly past the
-    # mathematical bracket; widen until infeasible (a few doublings suffice).
-    lo = 0.0
-    hi = max(hi, tol)
-    for _ in range(8):
-        if not feasible(hi):
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        lo = hi
-
-    if lo < hi:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-
-    amount = lo
-    _, witness = min_eigenpair(s_m - amount * p_m, tol=tol)
-
-    # Rayleigh polish: at the true supremum the pencil's bottom eigenvector v
-    # satisfies <s v, v> = a * <p v, v> exactly.
-    denom = float(np.real(np.conj(witness) @ (p_m @ witness)))
-    if denom > 1e-12 * p_max:
-        candidate = float(np.real(np.conj(witness) @ (s_m @ witness))) / denom
-        # s passed the PSD gate above, so a negative quotient can only be
-        # round-off of an exact zero (a kernel direction that p sees); without
-        # the clamp the sign noise would keep the cushion-inflated bisection
-        # value and misreport a positive shift.
-        candidate = max(candidate, 0.0)
-        if abs(candidate - amount) <= 1e-6 * max(1.0, amount) and feasible(candidate):
-            amount = candidate
+    seen = p_eig.values > p_eig.cutoff(tol)
+    q1, q2 = p_eig.vectors[:, seen], p_eig.vectors[:, ~seen]
+    inv_root = 1.0 / np.sqrt(p_eig.values[seen])
+    s21 = adjoint(q2) @ s_m @ q1
+    coupling = np.zeros_like(s21)  # s22^+ s21
+    if q2.shape[1]:
+        s22_eig = hermitian_eigen(adjoint(q2) @ s_m @ q2, tol=tol)
+        floored = np.maximum(s22_eig.values, s22_eig.cutoff(tol))
+        w = s22_eig.vectors
+        coupling = (w / floored) @ (adjoint(w) @ s21)
+    schur = adjoint(q1) @ s_m @ q1 - adjoint(s21) @ coupling
+    pencil = hermitian_eigen(inv_root[:, None] * schur * inv_root, tol=tol)
+    x1 = inv_root * pencil.vectors[:, 0]
+    witness = unit_vector(q1 @ x1 - q2 @ (coupling @ x1))
+    # s passed the PSD gate, so a negative bottom is round-off of an exact zero
+    amount = max(pencil.min, 0.0)
 
     if amount <= tol:
         return ShiftResult(amount=None, witness=witness)

@@ -233,7 +233,6 @@ def combine_sum(system: BiframeSystem, terms: Sequence[tuple[complex, np.ndarray
 
 
 def combine_product(system: BiframeSystem, right_target, *,
-                    bounds: tuple[float, float] | None = None,
                     tol: float = DEFAULT_TOL) -> ConstructionResult:
     """Re-target a valid system from ``K`` onto the composition ``K K_2``.
 
@@ -245,12 +244,7 @@ def combine_product(system: BiframeSystem, right_target, *,
     nrm = linalg.spectral_norm(k2)
     if nrm == 0.0:
         raise ZeroOperatorError("right target is zero; composed target would vanish")
-    if bounds is None:
-        lower, upper = _valid_bounds(system, tol, "product input")
-    else:
-        lower, upper = float(bounds[0]), float(bounds[1])
-        if not check_bounds(system, lower, upper, tol=tol).ok:
-            raise NotABiframeError(f"claimed bounds {bounds} fail against the current target")
+    lower, upper = _valid_bounds(system, tol, "product input")
     return ConstructionResult(
         system=system.with_target(system.target @ k2),
         guaranteed_lower=lower / nrm**2,

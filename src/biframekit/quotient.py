@@ -25,7 +25,7 @@ from . import linalg
 from .biframe import BiframeSystem, frame_operator, gram_target, optimal_bounds
 from .errors import DimensionMismatchError
 from .linalg import DEFAULT_TOL, RANK_TOL
-from .opcalc import apply_operator
+from .opcalc import _map_samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,16 +170,16 @@ def transform_equivalences(system: BiframeSystem, t, *, tol: float = DEFAULT_TOL
     herm = linalg.hermitian_part(frame_operator(system))
     root = linalg.sqrt_psd(herm, tol=tol)  # NotPSDError unless herm is PSD
 
-    pushed = apply_operator(system, t_mat, tol=tol)
-    pushed_report = optimal_bounds(pushed.system, tol=tol)
+    pushed = _map_samples(system, t_mat, t_mat @ system.target)
+    pushed_report = optimal_bounds(pushed, tol=tol)
 
-    numerator = linalg.adjoint(pushed.system.target)
+    numerator = linalg.adjoint(pushed.target)
     plain = quotient_norm(numerator, root @ linalg.adjoint(t_mat), rank_tol=rank_tol)
     pushed_root = linalg.sqrt_psd(t_mat @ herm @ linalg.adjoint(t_mat), tol=tol)
     through = quotient_norm(numerator, pushed_root, rank_tol=rank_tol)
 
     target_scale = linalg.spectral_norm(system.target) * linalg.spectral_norm(t_mat)
-    degenerate = linalg.spectral_norm(pushed.system.target) <= rank_tol * max(1.0, target_scale)
+    degenerate = linalg.spectral_norm(pushed.target) <= rank_tol * max(1.0, target_scale)
     return TransformEquivalences(
         pushed_valid=bool(pushed_report.valid),
         quotient_plain=bool(plain.exists),

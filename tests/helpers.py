@@ -6,6 +6,8 @@ reproducible; seeds are fixed in the tests themselves.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from biframekit import BiframeSystem, DiscreteMeasure
@@ -95,3 +97,63 @@ def random_valid_system(rng: np.random.Generator, dim: int, *, complex_: bool = 
     elif complex_ and not np.iscomplexobj(target):
         target = np.asarray(target).astype(np.complex128)
     return BiframeSystem.from_samples(measure, f, g, target)
+
+
+def _psd_up_to_roundoff(m: np.ndarray) -> bool:
+    # Cholesky of m + 1e-14*scale*I: the cushion absorbs round-off only, so
+    # the bisection finds the exact supremum rather than a tolerance-relaxed
+    # one (a cushion of tol*scale overshoots by tol*||s|| / <p v, v> along a
+    # null direction v of s that p barely sees, which can pass as a shift)
+    scale = max(1.0, float(np.linalg.norm(m, 2)))
+    try:
+        np.linalg.cholesky(m + (1e-14 * scale) * np.eye(m.shape[0], dtype=m.dtype))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def bisection_shift(s: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> float | None:
+    """Independent reference for ``linalg.max_psd_shift``'s amount.
+
+    Bisects ``a`` on the Cholesky predicate "``s - a*p`` is PSD up to
+    round-off" over the rigorous bracket ``[0, lambda_max(s) / lambda_min^+(p)]``
+    (widened while the tolerance-relaxed set pokes past it), then polishes
+    with the Rayleigh quotient of the tight eigenvector.  Uses LAPACK
+    (``numpy.linalg.eigh``) where the library uses its own eigensolver.
+    Returns ``None`` when no shift above ``tol`` exists and ``math.inf``
+    when ``p`` vanishes and ``s`` is PSD.
+    """
+    s_vals = np.linalg.eigvalsh(s)
+    p_vals = np.linalg.eigvalsh(p)
+    s_is_psd = s_vals[0] >= -tol * max(1.0, float(np.max(np.abs(s_vals))))
+    p_max = float(p_vals[-1])
+    if p_max <= tol * max(1.0, p_max):
+        return math.inf if s_is_psd else None
+    if not s_is_psd:
+        return None
+
+    lam_plus = float(p_vals[p_vals > 1e-12 * p_max][0])
+    lo, hi = 0.0, max(max(float(s_vals[-1]), 0.0) / lam_plus, tol)
+    for _ in range(8):
+        if not _psd_up_to_roundoff(s - hi * p):
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        lo = hi
+    if lo < hi:
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if _psd_up_to_roundoff(s - mid * p):
+                lo = mid
+            else:
+                hi = mid
+
+    amount = lo
+    witness = np.linalg.eigh(s - amount * p)[1][:, 0]
+    denom = float(np.real(np.conj(witness) @ (p @ witness)))
+    if denom > 1e-12 * p_max:
+        # s is PSD, so a negative quotient is round-off of an exact zero
+        candidate = max(float(np.real(np.conj(witness) @ (s @ witness))) / denom, 0.0)
+        if abs(candidate - amount) <= 1e-6 * max(1.0, amount) and _psd_up_to_roundoff(s - candidate * p):
+            amount = candidate
+    return None if amount <= tol else amount

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biframekit import errors, linalg
+from helpers import bisection_shift, random_psd
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +234,11 @@ def test_canonical_sign_fixes_phase():
         (np.diag([5.0, 7.0, 11.0]), 4.0 * np.eye(3), 1.25),
         (np.diag([4.0, 3.0, 2.0]), np.eye(3), 2.0),
         (np.diag([2.0, 1.0]), np.diag([1.0, 0.0]), 2.0),
+        # s vanishes only on null(p)
+        (np.diag([2.0, 0.0]), np.diag([1.0, 0.0]), 2.0),
+        # the Schur complement 2 - 1*1/1 couples range(p) to null(p)
+        (np.array([[2.0, 1.0], [1.0, 1.0]]), np.diag([1.0, 0.0]), 1.0),
+        (np.array([[2.0, 1j], [-1j, 1.0]]), np.diag([1.0, 0.0]), 1.0),
     ],
 )
 def test_max_psd_shift_golden(s, p, expected):
@@ -300,6 +306,41 @@ def test_max_psd_shift_is_maximal():
         assert feasible >= -1e-7 * scale
         pushed = np.linalg.eigvalsh(s - 1.05 * res.amount * p).min()
         assert pushed < 1e-9 * scale
+
+
+def test_max_psd_shift_matches_bisection_oracle():
+    # PSD s of every rank, with and without a definite cushion, against p of
+    # every rank, real and complex, dims 1-8
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        complex_ = bool(rng.integers(0, 2))
+        s = random_psd(rng, n, complex_, rank=int(rng.integers(1, n + 1)))
+        if rng.integers(0, 2):
+            s = s + 0.05 * np.eye(n)
+        p = random_psd(rng, n, complex_, rank=int(rng.integers(1, n + 1)))
+        res = linalg.max_psd_shift(s, p)
+        expected = bisection_shift(s, p)
+        assert (res.amount is None) == (expected is None)
+        if expected is not None:
+            assert res.amount == pytest.approx(expected, rel=1e-9)
+        a = res.amount or 0.0
+        w = res.witness
+        residual = np.vdot(w, (s - a * p) @ w)
+        assert abs(residual) <= 1e-9 * max(1.0, np.linalg.norm(s, 2))
+
+
+@pytest.mark.parametrize("b, mu", [(3e-5, 0.0), (3e-5, 9e-10), (1e-5, 1e-10), (1e-7, 0.0)])
+def test_max_psd_shift_is_feasible_on_near_boundary_pencils(b, mu):
+    # s is PSD at tolerance and couples range(p) by ~sqrt(tol) to a direction
+    # at which s nearly vanishes; the reported shift must still leave s - a*p
+    # PSD at tolerance (an exact pseudo-inverse of s22 reports a = 1 here,
+    # which s - a*p violates by ~b)
+    s = np.array([[1.0, b], [b, mu]])
+    p = np.diag([1.0, 0.0])
+    res = linalg.max_psd_shift(s, p)
+    assert res.amount is not None
+    assert np.linalg.eigvalsh(s - res.amount * p).min() >= -1e-9
 
 
 def test_as_matrix_rejects_non_finite():
