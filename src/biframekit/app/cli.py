@@ -42,8 +42,6 @@ from ..tensor import kron, product_law, tensor_system
 from . import manifest
 from .fixtures import fixture_names, fixture_record
 
-_DOMINANCE_SLACK = 1e-8
-
 
 def _num(x) -> str:
     if x is None:
@@ -121,7 +119,7 @@ def _read_matrix(value: str, dim: int, complex_field: bool, what: str) -> np.nda
 
 @click.group()
 @click.option("--tol", type=float, default=linalg.DEFAULT_TOL, show_default=True,
-              help="Relative tolerance for all verification decisions.")
+              help="Relative tolerance for all verification decisions, in (0, 1).")
 @click.option("--quad-nodes", type=int, default=8, show_default=True,
               help="Quadrature resolution for quadrature-built demo systems.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
@@ -129,6 +127,8 @@ def _read_matrix(value: str, dim: int, complex_field: bool, what: str) -> np.nda
 @click.pass_context
 def main(ctx: click.Context, tol: float, quad_nodes: int, fmt: str) -> None:
     """Bound analysis and constructions for sampled biframe systems."""
+    if not 0.0 < tol < 1.0:  # also rejects nan; at 1 or more every PSD test passes
+        raise click.BadParameter(f"{tol} is not in (0, 1)", param_hint="'--tol'")
     ctx.obj = {"tol": tol, "quad_nodes": quad_nodes, "format": fmt}
 
 
@@ -288,9 +288,9 @@ def construct(ctx: click.Context, file: str, op_name: str, operator_text: str | 
     lower_ok = (
         result.guaranteed_lower is None
         or (after.lower_opt is not None
-            and after.lower_opt >= result.guaranteed_lower - _DOMINANCE_SLACK)
+            and after.lower_opt >= (1.0 - tol) * result.guaranteed_lower)
     )
-    upper_ok = after.upper_opt <= result.guaranteed_upper + _DOMINANCE_SLACK
+    upper_ok = after.upper_opt <= result.guaranteed_upper + tol * abs(result.guaranteed_upper)
     dominated = lower_ok and upper_ok
 
     if output is not None:
@@ -342,7 +342,8 @@ def tensor(ctx: click.Context, left: str, right: str, output: str) -> None:
     s_right = frame_operator(ts.right)
     s_comb = frame_operator(ts.combined)
     kron_gap = float(np.linalg.norm(s_comb - kron(s_left, s_right)))
-    kron_gap /= max(1.0, float(np.linalg.norm(s_comb)))
+    if kron_gap:
+        kron_gap /= float(np.linalg.norm(s_comb))
 
     try:
         lb, rb, cb = (optimal_bounds(s, tol=tol) for s in (ts.left, ts.right, ts.combined))

@@ -180,15 +180,13 @@ def frame_operator(system: BiframeSystem) -> np.ndarray:
     return cached
 
 
-def biframe_form(system: BiframeSystem, f, tol: float | None = None) -> float:
+def biframe_form(system: BiframeSystem, f, tol: float = DEFAULT_TOL) -> float:
     """Quadratic form ``sum_i w_i <f, F_i> <G_i, f>`` evaluated directly.
 
     The sum is real whenever the frame operator is self-adjoint; only the
     real part is returned, with a :class:`NonSelfAdjointWarning` if the
     imaginary remainder exceeds ``tol * ||f||^2 * ||S||``.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     vec = linalg.as_vector(f, dim=system.dim)
     coeff = np.conj(system.analysis.samples) @ vec
     recon = system.synthesis.samples @ np.conj(vec)
@@ -250,7 +248,7 @@ class BoundsReport:
     degenerate: bool = False
 
 
-def optimal_bounds(system: BiframeSystem, tol: float | None = None) -> BoundsReport:
+def optimal_bounds(system: BiframeSystem, tol: float = DEFAULT_TOL) -> BoundsReport:
     """Best achievable bound pair for the system against its target.
 
     The lower constant solves ``max { a : Herm(S) - a K K* >= 0 }`` in closed
@@ -258,8 +256,6 @@ def optimal_bounds(system: BiframeSystem, tol: float | None = None) -> BoundsRep
     ``lambda_max(Herm(S))``.  Validity means a strictly positive lower
     constant exists.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     s = frame_operator(system)
     herm = linalg.hermitian_part(s)
     asym = linalg.asymmetry(s)
@@ -293,10 +289,12 @@ class BoundsVerification:
 
 
 def check_bounds(system: BiframeSystem, lower: float, upper: float,
-                 tol: float | None = None) -> BoundsVerification:
-    """Like :func:`verify_bounds` but with margins and a failing witness."""
-    if tol is None:
-        tol = DEFAULT_TOL
+                 tol: float = DEFAULT_TOL) -> BoundsVerification:
+    """Like :func:`verify_bounds` but with margins and a failing witness.
+
+    The PSD cutoffs scale with the claim's data, ``tol * (||Herm S||_F +
+    lower ||K K*||_F)`` and ``tol * (upper + ||Herm S||_F)``: the differences
+    tested cancel near a tight claim."""
     if not (np.isfinite(lower) and np.isfinite(upper)):
         raise MalformedBoundsError("bounds must be finite numbers")
     if not (0.0 < lower <= upper):
@@ -304,10 +302,12 @@ def check_bounds(system: BiframeSystem, lower: float, upper: float,
             f"need 0 < lower <= upper, got lower={lower!r} upper={upper!r}"
         )
     herm = linalg.hermitian_part(frame_operator(system))
-    low = linalg.hermitian_eigen(herm - lower * gram_target(system), tol=tol)
+    gram = gram_target(system)
+    herm_norm = float(np.linalg.norm(herm))
+    low = linalg.hermitian_eigen(linalg.hermitian_part(herm - lower * gram), tol=tol)
     up = linalg.hermitian_eigen(upper * np.eye(system.dim, dtype=herm.dtype) - herm, tol=tol)
-    lower_ok = low.is_psd(tol)
-    upper_ok = up.is_psd(tol)
+    lower_ok = low.min >= -tol * (herm_norm + lower * float(np.linalg.norm(gram)))
+    upper_ok = up.min >= -tol * (upper + herm_norm)
     failed = low if not lower_ok else up if not upper_ok else None
     return BoundsVerification(
         ok=lower_ok and upper_ok,
@@ -320,7 +320,7 @@ def check_bounds(system: BiframeSystem, lower: float, upper: float,
 
 
 def verify_bounds(system: BiframeSystem, lower: float, upper: float,
-                  tol: float | None = None) -> bool:
+                  tol: float = DEFAULT_TOL) -> bool:
     """Whether the pair ``(lower, upper)`` is a valid bound pair:
     ``Herm(S) - lower * K K*`` and ``upper * I - Herm(S)`` both PSD at
     tolerance.  Claims with ``lower <= 0`` or ``lower > upper`` are rejected
@@ -339,7 +339,7 @@ class Classification:
     bessel_only: bool
 
 
-def classify(system: BiframeSystem, tol: float | None = None) -> Classification:
+def classify(system: BiframeSystem, tol: float = DEFAULT_TOL) -> Classification:
     """Structural classification.
 
     * ``families_equal`` -- analysis and synthesis samples coincide;
@@ -349,16 +349,13 @@ def classify(system: BiframeSystem, tol: float | None = None) -> Classification:
     * ``bessel_only`` -- the upper bound is finite (always, here) but no
       positive lower bound exists.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     fa = system.analysis.samples
     fs = system.synthesis.samples
-    sample_scale = max(1.0, float(np.max(np.abs(fa))) if fa.size else 0.0)
-    families_equal = bool(np.all(np.abs(fa - fs) <= tol * sample_scale))
+    families_equal = bool(np.linalg.norm(fa - fs) <= tol * np.linalg.norm(fa))
 
     herm = linalg.hermitian_part(frame_operator(system))
     gram = gram_target(system)
-    herm_scale = max(1.0, float(np.linalg.norm(herm)))
+    herm_scale = float(np.linalg.norm(herm))
     gram_sq = float(np.real(np.vdot(gram, gram)))
     tight = False
     constant: float | None = None

@@ -8,6 +8,14 @@ control (deterministic ordering and sign).  Singular-value based helpers
 (pseudo-inverse, spectral norm, range/null bases) sit on ``numpy.linalg.svd``
 with explicit rank thresholding.
 
+Every verdict in the package has one tolerance rule: a quantity counts as
+zero when it is at most ``tol`` times a norm of the problem the verdict is
+about, with no absolute floor, so scaling a problem leaves its verdicts
+unchanged.  PSD tests use ``max|lambda|`` (:meth:`EigenDecomposition.cutoff`),
+Hermitian tests ``||a||_F``, rank decisions ``sigma_max`` (at
+:data:`DEFAULT_TOL`), and composite verdicts the norms of the data they are
+formed from (``check_bounds``: ``||Herm S||_F + lower ||K K*||_F``).
+
 The central routine is :func:`max_psd_shift`, which computes the largest
 ``a >= 0`` with ``s - a*p`` positive semidefinite.  That quantity is the
 optimal lower bound of every sampled system in this package; it is solved in
@@ -31,13 +39,9 @@ from .errors import (
     SingularOperatorError,
 )
 
-#: Default tolerance for verdict-style checks (PSD tests, Hermitian tests,
-#: bound verification).  Routines multiply it by ``max(1, norm)`` of the
-#: matrix under test; for PSD verdicts that is :meth:`EigenDecomposition.cutoff`.
+#: The one tolerance: verdicts compare against it (or a caller's ``tol``)
+#: times a norm of their problem, as the module docstring lists.
 DEFAULT_TOL = 1e-9
-
-#: Default relative cutoff separating "zero" from "nonzero" singular values.
-RANK_TOL = 1e-10
 
 _MAX_JACOBI_SWEEPS = 60
 
@@ -125,10 +129,9 @@ def unit_vector(v: np.ndarray) -> np.ndarray:
 
 def _require_hermitian(a: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
     defect = np.linalg.norm(a - adjoint(a))
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if defect > tol * scale:
+    if defect > tol * np.linalg.norm(a):
         raise NotHermitianError(
-            f"{what} is not Hermitian: ||a - a*|| = {defect:.3e} exceeds {tol:.1e} * max(1, ||a||)"
+            f"{what} is not Hermitian: ||a - a*|| = {defect:.3e} exceeds {tol:.1e} * ||a||"
         )
     return (a + adjoint(a)) / 2.0
 
@@ -150,22 +153,21 @@ class EigenDecomposition:
 
     def cutoff(self, tol: float) -> float:
         """Eigenvalues within this distance of zero count as zero:
-        ``tol * max(1, max|lambda|)``, the one tolerance rule of every PSD
-        verdict in the package."""
-        return tol * max(1.0, float(np.max(np.abs(self.values))))
+        ``tol * max|lambda|``, the rule of every PSD verdict in the package."""
+        return tol * float(np.max(np.abs(self.values)))
 
     def is_psd(self, tol: float) -> bool:
         """Whether the matrix is positive semidefinite at tolerance."""
         return self.min >= -self.cutoff(tol)
 
 
-def hermitian_eigen(a, tol: float | None = None) -> EigenDecomposition:
+def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi.
 
     Parameters
     ----------
     a
-        Square matrix with ``||a - a*|| <= tol * max(1, ||a||)``.
+        Square matrix with ``||a - a*||_F <= tol * ||a||_F``.
     tol
         Hermitian-defect tolerance; defaults to :data:`DEFAULT_TOL`.
 
@@ -184,8 +186,6 @@ def hermitian_eigen(a, tol: float | None = None) -> EigenDecomposition:
         Jacobi converges quadratically once sweeps start annihilating
         off-diagonal mass).
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     m = as_matrix(a, square=True)
     m = _require_hermitian(m, tol)
     n = m.shape[0]
@@ -194,7 +194,7 @@ def hermitian_eigen(a, tol: float | None = None) -> EigenDecomposition:
 
     if n > 1:
         fro = float(np.linalg.norm(m))
-        stop = max(fro, 1.0) * 1e-15
+        stop = fro * 1e-15
 
         def _off_norm() -> float:
             # Directly over the off-diagonal entries: the algebraically
@@ -251,32 +251,28 @@ def hermitian_eigen(a, tol: float | None = None) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vecs)
 
 
-def min_eigenpair(a, tol: float | None = None) -> tuple[float, np.ndarray]:
+def min_eigenpair(a, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue of a Hermitian matrix with its unit eigenvector."""
     eig = hermitian_eigen(a, tol=tol)
     return eig.min, eig.vectors[:, 0].copy()
 
 
-def is_psd(a, tol: float | None = None) -> bool:
+def is_psd(a, tol: float = DEFAULT_TOL) -> bool:
     """Whether a Hermitian matrix is positive semidefinite at tolerance.
 
-    True iff ``lambda_min(a) >= -tol * max(1, ||a||)``.  Use
+    True iff ``lambda_min(a) >= -tol * max|lambda(a)|``.  Use
     :func:`min_eigenpair` when the failing direction is needed.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     return hermitian_eigen(a, tol=tol).is_psd(tol)
 
 
-def sqrt_psd(a, tol: float | None = None) -> np.ndarray:
+def sqrt_psd(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Positive-semidefinite square root of a PSD matrix.
 
     Eigenvalues below the PSD tolerance are clamped to zero, so mild
     round-off on the input does not leak into the result.  Raises
     :class:`NotPSDError` for genuinely indefinite input.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     eig = hermitian_eigen(a, tol=tol)
     cutoff = eig.cutoff(tol)
     if not eig.is_psd(tol):
@@ -289,21 +285,20 @@ def sqrt_psd(a, tol: float | None = None) -> np.ndarray:
     return (root + adjoint(root)) / 2.0
 
 
-def pseudo_inverse(a, rank_tol: float = RANK_TOL) -> np.ndarray:
+def _rank(sigma: np.ndarray) -> int:
+    """Count of singular values (descending) above ``DEFAULT_TOL * sigma_max``."""
+    return int(np.count_nonzero(sigma > DEFAULT_TOL * sigma[0]))
+
+
+def pseudo_inverse(a) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via SVD with explicit rank thresholding.
 
-    Singular values below ``rank_tol * sigma_max`` are treated as exact
-    zeros.  The zero matrix maps to the (transposed) zero matrix.
+    Singular values at or below the rank cutoff are treated as exact zeros.
+    The zero matrix maps to the (transposed) zero matrix.
     """
-    m = as_matrix(a)
-    u, sigma, vh = np.linalg.svd(m, full_matrices=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=m.dtype)
-    cutoff = rank_tol * sigma[0]
-    inv = np.zeros_like(sigma)
-    keep = sigma > cutoff
-    inv[keep] = 1.0 / sigma[keep]
-    return adjoint(vh) @ (inv[:, None] * adjoint(u))
+    u, sigma, vh = np.linalg.svd(as_matrix(a), full_matrices=False)
+    r = _rank(sigma)
+    return adjoint(vh[:r]) @ ((1.0 / sigma[:r])[:, None] * adjoint(u[:, :r]))
 
 
 def spectral_norm(a) -> float:
@@ -312,45 +307,34 @@ def spectral_norm(a) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def operator_rank(a, rank_tol: float = RANK_TOL) -> int:
+def operator_rank(a) -> int:
     """Numerical rank at the package-wide singular-value cutoff."""
-    sigma = np.linalg.svd(as_matrix(a), compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > rank_tol * sigma[0]))
+    return _rank(np.linalg.svd(as_matrix(a), compute_uv=False))
 
 
-def orthonormal_range(a, rank_tol: float = RANK_TOL) -> np.ndarray:
+def orthonormal_range(a) -> np.ndarray:
     """Orthonormal basis of the column space, as matrix columns.
 
     Rank-0 input yields a ``(m, 0)`` matrix.
     """
-    m = as_matrix(a)
-    u, sigma, _ = np.linalg.svd(m, full_matrices=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return u[:, :0]
-    return u[:, sigma > rank_tol * sigma[0]]
+    u, sigma, _ = np.linalg.svd(as_matrix(a), full_matrices=False)
+    return u[:, :_rank(sigma)]
 
 
-def orthonormal_nullspace(a, rank_tol: float = RANK_TOL) -> np.ndarray:
+def orthonormal_nullspace(a) -> np.ndarray:
     """Orthonormal basis of the kernel, as matrix columns."""
-    m = as_matrix(a)
-    _, sigma, vh = np.linalg.svd(m, full_matrices=True)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
-    return adjoint(vh)[:, rank:]
+    _, sigma, vh = np.linalg.svd(as_matrix(a), full_matrices=True)
+    return adjoint(vh)[:, _rank(sigma):]
 
 
-def invert(a, rank_tol: float = RANK_TOL) -> np.ndarray:
+def invert(a) -> np.ndarray:
     """Inverse of a square matrix; :class:`SingularOperatorError` when the
-    smallest singular value sits below ``rank_tol * sigma_max``."""
+    smallest singular value sits at or below the rank cutoff."""
     m = as_matrix(a, square=True)
     sigma = np.linalg.svd(m, compute_uv=False)
-    if sigma[0] == 0.0 or sigma[-1] <= rank_tol * sigma[0]:
+    if _rank(sigma) < m.shape[0]:
         raise SingularOperatorError(
-            f"matrix is singular at rank tolerance {rank_tol:.1e} (sigma_min={sigma[-1]:.3e})"
+            f"matrix is singular at rank tolerance {DEFAULT_TOL:.1e} (sigma_min={sigma[-1]:.3e})"
         )
     return np.linalg.inv(m)
 
@@ -377,7 +361,7 @@ class ShiftResult:
     degenerate: bool = False
 
 
-def max_psd_shift(s, p, tol: float | None = None) -> ShiftResult:
+def max_psd_shift(s, p, tol: float = DEFAULT_TOL) -> ShiftResult:
     """Largest ``a >= 0`` such that ``s - a*p`` stays positive semidefinite.
 
     ``s`` and ``p`` must be Hermitian and ``p`` PSD.  Semidefiniteness of the
@@ -393,22 +377,22 @@ def max_psd_shift(s, p, tol: float | None = None) -> ShiftResult:
     eigenvector ``y`` lifts to the tight direction
     ``Q1 x1 - Q2 s22^+ s21 x1`` with ``x1 = Lambda^{-1/2} y``.
 
-    ``s22^+`` inverts the eigenvalues of ``s22`` floored at its cutoff, so
-    ``C`` is the exact Schur complement of a matrix within tolerance of ``s``.
-    A zero eigenvalue cannot simply be dropped: an ``s`` that is PSD only at
-    tolerance may couple ``range(p)`` to it by ``sqrt(tol)``, and dropping
-    that coupling reports a shift that ``s - a*p`` violates by as much.
+    ``s22^+`` inverts the eigenvalues of ``s22`` floored at the cutoff of
+    ``s``, so ``C`` is the exact Schur complement of a matrix within
+    tolerance of ``s``.  A zero eigenvalue cannot simply be dropped: an ``s``
+    that is PSD only at tolerance may couple ``range(p)`` to it by
+    ``sqrt(tol)``, and dropping that coupling reports a shift that
+    ``s - a*p`` violates by as much.  A shift counts as zero when
+    ``amount * lambda_max(p)`` is within the cutoff of ``s``.
 
     Returns
     -------
     ShiftResult
-        ``amount=None`` when no shift above ``tol`` exists (e.g. ``s``
+        ``amount=None`` when no shift above tolerance exists (e.g. ``s``
         indefinite, or ``s`` vanishing on a direction that ``p`` sees);
         ``amount=math.inf`` flagged ``degenerate`` when ``p = 0`` and ``s``
         is PSD.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     s_m = as_matrix(s, square=True)
     p_m = as_matrix(p, square=True)
     if s_m.shape != p_m.shape:
@@ -436,20 +420,22 @@ def max_psd_shift(s, p, tol: float | None = None) -> ShiftResult:
     seen = p_eig.values > p_eig.cutoff(tol)
     q1, q2 = p_eig.vectors[:, seen], p_eig.vectors[:, ~seen]
     inv_root = 1.0 / np.sqrt(p_eig.values[seen])
+    s_cutoff = s_eig.cutoff(tol)
     s21 = adjoint(q2) @ s_m @ q1
     coupling = np.zeros_like(s21)  # s22^+ s21
-    if q2.shape[1]:
-        s22_eig = hermitian_eigen(adjoint(q2) @ s_m @ q2, tol=tol)
-        floored = np.maximum(s22_eig.values, s22_eig.cutoff(tol))
+    if q2.shape[1] and s_cutoff > 0.0:  # s = 0 leaves nothing to couple
+        # blocks of s are Hermitian by construction, but may be round-off
+        s22_eig = hermitian_eigen(hermitian_part(adjoint(q2) @ s_m @ q2), tol=tol)
+        floored = np.maximum(s22_eig.values, s_cutoff)
         w = s22_eig.vectors
         coupling = (w / floored) @ (adjoint(w) @ s21)
     schur = adjoint(q1) @ s_m @ q1 - adjoint(s21) @ coupling
-    pencil = hermitian_eigen(inv_root[:, None] * schur * inv_root, tol=tol)
+    pencil = hermitian_eigen(hermitian_part(inv_root[:, None] * schur * inv_root), tol=tol)
     x1 = inv_root * pencil.vectors[:, 0]
     witness = unit_vector(q1 @ x1 - q2 @ (coupling @ x1))
     # s passed the PSD gate, so a negative bottom is round-off of an exact zero
     amount = max(pencil.min, 0.0)
 
-    if amount <= tol:
+    if amount * p_eig.max <= s_cutoff:
         return ShiftResult(amount=None, witness=witness)
     return ShiftResult(amount=amount, witness=witness)

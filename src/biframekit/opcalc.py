@@ -45,7 +45,7 @@ from .errors import (
     SingularOperatorError,
     ZeroOperatorError,
 )
-from .linalg import DEFAULT_TOL, RANK_TOL
+from .linalg import DEFAULT_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +111,7 @@ def _valid_bounds(system: BiframeSystem, tol: float, what: str) -> tuple[float, 
 def _require_identity_target(system: BiframeSystem, tol: float, what: str) -> None:
     eye = np.eye(system.dim)
     gap = float(np.linalg.norm(system.target - eye))
-    if gap > tol * max(1.0, float(np.linalg.norm(system.target))):
+    if gap > tol * np.linalg.norm(system.target):
         raise NotABiframeError(
             f"{what} expects a plain system (identity target); "
             f"the target differs from the identity by {gap:.3e}"
@@ -140,8 +140,7 @@ def promote(system: BiframeSystem, new_target, *, tol: float = DEFAULT_TOL) -> C
     )
 
 
-def restrict_to_range(system: BiframeSystem, *, tol: float = DEFAULT_TOL,
-                      rank_tol: float = RANK_TOL) -> ConstructionResult:
+def restrict_to_range(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> ConstructionResult:
     """Compress a valid system onto the range of its target.
 
     On ``range(K)`` the target satisfies ``||K* f|| >= ||f|| / ||K^+||``, so
@@ -151,11 +150,11 @@ def restrict_to_range(system: BiframeSystem, *, tol: float = DEFAULT_TOL,
     """
     lower, upper = _valid_bounds(system, tol, "restriction input")
     k = system.target
-    basis = linalg.orthonormal_range(k, rank_tol=rank_tol)
+    basis = linalg.orthonormal_range(k)
     rank = basis.shape[1]
     if rank == 0:
         raise ZeroOperatorError("target range is trivial; nothing to restrict to")
-    pinv_norm = linalg.spectral_norm(linalg.pseudo_inverse(k, rank_tol=rank_tol))
+    pinv_norm = linalg.spectral_norm(linalg.pseudo_inverse(k))
     compressed = BiframeSystem.from_samples(
         system.measure,
         system.analysis.samples @ np.conj(basis),
@@ -373,21 +372,23 @@ def inverse_conjugate(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) -> 
     )
 
 
-def max_transfer_ratio(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL,
-                       rank_tol: float = RANK_TOL) -> float:
+def max_transfer_ratio(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) -> float:
     """Largest ``delta`` with ``||U* f|| >= delta ||K* f||`` for all ``f``.
 
-    Requires ``range(U) <= range(K)`` (checked against the target's
-    orthonormal range basis).  The ratio is the square root of the maximal
-    PSD shift of ``U U*`` along ``K K*``; it is strictly positive exactly
-    when pushing the system through ``U`` (:func:`apply_operator`, but
-    keeping the *original* target ``K``) again yields a valid system.
+    Requires ``range(U) <= range(K)``, checked against the target's
+    orthonormal range basis at ``tol * (||U|| + ||K||)`` (a ``U`` that is
+    round-off of zero has no scale of its own).  The ratio is the square
+    root of the maximal PSD shift of ``U U*`` along ``K K*``; it is strictly
+    positive exactly when pushing the system through ``U``
+    (:func:`apply_operator`, but keeping the *original* target ``K``) again
+    yields a valid system.
     """
     mat = _as_operator(u, system.dim)
     k = system.target
-    basis = linalg.orthonormal_range(k, rank_tol=rank_tol)
+    basis = linalg.orthonormal_range(k)
     residual = mat - basis @ (linalg.adjoint(basis) @ mat)
-    if linalg.spectral_norm(residual) > rank_tol * max(1.0, linalg.spectral_norm(mat)):
+    scale = linalg.spectral_norm(mat) + linalg.spectral_norm(k)
+    if linalg.spectral_norm(residual) > tol * scale:
         raise RangeNotContainedError(
             "operator range is not contained in the target range"
         )
@@ -408,7 +409,7 @@ def commuting_transform(system: BiframeSystem, t, *, tol: float = DEFAULT_TOL) -
     inv = linalg.invert(mat)
     k = system.target
     gap = linalg.spectral_norm(mat @ k - k @ mat)
-    if gap > tol * max(1.0, linalg.spectral_norm(mat) * linalg.spectral_norm(k)):
+    if gap > tol * linalg.spectral_norm(mat) * linalg.spectral_norm(k):
         raise NotCommutingError(
             f"operator does not commute with the target (defect {gap:.3e})"
         )
@@ -466,13 +467,13 @@ def tight_scaling_check(system: BiframeSystem, tight_constant: float,
     herm = linalg.hermitian_part(frame_operator(system))
     gram = gram_target(system)
     defect = float(np.linalg.norm(herm - tight_constant * gram))
-    if defect > tol * max(1.0, float(np.linalg.norm(herm))):
+    if defect > tol * np.linalg.norm(herm):
         raise NotTightError(
             f"system is not tight with constant {tight_constant!r} (defect {defect:.3e})"
         )
     ratio = tight_constant / plain_constant
     gap = linalg.spectral_norm(ratio * gram - np.eye(system.dim))
-    return bool(gap <= tol * max(1.0, abs(ratio) * linalg.spectral_norm(gram)))
+    return bool(gap <= tol * ratio * linalg.spectral_norm(gram))
 
 
 def parseval_check(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> bool:
@@ -480,6 +481,6 @@ def parseval_check(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> bool:
     herm = linalg.hermitian_part(frame_operator(system))
     gram = gram_target(system)
     eye = np.eye(system.dim)
-    herm_ok = float(np.linalg.norm(herm - eye)) <= tol * max(1.0, float(np.linalg.norm(herm)))
-    gram_ok = float(np.linalg.norm(gram - eye)) <= tol * max(1.0, float(np.linalg.norm(gram)))
-    return herm_ok and gram_ok
+    herm_ok = np.linalg.norm(herm - eye) <= tol * np.linalg.norm(herm)
+    gram_ok = np.linalg.norm(gram - eye) <= tol * np.linalg.norm(gram)
+    return bool(herm_ok and gram_ok)

@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .biframe import BiframeSystem, frame_operator, gram_target, optimal_bounds
 from .errors import DimensionMismatchError
-from .linalg import DEFAULT_TOL, RANK_TOL
+from .linalg import DEFAULT_TOL
 from .opcalc import _map_samples
 
 
@@ -44,14 +44,14 @@ class QuotientResult:
     achiever: np.ndarray | None
 
 
-def quotient_norm(u, v, *, rank_tol: float = RANK_TOL) -> QuotientResult:
+def quotient_norm(u, v) -> QuotientResult:
     """Decide whether ``[U/V]`` exists and compute its norm if so.
 
     Null-space containment is tested through an orthonormal null basis of
     ``V``: the quotient exists iff ``U`` annihilates that basis to within
-    ``rank_tol`` (relative to ``||U||``).  The norm is the spectral norm of
-    ``U V^+``, whose kernel already contains ``range(V)``-orthogonal
-    directions, so no explicit restriction is needed.
+    ``DEFAULT_TOL * ||U||``.  The norm is the spectral norm of ``U V^+``,
+    whose kernel already contains ``range(V)``-orthogonal directions, so no
+    explicit restriction is needed.
     """
     u_mat = linalg.as_matrix(u)
     v_mat = linalg.as_matrix(v)
@@ -60,28 +60,29 @@ def quotient_norm(u, v, *, rank_tol: float = RANK_TOL) -> QuotientResult:
             f"quotient needs operators of equal shape, got {u_mat.shape} and {v_mat.shape}"
         )
 
-    null_basis = linalg.orthonormal_nullspace(v_mat, rank_tol=rank_tol)
-    u_scale = max(1.0, linalg.spectral_norm(u_mat))
+    null_basis = linalg.orthonormal_nullspace(v_mat)
+    u_scale = linalg.spectral_norm(u_mat)
     if null_basis.shape[1]:
         restricted = u_mat @ null_basis
         top = np.linalg.svd(restricted, compute_uv=False)
-        if top.size and top[0] > rank_tol * u_scale:
+        if top.size and top[0] > DEFAULT_TOL * u_scale:
             _, _, vh = np.linalg.svd(restricted)
             witness = linalg.canonical_sign(null_basis @ np.conj(vh[0]))
             return QuotientResult(False, None, witness, None)
 
-    if linalg.operator_rank(v_mat, rank_tol=rank_tol) == 0:
+    v_scale = linalg.spectral_norm(v_mat)
+    if v_scale == 0.0:
         # V = 0 forces U = 0 (containment already checked); the quotient is
         # the zero map on a trivial range.
         return QuotientResult(True, 0.0, None, None)
 
-    ratio = u_mat @ linalg.pseudo_inverse(v_mat, rank_tol=rank_tol)
+    ratio = u_mat @ linalg.pseudo_inverse(v_mat)
     sigma, achieved = _top_singular(ratio)
-    if sigma <= rank_tol * u_scale:
+    if sigma * v_scale <= DEFAULT_TOL * u_scale:
         # U vanishes on range(V*): the ratio is 0 along any non-null input.
         _, direction = _top_singular(v_mat)
         return QuotientResult(True, 0.0, None, direction)
-    achiever = linalg.pseudo_inverse(v_mat, rank_tol=rank_tol) @ achieved
+    achiever = linalg.pseudo_inverse(v_mat) @ achieved
     return QuotientResult(True, float(sigma), None,
                           linalg.canonical_sign(linalg.unit_vector(achiever)))
 
@@ -115,8 +116,7 @@ class ValidityCrossCheck:
         return self.verdict is None
 
 
-def validity_cross_check(system: BiframeSystem, *, tol: float = DEFAULT_TOL,
-                         rank_tol: float = RANK_TOL) -> ValidityCrossCheck:
+def validity_cross_check(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> ValidityCrossCheck:
     """Cross-check pencil validity against quotient existence.
 
     Requires the Hermitian part of the frame operator to be PSD (the upper
@@ -126,7 +126,7 @@ def validity_cross_check(system: BiframeSystem, *, tol: float = DEFAULT_TOL,
     """
     root = linalg.sqrt_psd(linalg.hermitian_part(frame_operator(system)), tol=tol)
     report = optimal_bounds(system, tol=tol)
-    quot = quotient_norm(linalg.adjoint(system.target), root, rank_tol=rank_tol)
+    quot = quotient_norm(linalg.adjoint(system.target), root)
     agree = bool(report.valid) == bool(quot.exists)
     return ValidityCrossCheck(
         pencil_valid=bool(report.valid),
@@ -159,8 +159,8 @@ class TransformEquivalences:
         return self.pushed_valid == self.quotient_plain == self.quotient_pushed
 
 
-def transform_equivalences(system: BiframeSystem, t, *, tol: float = DEFAULT_TOL,
-                           rank_tol: float = RANK_TOL) -> TransformEquivalences:
+def transform_equivalences(system: BiframeSystem, t, *,
+                           tol: float = DEFAULT_TOL) -> TransformEquivalences:
     """Evaluate the three equivalent validity predicates for a push by ``T``."""
     t_mat = linalg.as_matrix(t, square=True)
     if t_mat.shape[0] != system.dim:
@@ -174,12 +174,14 @@ def transform_equivalences(system: BiframeSystem, t, *, tol: float = DEFAULT_TOL
     pushed_report = optimal_bounds(pushed, tol=tol)
 
     numerator = linalg.adjoint(pushed.target)
-    plain = quotient_norm(numerator, root @ linalg.adjoint(t_mat), rank_tol=rank_tol)
-    pushed_root = linalg.sqrt_psd(t_mat @ herm @ linalg.adjoint(t_mat), tol=tol)
-    through = quotient_norm(numerator, pushed_root, rank_tol=rank_tol)
+    plain = quotient_norm(numerator, root @ linalg.adjoint(t_mat))
+    # T H T* is Hermitian by construction, but cancellation may leave it at round-off
+    pushed_root = linalg.sqrt_psd(linalg.hermitian_part(t_mat @ herm @ linalg.adjoint(t_mat)),
+                                  tol=tol)
+    through = quotient_norm(numerator, pushed_root)
 
     target_scale = linalg.spectral_norm(system.target) * linalg.spectral_norm(t_mat)
-    degenerate = linalg.spectral_norm(pushed.target) <= rank_tol * max(1.0, target_scale)
+    degenerate = linalg.spectral_norm(pushed.target) <= tol * target_scale
     return TransformEquivalences(
         pushed_valid=bool(pushed_report.valid),
         quotient_plain=bool(plain.exists),

@@ -45,8 +45,11 @@ def tensor_system(s1: BiframeSystem, s2: BiframeSystem) -> TensorSystem:
     """Combine two systems on the Kronecker coordinate space.
 
     Sample families, weights and targets all combine by Kronecker product;
-    in particular the combined frame operator is ``S1 (x) S2`` and a valid
-    bound pair for each factor multiplies into a valid pair for the result.
+    in particular the combined frame operator is ``S1 (x) S2``.  The factors'
+    bound pairs do not multiply into a valid pair in general: with
+    ``S = H + iJ`` (``H``, ``J`` Hermitian), ``Herm(S1 (x) S2) = H1 (x) H2 -
+    J1 (x) J2``, so :func:`product_law` is a theorem only when one factor is
+    self-adjoint.
     """
     if s1.field_name != s2.field_name:
         raise FieldMismatchError(
@@ -74,8 +77,10 @@ def factor_bounds_check(ts: TensorSystem, *, tol: float = DEFAULT_TOL) -> bool:
 def product_law(left: BoundsReport, right: BoundsReport, combined: BoundsReport, *,
                 tol: float = DEFAULT_TOL) -> bool:
     """Whether a combined system's optimal bounds multiply from its factors':
-    ``lower_opt(combined) >= lower_opt(left)*lower_opt(right) - tol`` and
-    ``upper_opt(combined) <= upper_opt(left)*upper_opt(right) + tol``.
+    ``lower_opt(combined) >= (1 - tol) * lower_opt(left) * lower_opt(right)``
+    and ``upper_opt(combined) <= (1 + tol) * upper_opt(left) * upper_opt(right)``.
+    It is a theorem only when one factor is self-adjoint; skew parts enter
+    the combined Hermitian part as ``-J1 (x) J2`` (see :func:`tensor_system`).
 
     All three systems must be valid (otherwise :class:`NotABiframeError`).
     """
@@ -83,6 +88,6 @@ def product_law(left: BoundsReport, right: BoundsReport, combined: BoundsReport,
                          (right, "right factor")):
         if not report.valid:
             raise NotABiframeError(f"{what} is not valid against its target")
-    lower_ok = combined.lower_opt >= left.lower_opt * right.lower_opt - tol
-    upper_ok = combined.upper_opt <= left.upper_opt * right.upper_opt + tol
+    lower_ok = combined.lower_opt >= (1.0 - tol) * left.lower_opt * right.lower_opt
+    upper_ok = combined.upper_opt <= (1.0 + tol) * left.upper_opt * right.upper_opt
     return bool(lower_ok and upper_ok)

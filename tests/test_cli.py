@@ -251,3 +251,16 @@ class TestDemo:
         assert payload["form_at_witness"] == pytest.approx(-1.0 / 3.0, abs=1e-9)
         scaled = np.array(payload["witness_scaled"])
         np.testing.assert_allclose(np.abs(scaled), [1.0, 1.0, 0.0], atol=1e-9)
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("value", ["-1", "0", "1", "2", "nan", "inf", "-inf"])
+    def test_tolerance_outside_the_open_unit_interval_is_usage_error(self, runner, value):
+        result = runner.invoke(main, ["--tol", value, "demo", "example-3-3"])
+        assert result.exit_code == 2
+        assert "--tol" in result.output
+        assert "PASS" not in result.output
+
+    def test_tolerance_inside_the_interval_is_accepted(self, runner):
+        result = runner.invoke(main, ["--tol", "1e-6", "demo", "example-3-3"])
+        assert result.exit_code == 0

@@ -1,0 +1,176 @@
+"""One scale-relative tolerance rule: verdicts that do not depend on units.
+
+A system's bounds are homogeneous in its weights: multiply every weight by
+``c`` and the optimal pair becomes ``(c A, c B)`` with the same validity.
+They are also invariant under a unitary change of basis and under exchanging
+the two families.  Every verdict must follow, which holds only when each
+threshold is relative to the problem it is about.
+"""
+
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from biframekit import (
+    BiframeSystem,
+    DiscreteMeasure,
+    biframe_form,
+    check_bounds,
+    optimal_bounds,
+    swap,
+)
+from helpers import random_matrix, random_system, random_target, random_valid_system
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "biframekit"
+
+
+def _two_by_two(weight: float) -> BiframeSystem:
+    """``F = I``, ``G = diag(1, -1)`` with equal weights and ``K = I``: the
+    form is ``weight * (|f_1|^2 - |f_2|^2)``, indefinite at every scale."""
+    measure = DiscreteMeasure(("a", "b"), np.full(2, weight))
+    return BiframeSystem.from_samples(measure, np.eye(2), np.diag([1.0, -1.0]), np.eye(2))
+
+
+class TestTinyIndefiniteSystem:
+    """Weights of 1e-12 once fell below an absolute cutoff of 1e-9."""
+
+    system = _two_by_two(1e-12)
+
+    def test_invalid_with_a_negative_form_witness_the_form_confirms(self):
+        report = optimal_bounds(self.system)
+        assert report.valid is False
+        witness = report.witness_negative_form
+        assert witness is not None
+        assert biframe_form(self.system, witness) < 0.0
+
+    def test_false_claim_is_refuted_with_a_witness(self):
+        lower, upper = 1e-13, 1e-12
+        outcome = check_bounds(self.system, lower, upper)
+        assert outcome.ok is False
+        w = outcome.witness
+        form = biframe_form(self.system, w)
+        norm_sq = float(np.real(np.vdot(w, w)))
+        # K = I, so the claim reads lower*||f||^2 <= form(f) <= upper*||f||^2
+        assert form < lower * norm_sq or form > upper * norm_sq
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+def _draw(dim: int, complex_: bool, target: str, valid: bool, seed: int) -> BiframeSystem:
+    rng = np.random.default_rng(seed)
+    if target == "identity":
+        k = np.eye(dim)
+    elif target == "dense":
+        k = random_target(rng, dim, complex_)
+    else:  # rank-deficient; at dim 1 that is the zero target
+        k = random_target(rng, dim, complex_, rank=dim - 1)
+    make = random_valid_system if valid else random_system
+    return make(rng, dim, complex_=complex_, target=k)
+
+
+systems = st.builds(
+    _draw,
+    dim=st.integers(1, 8),
+    complex_=st.booleans(),
+    target=st.sampled_from(("identity", "dense", "rank-deficient")),
+    valid=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _claims(report) -> tuple[tuple[float, float] | None, tuple[float, float]]:
+    """A bound pair the system satisfies (``None`` if it has none) and one it
+    does not, each with a wide margin."""
+    lower, upper = report.lower_opt, report.upper_opt
+    if not report.valid:
+        x = abs(upper)
+        return None, (x, 2.0 * x)
+    if math.isinf(lower):  # zero target: every lower constant holds
+        return (upper, 2.0 * upper), (upper / 4.0, upper / 2.0)
+    return (lower / 2.0, max(2.0 * upper, lower)), (2.0 * lower, max(2.0 * upper, 2.0 * lower))
+
+
+def _verdicts(system: BiframeSystem, claims, scale: float = 1.0) -> tuple:
+    report = optimal_bounds(system)
+    checks = tuple(
+        None if claim is None else check_bounds(system, scale * claim[0], scale * claim[1]).ok
+        for claim in claims
+    )
+    return (report.valid, report.witness_negative_form is None) + checks
+
+
+def _same_bound(got, want) -> bool:
+    if want is None or math.isinf(want):
+        return got == want
+    return got == pytest.approx(want, rel=1e-9)
+
+
+def _baseline(system: BiframeSystem):
+    report = optimal_bounds(system)
+    claims = _claims(report)
+    verdicts = _verdicts(system, claims)
+    # the claims mean what they say at the original scale
+    assert verdicts[2:] == ((None if claims[0] is None else True), False)
+    return report, claims, verdicts
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems, st.integers(-12, 12))
+def test_scaling_the_weights_scales_the_bounds_and_keeps_every_verdict(system, exponent):
+    c = 10.0 ** exponent
+    report, claims, verdicts = _baseline(system)
+    scaled = BiframeSystem(
+        measure=DiscreteMeasure(system.measure.ids, c * system.measure.weights),
+        analysis=system.analysis,
+        synthesis=system.synthesis,
+        target=system.target,
+    )
+    moved = optimal_bounds(scaled)
+    want_lower = None if report.lower_opt is None else c * report.lower_opt
+    assert _same_bound(moved.lower_opt, want_lower)
+    assert _same_bound(moved.upper_opt, c * report.upper_opt)
+    assert _verdicts(scaled, claims, c) == verdicts
+
+
+@settings(max_examples=30, deadline=None)
+@given(systems, st.integers(0, 2**32 - 1))
+def test_unitary_change_of_basis_and_swap_keep_bounds_and_verdicts(system, seed):
+    report, claims, verdicts = _baseline(system)
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(random_matrix(rng, system.dim, system.dim, system.field_name == "complex"))
+    rotated = BiframeSystem.from_samples(
+        system.measure,
+        system.analysis.samples @ u.T,
+        system.synthesis.samples @ u.T,
+        u @ system.target,
+    )
+    for other in (rotated, swap(system)):
+        moved = optimal_bounds(other)
+        assert _same_bound(moved.lower_opt, report.lower_opt)
+        assert _same_bound(moved.upper_opt, report.upper_opt)
+        assert _verdicts(other, claims) == verdicts
+
+
+# ---------------------------------------------------------------------------
+# tooling guard
+
+
+def test_no_second_tolerance_rule_in_the_package():
+    """Each verdict compares against ``tol`` times a norm of its problem; a
+    ``max(1, ...)`` floor, a second tolerance constant or an absolute slack
+    would bring back a cutoff that does not scale with the problem."""
+    banned = re.compile(r"max\(1|RANK_TOL|rank_tol|_DOMINANCE_SLACK")
+    found = [
+        f"{path.relative_to(SRC)}:{number}: {line.strip()}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert not found, "\n".join(found)
