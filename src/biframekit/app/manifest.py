@@ -7,12 +7,22 @@ scalars are two-element ``[re, im]`` arrays.  :func:`save` emits a canonical
 form -- sorted keys, two-space indent, shortest round-tripping float
 representation -- so saved manifests diff cleanly and ``load(save(x))``
 reproduces ``x`` bit for bit.
+
+The canonical form is, byte for byte, what ``json.dumps(doc,
+sort_keys=True, indent=2)`` writes for the manifest document, and its layout
+has not changed.  :func:`dumps` renders it from fixed templates instead,
+because with ``indent`` set the standard library falls back to its
+pure-Python encoder; strings still go through ``json.dumps``, so their
+escaping is the standard one.  :func:`loads` checks a matrix's entry types on the set of types present
+and converts the whole matrix in one ``numpy.array`` call; only a matrix that
+fails that check is scanned entry by entry, to name the first bad entry.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -58,16 +68,37 @@ def _parse_scalar(value, complex_field: bool, where: str) -> complex | float:
     raise _fail(where, f"expected {expected}, got {value!r}")
 
 
+def _numbers(kinds) -> bool:
+    """Whether every type in ``kinds`` passes :func:`_parse_scalar` as a number."""
+    return all(issubclass(k, (int, float)) and not issubclass(k, bool) for k in kinds)
+
+
 def _parse_matrix(rows, n_rows: int, n_cols: int, complex_field: bool, name: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != n_rows:
         raise _fail(name, f"expected {n_rows} rows")
-    out = np.zeros((n_rows, n_cols), dtype=np.complex128 if complex_field else np.float64)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n_cols:
-            raise _fail(f"{name}[{i}]", f"expected a row of {n_cols} entries")
-        for j, value in enumerate(row):
-            out[i, j] = _parse_scalar(value, complex_field, f"{name}[{i}][{j}]")
-    return out
+    shaped = all(issubclass(k, list) for k in set(map(type, rows))) \
+        and set(map(len, rows)) == {n_cols}
+    kinds = set(map(type, chain.from_iterable(rows))) if shaped else set()
+    scalar_kinds = {k for k in kinds if not issubclass(k, list)}
+    if complex_field:
+        pairs = [v for v in chain.from_iterable(rows) if isinstance(v, list)] if shaped else []
+        valid = set(map(len, pairs)) <= {2} and _numbers(set(map(type, chain.from_iterable(pairs))))
+    else:
+        valid = scalar_kinds == kinds
+    if not (shaped and valid and _numbers(scalar_kinds)):
+        # the checks above accept exactly what this scan accepts, so it
+        # raises, naming the first bad row or entry
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != n_cols:
+                raise _fail(f"{name}[{i}]", f"expected a row of {n_cols} entries")
+            for j, value in enumerate(row):
+                _parse_scalar(value, complex_field, f"{name}[{i}][{j}]")
+    if not complex_field:
+        return np.array(rows, dtype=np.float64)
+    if scalar_kinds:
+        rows = [[v if isinstance(v, list) else [v, 0.0] for v in row] for row in rows]
+    # a view keeps the sign of a -0.0 imaginary part, which re + 1j*im loses
+    return np.array(rows, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def loads(text: str) -> ManifestRecord:
@@ -157,37 +188,43 @@ def load(path) -> ManifestRecord:
     return loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _emit_scalar(value, complex_field: bool):
-    if complex_field:
-        value = complex(value)
-        return [value.real, value.imag]
-    return float(value)
+# one complex entry, nested at the depth of a matrix entry
+_PAIR = "[\n        %r,\n        %r\n      ]"
+_NODE = '{\n      "id": %s,\n      "weight": %r\n    }'
 
 
-def _emit_matrix(mat: np.ndarray, complex_field: bool):
-    return [[_emit_scalar(v, complex_field) for v in row] for row in np.asarray(mat)]
+def _matrix_text(mat: np.ndarray) -> str:
+    """``mat`` in the canonical layout, as the value of a top-level field.
+
+    Entries are finite (the system validated them), so ``repr`` spells each
+    float as ``json`` does.
+    """
+    n_rows, n_cols = mat.shape
+    entry = _PAIR if np.iscomplexobj(mat) else "%r"
+    row = "[\n      " + ",\n      ".join([entry] * n_cols) + "\n    ]"
+    numbers = np.ascontiguousarray(mat).view(np.float64).ravel().tolist()
+    return ("[\n    " + ",\n    ".join([row] * n_rows) + "\n  ]") % tuple(numbers)
 
 
 def dumps(system: BiframeSystem, *, claimed_bounds=None, label: str | None = None) -> str:
     """Serialize a system to the canonical manifest string."""
-    complex_field = system.field_name == "complex"
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "field": system.field_name,
-        "dim": system.dim,
-        "measure": [
-            {"id": node_id, "weight": float(weight)}
-            for node_id, weight in zip(system.measure.ids, system.measure.weights)
-        ],
-        "F": _emit_matrix(system.analysis.samples, complex_field),
-        "G": _emit_matrix(system.synthesis.samples, complex_field),
-        "K": _emit_matrix(system.target, complex_field),
+    nodes = zip(map(json.dumps, system.measure.ids), system.measure.weights.tolist())
+    fields = {
+        "format_version": str(FORMAT_VERSION),
+        "field": json.dumps(system.field_name),
+        "dim": str(system.dim),
+        "measure": "[\n    " + ",\n    ".join(_NODE % node for node in nodes) + "\n  ]",
+        "F": _matrix_text(system.analysis.samples),
+        "G": _matrix_text(system.synthesis.samples),
+        "K": _matrix_text(system.target),
     }
     if claimed_bounds is not None:
-        doc["claimed_bounds"] = [float(claimed_bounds[0]), float(claimed_bounds[1])]
+        # json.dumps, not repr: a claim may be infinite
+        lo, hi = json.dumps(float(claimed_bounds[0])), json.dumps(float(claimed_bounds[1]))
+        fields["claimed_bounds"] = f"[\n    {lo},\n    {hi}\n  ]"
     if label is not None:
-        doc["label"] = label
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        fields["label"] = json.dumps(label)
+    return "{\n" + ",\n".join(f'  "{key}": {fields[key]}' for key in sorted(fields)) + "\n}\n"
 
 
 def save(system: BiframeSystem, path, *, claimed_bounds=None, label: str | None = None) -> None:

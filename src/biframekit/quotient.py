@@ -76,13 +76,13 @@ def quotient_norm(u, v) -> QuotientResult:
         # the zero map on a trivial range.
         return QuotientResult(True, 0.0, None, None)
 
-    ratio = u_mat @ linalg.pseudo_inverse(v_mat)
-    sigma, achieved = _top_singular(ratio)
+    v_pinv = linalg.pseudo_inverse(v_mat)
+    sigma, achieved = _top_singular(u_mat @ v_pinv)
     if sigma * v_scale <= DEFAULT_TOL * u_scale:
         # U vanishes on range(V*): the ratio is 0 along any non-null input.
         _, direction = _top_singular(v_mat)
         return QuotientResult(True, 0.0, None, direction)
-    achiever = linalg.pseudo_inverse(v_mat) @ achieved
+    achiever = v_pinv @ achieved
     return QuotientResult(True, float(sigma), None,
                           linalg.canonical_sign(linalg.unit_vector(achiever)))
 

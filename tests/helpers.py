@@ -1,16 +1,21 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and reference implementations for the test suite.
 
-Everything takes an explicit ``numpy.random.Generator`` so tests stay
+The references (``bisection_shift``, ``reference_dumps``,
+``reference_parse_matrix``) are the slower, plainer algorithms that the
+library's fast paths must agree with.  Everything random takes an explicit ``numpy.random.Generator`` so tests stay
 reproducible; seeds are fixed in the tests themselves.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
 from biframekit import BiframeSystem, DiscreteMeasure
+from biframekit.app import FORMAT_VERSION
+from biframekit.errors import ManifestValidationError
 
 
 def random_measure(rng: np.random.Generator, nodes: int) -> DiscreteMeasure:
@@ -157,3 +162,69 @@ def bisection_shift(s: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> float | 
         if abs(candidate - amount) <= 1e-6 * max(1.0, amount) and _psd_up_to_roundoff(s - candidate * p):
             amount = candidate
     return None if amount <= tol else amount
+
+
+def _reference_emit(value, complex_field: bool):
+    if complex_field:
+        value = complex(value)
+        return [value.real, value.imag]
+    return float(value)
+
+
+def reference_dumps(system: BiframeSystem, *, claimed_bounds=None,
+                    label: str | None = None) -> str:
+    """Independent reference for ``manifest.dumps``.
+
+    Builds the manifest document and hands it to ``json.dumps`` with
+    ``sort_keys=True, indent=2``, whose output defines the canonical layout;
+    with ``indent`` set, ``json`` runs its pure-Python encoder.
+    """
+    complex_field = system.field_name == "complex"
+
+    def emit_matrix(mat):
+        return [[_reference_emit(v, complex_field) for v in row] for row in np.asarray(mat)]
+
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "field": system.field_name,
+        "dim": system.dim,
+        "measure": [
+            {"id": node_id, "weight": float(weight)}
+            for node_id, weight in zip(system.measure.ids, system.measure.weights)
+        ],
+        "F": emit_matrix(system.analysis.samples),
+        "G": emit_matrix(system.synthesis.samples),
+        "K": emit_matrix(system.target),
+    }
+    if claimed_bounds is not None:
+        doc["claimed_bounds"] = [float(claimed_bounds[0]), float(claimed_bounds[1])]
+    if label is not None:
+        doc["label"] = label
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _reference_scalar(value, complex_field: bool, where: str) -> complex | float:
+    if isinstance(value, bool):
+        raise ManifestValidationError(f"{where}: booleans are not numbers")
+    if isinstance(value, (int, float)):
+        return complex(value) if complex_field else float(value)
+    if complex_field and isinstance(value, list) and len(value) == 2 \
+            and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in value):
+        return complex(float(value[0]), float(value[1]))
+    expected = "a number or [re, im] pair" if complex_field else "a number"
+    raise ManifestValidationError(f"{where}: expected {expected}, got {value!r}")
+
+
+def reference_parse_matrix(rows, n_rows: int, n_cols: int, complex_field: bool,
+                           name: str) -> np.ndarray:
+    """Independent reference for ``manifest._parse_matrix``: checks and
+    converts one entry at a time, in row-major order."""
+    if not isinstance(rows, list) or len(rows) != n_rows:
+        raise ManifestValidationError(f"{name}: expected {n_rows} rows")
+    out = np.zeros((n_rows, n_cols), dtype=np.complex128 if complex_field else np.float64)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n_cols:
+            raise ManifestValidationError(f"{name}[{i}]: expected a row of {n_cols} entries")
+        for j, value in enumerate(row):
+            out[i, j] = _reference_scalar(value, complex_field, f"{name}[{i}][{j}]")
+    return out

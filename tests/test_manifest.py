@@ -4,12 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biframekit as bk
-from biframekit import errors
+from biframekit import BiframeSystem, DiscreteMeasure, errors
 from biframekit.app import FORMAT_VERSION, dumps, load, loads, save
-from biframekit.app.fixtures import fixture, fixture_record
-from helpers import random_valid_system
+from biframekit.app.fixtures import fixture, fixture_names, fixture_record
+from biframekit.app.manifest import _parse_matrix
+from biframekit.tensor import tensor_system
+from helpers import random_valid_system, reference_dumps, reference_parse_matrix
 
 
 def _doc(**overrides):
@@ -179,3 +183,106 @@ class TestValidation:
     def test_manifest_errors_are_biframe_errors(self):
         assert issubclass(errors.ManifestParseError, errors.BiframeError)
         assert issubclass(errors.ManifestValidationError, errors.BiframeError)
+
+
+# ------------------------------------------------- agreement with the references
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               1.0, -3.0, 1e16, 2.0 ** 53, 0.1]
+finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False))
+node_ids = st.one_of(st.sampled_from(['"', "\\", "\x00\n\t", "(a,b)", "⊗", "é", "\U0001f600"]),
+                     st.text(max_size=6))
+labels = st.one_of(st.none(), node_ids, st.text())
+real_entries = st.one_of(finite_floats, st.integers(-2 ** 70, 2 ** 70))
+complex_entries = st.one_of(real_entries, st.lists(real_entries, min_size=2, max_size=2))
+
+
+@st.composite
+def systems(draw):
+    complex_ = draw(st.booleans())
+    dim = draw(st.integers(1, 6))
+    nodes = draw(st.integers(1, 20))
+
+    def matrix(rows):
+        parts = 2 if complex_ else 1
+        flat = draw(st.lists(finite_floats, min_size=rows * dim * parts,
+                             max_size=rows * dim * parts))
+        mat = np.array(flat, dtype=np.float64).reshape(rows, dim, parts)
+        return mat.view(np.complex128)[..., 0] if complex_ else mat[..., 0]
+
+    ids = draw(st.lists(node_ids, min_size=nodes, max_size=nodes, unique=True))
+    weights = draw(st.lists(st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+                            min_size=nodes, max_size=nodes))
+    return BiframeSystem.from_samples(DiscreteMeasure(tuple(ids), np.array(weights)),
+                                      matrix(nodes), matrix(nodes), matrix(dim))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDumpsMatchesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(systems(),
+           st.one_of(st.none(), st.tuples(st.floats(), st.floats())),
+           labels)
+    def test_random_systems(self, system, claim, label):
+        assert dumps(system, claimed_bounds=claim, label=label) \
+            == reference_dumps(system, claimed_bounds=claim, label=label)
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_bundled_fixtures(self, name):
+        rec = fixture_record(name)
+        assert dumps(rec.system, claimed_bounds=rec.claimed_bounds, label=name) \
+            == reference_dumps(rec.system, claimed_bounds=rec.claimed_bounds, label=name)
+
+    def test_tensor_system(self):
+        combined = tensor_system(fixture("example-5-3-left"), fixture("example-5-3-right")).combined
+        assert dumps(combined, label="⊗") == reference_dumps(combined, label="⊗")
+
+
+class TestParseMatrixMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.booleans(), st.integers(1, 6), st.integers(1, 6))
+    def test_valid_input_gives_the_same_bits(self, data, complex_field, n_rows, n_cols):
+        entry = complex_entries if complex_field else real_entries
+        rows = data.draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                                  min_size=n_rows, max_size=n_rows))
+        assert _same_bits(_parse_matrix(rows, n_rows, n_cols, complex_field, "K"),
+                          reference_parse_matrix(rows, n_rows, n_cols, complex_field, "K"))
+
+    def test_negative_zero_imaginary_part_keeps_its_sign(self):
+        doc = _doc(field="complex")
+        doc["K"] = [[[1.0, -0.0], 0.0], [[-0.0, -0.0], [1.0, 0.0]]]
+        target = loads(json.dumps(doc)).system.target
+        assert list(np.signbit(target.imag).ravel()) == [True, False, True, False]
+        assert _same_bits(target, reference_parse_matrix(doc["K"], 2, 2, True, "K"))
+
+    @pytest.mark.parametrize("complex_field, rows", [
+        (False, [[1.0, True], [0.0, 1.0]]),
+        (True, [[1.0, 0.0], [False, 1.0]]),
+        (False, [[1.0, "2"], [0.0, 1.0]]),
+        (True, [[1.0, "2"], [0.0, 1.0]]),
+        (False, [[1.0, 0.0], [None, 1.0]]),
+        (False, [[{"re": 1.0}, 0.0], [0.0, 1.0]]),
+        (False, [[[1.0, 2.0], 0.0], [0.0, 1.0]]),
+        (True, [[[1.0], 0.0], [0.0, 1.0]]),
+        (True, [[1.0, [1.0, 2.0, 3.0]], [0.0, 1.0]]),
+        (True, [[1.0, 0.0], [[1.0, True], 1.0]]),
+        (True, [[1.0, 0.0], [[[1.0], 2.0], 1.0]]),
+        (False, [[1.0, 0.0], [0.0]]),
+        (False, [[1.0, 0.0], 5]),
+        (False, [[1.0, 0.0]]),
+        (False, {"rows": 2}),
+        # a bad entry before a ragged row is named first, and vice versa
+        (False, [[1.0, True], [0.0]]),
+        (True, [[1.0, 0.0, 2.0], [[1.0], 1.0]]),
+    ])
+    def test_malformed_input_gives_the_same_error(self, complex_field, rows):
+        with pytest.raises(errors.ManifestValidationError) as expected:
+            reference_parse_matrix(rows, 2, 2, complex_field, "G")
+        with pytest.raises(type(expected.value)) as got:
+            _parse_matrix(rows, 2, 2, complex_field, "G")
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
