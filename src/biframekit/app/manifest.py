@@ -15,12 +15,13 @@ because with ``indent`` set the standard library falls back to its
 pure-Python encoder; strings still go through ``json.dumps``, so their
 escaping is the standard one.  :func:`loads` checks a matrix's entry types on the set of types present
 and converts the whole matrix in one ``numpy.array`` call; only a matrix that
-fails that check is scanned entry by entry, to name the first bad entry.
+fails that check or overflows is scanned entry by entry, to name the bad entry.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -59,11 +60,14 @@ def _fail(field: str, problem: str) -> ManifestValidationError:
 def _parse_scalar(value, complex_field: bool, where: str) -> complex | float:
     if isinstance(value, bool):
         raise _fail(where, "booleans are not numbers")
-    if isinstance(value, (int, float)):
-        return complex(value) if complex_field else float(value)
-    if complex_field and isinstance(value, list) and len(value) == 2 \
-            and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in value):
-        return complex(float(value[0]), float(value[1]))
+    try:
+        if isinstance(value, (int, float)):
+            return complex(value) if complex_field else float(value)
+        if complex_field and isinstance(value, list) and len(value) == 2 \
+                and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in value):
+            return complex(float(value[0]), float(value[1]))
+    except OverflowError:
+        raise _fail(where, "an integer beyond the float range") from None
     expected = "a number or [re, im] pair" if complex_field else "a number"
     raise _fail(where, f"expected {expected}, got {value!r}")
 
@@ -85,20 +89,23 @@ def _parse_matrix(rows, n_rows: int, n_cols: int, complex_field: bool, name: str
         valid = set(map(len, pairs)) <= {2} and _numbers(set(map(type, chain.from_iterable(pairs))))
     else:
         valid = scalar_kinds == kinds
-    if not (shaped and valid and _numbers(scalar_kinds)):
-        # the checks above accept exactly what this scan accepts, so it
-        # raises, naming the first bad row or entry
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != n_cols:
-                raise _fail(f"{name}[{i}]", f"expected a row of {n_cols} entries")
-            for j, value in enumerate(row):
-                _parse_scalar(value, complex_field, f"{name}[{i}][{j}]")
-    if not complex_field:
-        return np.array(rows, dtype=np.float64)
-    if scalar_kinds:
-        rows = [[v if isinstance(v, list) else [v, 0.0] for v in row] for row in rows]
-    # a view keeps the sign of a -0.0 imaginary part, which re + 1j*im loses
-    return np.array(rows, dtype=np.float64).view(np.complex128)[..., 0]
+    if shaped and valid and _numbers(scalar_kinds):
+        if complex_field and scalar_kinds:
+            rows = [[v if isinstance(v, list) else [v, 0.0] for v in row] for row in rows]
+        try:
+            mat = np.array(rows, dtype=np.float64)
+        except OverflowError:
+            pass  # an integer beyond the float range
+        else:
+            # a view keeps the sign of a -0.0 imaginary part, which re + 1j*im loses
+            return mat.view(np.complex128)[..., 0] if complex_field else mat
+    # the checks above accept what this scan accepts, and only this scan
+    # rejects overflow, so it raises, naming the first bad row or entry
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n_cols:
+            raise _fail(f"{name}[{i}]", f"expected a row of {n_cols} entries")
+        for j, value in enumerate(row):
+            _parse_scalar(value, complex_field, f"{name}[{i}][{j}]")
 
 
 def loads(text: str) -> ManifestRecord:
@@ -141,9 +148,8 @@ def loads(text: str) -> ManifestRecord:
             raise _fail(f"measure[{i}]", 'each node needs exactly "id" and "weight"')
         if not isinstance(node["id"], str):
             raise _fail(f"measure[{i}].id", "must be a string")
-        weight = node["weight"]
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)) \
-                or not np.isfinite(weight) or weight <= 0:
+        weight = node["weight"]  # int/float comparison is exact: no overflow, no NaN
+        if type(weight) not in (int, float) or not 0 < weight <= sys.float_info.max:
             raise _fail(f"measure[{i}].weight", "weights strictly positive and finite required")
         ids.append(node["id"])
         weights.append(float(weight))

@@ -254,24 +254,19 @@ def optimal_bounds(system: BiframeSystem, tol: float = DEFAULT_TOL) -> BoundsRep
     The lower constant solves ``max { a : Herm(S) - a K K* >= 0 }`` in closed
     form (:func:`linalg.max_psd_shift`); the upper constant is
     ``lambda_max(Herm(S))``.  Validity means a strictly positive lower
-    constant exists.
+    constant exists.  ``Herm(S)`` is decomposed once: the upper constant and the
+    negative-form witness read the spectrum that ``max_psd_shift`` returns.
     """
     s = frame_operator(system)
-    herm = linalg.hermitian_part(s)
-    asym = linalg.asymmetry(s)
-    eig = linalg.hermitian_eigen(herm, tol=tol)
-    negative_witness = None if eig.is_psd(tol) else eig.vectors[:, 0].copy()
-
-    shift = linalg.max_psd_shift(herm, gram_target(system), tol=tol)
-    lower = shift.amount
-    valid = lower is not None and lower > 0.0
+    shift = linalg.max_psd_shift(linalg.hermitian_part(s), gram_target(system), tol=tol)
+    eig = shift.spectrum
     return BoundsReport(
-        lower_opt=lower,
+        lower_opt=shift.amount,
         upper_opt=eig.max,
-        valid=valid,
+        valid=shift.amount is not None and shift.amount > 0.0,
         witness_lower=shift.witness,
-        witness_negative_form=negative_witness,
-        asymmetry=asym,
+        witness_negative_form=None if eig.is_psd(tol) else eig.vectors[:, 0].copy(),
+        asymmetry=linalg.asymmetry(s),
         degenerate=shift.degenerate,
     )
 

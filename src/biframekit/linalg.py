@@ -351,6 +351,8 @@ class ShiftResult:
     witness:
         Unit vector along which the pencil is tight (or which certifies that
         no positive shift exists); ``None`` in the degenerate case.
+    spectrum:
+        Eigendecomposition of ``s`` (its PSD gate and cutoff), for reuse.
     degenerate:
         True when the reference matrix ``p`` vanished, making the shift
         unconstrained.
@@ -358,6 +360,7 @@ class ShiftResult:
 
     amount: float | None
     witness: np.ndarray | None
+    spectrum: EigenDecomposition
     degenerate: bool = False
 
 
@@ -405,17 +408,13 @@ def max_psd_shift(s, p, tol: float = DEFAULT_TOL) -> ShiftResult:
     if not p_eig.is_psd(tol):
         raise NotPSDError(f"reference matrix has eigenvalue {p_eig.min:.6e} < 0")
 
-    s_is_psd = s_eig.is_psd(tol)
-
-    if p_eig.max <= p_eig.cutoff(tol):
-        # p vanishes: the shift is unconstrained whenever s itself is PSD.
-        if s_is_psd:
-            return ShiftResult(amount=math.inf, witness=None, degenerate=True)
-        return ShiftResult(amount=None, witness=s_eig.vectors[:, 0].copy(), degenerate=True)
-
-    if not s_is_psd:
+    # p vanishes: the shift is unconstrained whenever s itself is PSD.
+    degenerate = p_eig.max <= p_eig.cutoff(tol)
+    if not s_eig.is_psd(tol):
         # Even a = 0 fails; the bottom eigenvector certifies it.
-        return ShiftResult(amount=None, witness=s_eig.vectors[:, 0].copy())
+        return ShiftResult(None, s_eig.vectors[:, 0].copy(), s_eig, degenerate)
+    if degenerate:
+        return ShiftResult(math.inf, None, s_eig, degenerate)
 
     seen = p_eig.values > p_eig.cutoff(tol)
     q1, q2 = p_eig.vectors[:, seen], p_eig.vectors[:, ~seen]
@@ -437,5 +436,5 @@ def max_psd_shift(s, p, tol: float = DEFAULT_TOL) -> ShiftResult:
     amount = max(pencil.min, 0.0)
 
     if amount * p_eig.max <= s_cutoff:
-        return ShiftResult(amount=None, witness=witness)
-    return ShiftResult(amount=amount, witness=witness)
+        return ShiftResult(None, witness, s_eig)
+    return ShiftResult(amount, witness, s_eig)

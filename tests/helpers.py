@@ -1,20 +1,23 @@
 """Shared random generators and reference implementations for the test suite.
 
-The references (``bisection_shift``, ``reference_dumps``,
-``reference_parse_matrix``) are the slower, plainer algorithms that the
-library's fast paths must agree with.  Everything random takes an explicit ``numpy.random.Generator`` so tests stay
-reproducible; seeds are fixed in the tests themselves.
+The references (``bisection_shift``, ``reference_optimal_bounds``,
+``reference_dumps``, ``reference_parse_matrix``) are the slower, plainer
+algorithms that the library's fast paths must agree with.  Everything random
+takes an explicit ``numpy.random.Generator`` so tests stay reproducible; seeds
+are fixed in the tests themselves.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
-from biframekit import BiframeSystem, DiscreteMeasure
+from biframekit import BiframeSystem, DiscreteMeasure, linalg
 from biframekit.app import FORMAT_VERSION
+from biframekit.biframe import BoundsReport, frame_operator, gram_target
 from biframekit.errors import ManifestValidationError
 
 
@@ -164,6 +167,25 @@ def bisection_shift(s: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> float | 
     return None if amount <= tol else amount
 
 
+def reference_optimal_bounds(system: BiframeSystem, tol: float = linalg.DEFAULT_TOL) -> BoundsReport:
+    """Independent reference for ``optimal_bounds``'s assembly: decomposes
+    ``Herm(S)`` itself for the upper constant and the negative-form witness,
+    beside the decomposition inside ``max_psd_shift``."""
+    s = frame_operator(system)
+    herm = linalg.hermitian_part(s)
+    eig = linalg.hermitian_eigen(herm, tol=tol)
+    shift = linalg.max_psd_shift(herm, gram_target(system), tol=tol)
+    return BoundsReport(
+        lower_opt=shift.amount,
+        upper_opt=eig.max,
+        valid=shift.amount is not None and shift.amount > 0.0,
+        witness_lower=shift.witness,
+        witness_negative_form=None if eig.is_psd(tol) else eig.vectors[:, 0].copy(),
+        asymmetry=linalg.asymmetry(s),
+        degenerate=shift.degenerate,
+    )
+
+
 def _reference_emit(value, complex_field: bool):
     if complex_field:
         value = complex(value)
@@ -207,12 +229,17 @@ def _reference_scalar(value, complex_field: bool, where: str) -> complex | float
     if isinstance(value, bool):
         raise ManifestValidationError(f"{where}: booleans are not numbers")
     if isinstance(value, (int, float)):
-        return complex(value) if complex_field else float(value)
-    if complex_field and isinstance(value, list) and len(value) == 2 \
+        parts = [value, 0]
+    elif complex_field and isinstance(value, list) and len(value) == 2 \
             and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in value):
-        return complex(float(value[0]), float(value[1]))
-    expected = "a number or [re, im] pair" if complex_field else "a number"
-    raise ManifestValidationError(f"{where}: expected {expected}, got {value!r}")
+        parts = value
+    else:
+        expected = "a number or [re, im] pair" if complex_field else "a number"
+        raise ManifestValidationError(f"{where}: expected {expected}, got {value!r}")
+    # ints compare exactly with floats, so this spots the ones float() cannot hold
+    if any(abs(p) > sys.float_info.max for p in parts if isinstance(p, int)):
+        raise ManifestValidationError(f"{where}: an integer beyond the float range")
+    return complex(float(parts[0]), float(parts[1])) if complex_field else float(value)
 
 
 def reference_parse_matrix(rows, n_rows: int, n_cols: int, complex_field: bool,

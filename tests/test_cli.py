@@ -1,11 +1,16 @@
 """End-to-end CLI behavior through click's test runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import biframekit
 from biframekit.app import load, save
 from biframekit.app.cli import main
 from biframekit.app.fixtures import fixture, fixture_record
@@ -79,6 +84,26 @@ class TestBounds:
         bad.write_text('{"format_version": 1,')
         result = runner.invoke(main, ["bounds", str(bad)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("where, message", [
+        ("weight", "measure[0].weight: weights strictly positive and finite required"),
+        ("F", "F[0][0]: an integer beyond the float range"),
+        ("claimed_bounds", "claimed_bounds: an integer beyond the float range"),
+    ])
+    def test_integer_beyond_the_float_range_is_usage_error(self, runner, manifests, tmp_path,
+                                                           where, message):
+        doc = json.loads(Path(manifests["example-3-3"]).read_text())
+        if where == "weight":
+            doc["measure"][0]["weight"] = 10**400
+        elif where == "F":
+            doc["F"][0][0] = 10**400
+        else:
+            doc["claimed_bounds"] = [1, 10**400]
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["bounds", str(bad)])
+        assert result.exit_code == 2
+        assert message in result.output
 
 
 class TestVerify:
@@ -179,6 +204,23 @@ class TestConstruct:
                                       "--op", "apply", "--operator", "[[1,0],[0,1]]"])
         assert result.exit_code == 2
 
+    def test_operator_beyond_the_float_range_is_usage_error(self, runner, manifests):
+        operator = f"[[1,0,0],[0,1,0],[0,0,{10**400}]]"
+        result = runner.invoke(main, ["construct", manifests["example-3-11"],
+                                      "--op", "apply", "--operator", operator])
+        assert result.exit_code == 2
+        assert "--operator[2][2]: an integer beyond the float range" in result.output
+
+    @pytest.mark.parametrize("term", [
+        {"coeff": 10**400, "target": np.eye(3).tolist()},
+        {"coeff": 1, "target": [[1, 0, 0], [0, 1, 0], [0, 0, 10**400]]},
+    ])
+    def test_term_beyond_the_float_range_is_usage_error(self, runner, manifests, term):
+        result = runner.invoke(main, ["construct", manifests["example-3-11"],
+                                      "--op", "sum", "--term", json.dumps(term)])
+        assert result.exit_code == 2
+        assert "an integer beyond the float range" in result.output
+
     def test_missing_operator_is_usage_error(self, runner, manifests):
         result = runner.invoke(main, ["construct", manifests["example-3-11"],
                                       "--op", "dual"])
@@ -264,3 +306,13 @@ class TestTolerance:
     def test_tolerance_inside_the_interval_is_accepted(self, runner):
         result = runner.invoke(main, ["--tol", "1e-6", "demo", "example-3-3"])
         assert result.exit_code == 0
+
+
+def test_library_import_leaves_the_cli_unloaded():
+    """``import biframekit`` must not pull in click or the CLI package: library
+    users would pay their import time at every start-up."""
+    probe = "import sys, biframekit; print(sorted({'click', 'biframekit.app'} & set(sys.modules)))"
+    src = str(Path(biframekit.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert run.stdout.strip() == "[]"

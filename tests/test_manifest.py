@@ -180,6 +180,31 @@ class TestValidation:
         with pytest.raises(errors.ManifestValidationError, match="finite"):
             loads(json.dumps(doc))
 
+    def test_huge_integer_weight_loads_as_a_float(self):
+        doc = _doc()
+        doc["measure"][0]["weight"] = 10**30
+        assert loads(json.dumps(doc)).system.measure.weights[0] == 1e30
+
+    def test_huge_integer_matrix_entry_loads_as_a_float(self):
+        assert loads(json.dumps(_doc(F=[[10**30, 0], [0, 1]]))).system.analysis.samples[0, 0] == 1e30
+
+    def test_integer_weight_beyond_the_float_range(self):
+        doc = _doc()
+        doc["measure"][1]["weight"] = 10**400
+        self._expect(doc, r"measure\[1\]\.weight: weights strictly positive and finite")
+
+    @pytest.mark.parametrize("name", ["F", "G", "K"])
+    @pytest.mark.parametrize("field, entry", [
+        ("real", 10**400), ("real", -10**400), ("complex", 10**400), ("complex", [1, 10**400]),
+    ], ids=["real", "real-negative", "complex", "complex-pair"])
+    def test_integer_entry_beyond_the_float_range(self, name, field, entry):
+        doc = _doc(field=field, **{name: [[1, 0], [0, entry]]})
+        self._expect(doc, rf"{name}\[1\]\[1\]: an integer beyond the float range")
+
+    @pytest.mark.parametrize("pair", [[1, 10**400], [10**400, 10**401]], ids=["upper", "both"])
+    def test_integer_claim_beyond_the_float_range(self, pair):
+        self._expect(_doc(claimed_bounds=pair), "claimed_bounds: an integer beyond the float range")
+
     def test_manifest_errors_are_biframe_errors(self):
         assert issubclass(errors.ManifestParseError, errors.BiframeError)
         assert issubclass(errors.ManifestValidationError, errors.BiframeError)
@@ -278,6 +303,11 @@ class TestParseMatrixMatchesReference:
         # a bad entry before a ragged row is named first, and vice versa
         (False, [[1.0, True], [0.0]]),
         (True, [[1.0, 0.0, 2.0], [[1.0], 1.0]]),
+        # integers beyond the float range pass the type checks, not the conversion
+        (False, [[1.0, 0.0], [0.0, 10**400]]),
+        (True, [[1.0, 0.0], [[0.0, -10**400], 1.0]]),
+        (True, [[1.0, 10**400], [[0.0, 1.0], 1.0]]),
+        (False, [[10**400, 0.0], [0.0]]),
     ])
     def test_malformed_input_gives_the_same_error(self, complex_field, rows):
         with pytest.raises(errors.ManifestValidationError) as expected:
