@@ -98,6 +98,13 @@ def _load(path: str) -> manifest.ManifestRecord:
         raise click.UsageError(str(exc)) from exc
 
 
+def _json_error(exc: ValueError) -> str:
+    """The decoder's message; ``json.loads`` raises a plain ``ValueError``,
+    not a ``JSONDecodeError``, on an integer literal past Python's
+    int-string limit."""
+    return exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+
+
 def _read_matrix(value: str, dim: int, complex_field: bool, what: str) -> np.ndarray:
     """Parse an operator option: inline JSON rows, or a path to such JSON."""
     text = value
@@ -109,8 +116,8 @@ def _read_matrix(value: str, dim: int, complex_field: bool, what: str) -> np.nda
         pass
     try:
         rows = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise click.UsageError(f"{what}: not valid JSON ({exc.msg})") from exc
+    except ValueError as exc:
+        raise click.UsageError(f"{what}: not valid JSON ({_json_error(exc)})") from exc
     try:
         return manifest._parse_matrix(rows, dim, dim, complex_field, what)
     except ManifestError as exc:
@@ -267,8 +274,8 @@ def construct(ctx: click.Context, file: str, op_name: str, operator_text: str | 
             for raw in terms_text:
                 try:
                     obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise click.UsageError(f"--term: not valid JSON ({exc.msg})") from exc
+                except ValueError as exc:
+                    raise click.UsageError(f"--term: not valid JSON ({_json_error(exc)})") from exc
                 if not isinstance(obj, dict) or "coeff" not in obj or "target" not in obj:
                     raise click.UsageError('--term needs {"coeff": ..., "target": ...}')
                 coeff = manifest._parse_scalar(obj["coeff"], complex_field, "coeff")

@@ -118,6 +118,8 @@ def loads(text: str) -> ManifestRecord:
             line=exc.lineno,
             column=exc.colno,
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's int-string limit
+        raise ManifestParseError(f"not valid JSON: {exc}") from exc
 
     if not isinstance(raw, dict):
         raise _fail("manifest", "top level must be a JSON object")

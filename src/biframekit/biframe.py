@@ -256,6 +256,10 @@ def optimal_bounds(system: BiframeSystem, tol: float = DEFAULT_TOL) -> BoundsRep
     ``lambda_max(Herm(S))``.  Validity means a strictly positive lower
     constant exists.  ``Herm(S)`` is decomposed once: the upper constant and the
     negative-form witness read the spectrum that ``max_psd_shift`` returns.
+
+    Eigensolves per call: 1 when ``K K* = c * I`` exactly (``c > 0``), valid
+    or not.  Otherwise 2 when ``Herm(S)`` fails its PSD gate or ``K = 0``, and
+    past the gate 3 for an invertible ``K`` and 4 for a rank-deficient one.
     """
     s = frame_operator(system)
     shift = linalg.max_psd_shift(linalg.hermitian_part(s), gram_target(system), tol=tol)
@@ -287,6 +291,13 @@ def check_bounds(system: BiframeSystem, lower: float, upper: float,
                  tol: float = DEFAULT_TOL) -> BoundsVerification:
     """Like :func:`verify_bounds` but with margins and a failing witness.
 
+    The upper side reads the top eigenpair of ``Herm(S)``: its margin is
+    ``upper - lambda_max`` and its witness the top eigenvector.  When
+    ``K K* = c * I`` exactly (:func:`linalg.identity_multiple`), the lower side
+    is the same spectrum shifted by ``-lower * c``; any other target
+    decomposes ``Herm(S) - lower K K*``.  So a check costs 1 eigensolve
+    against a multiple of the identity and 2 otherwise.
+
     The PSD cutoffs scale with the claim's data, ``tol * (||Herm S||_F +
     lower ||K K*||_F)`` and ``tol * (upper + ||Herm S||_F)``: the differences
     tested cancel near a tight claim."""
@@ -299,18 +310,30 @@ def check_bounds(system: BiframeSystem, lower: float, upper: float,
     herm = linalg.hermitian_part(frame_operator(system))
     gram = gram_target(system)
     herm_norm = float(np.linalg.norm(herm))
-    low = linalg.hermitian_eigen(linalg.hermitian_part(herm - lower * gram), tol=tol)
-    up = linalg.hermitian_eigen(upper * np.eye(system.dim, dtype=herm.dtype) - herm, tol=tol)
-    lower_ok = low.min >= -tol * (herm_norm + lower * float(np.linalg.norm(gram)))
-    upper_ok = up.min >= -tol * (upper + herm_norm)
-    failed = low if not lower_ok else up if not upper_ok else None
+    eig = linalg.hermitian_eigen(herm, tol=tol)
+    scalar = linalg.identity_multiple(gram)
+    if scalar is None:
+        low = linalg.hermitian_eigen(linalg.hermitian_part(herm - lower * gram), tol=tol)
+        lower_margin = low.min
+    else:
+        # Herm(S) - lower*c*I has the eigenvectors of Herm(S)
+        low = eig
+        lower_margin = eig.min - lower * scalar
+    upper_margin = upper - eig.max
+    lower_ok = lower_margin >= -tol * (herm_norm + lower * float(np.linalg.norm(gram)))
+    upper_ok = upper_margin >= -tol * (upper + herm_norm)
+    witness = None
+    if not lower_ok:
+        witness = low.vectors[:, 0].copy()
+    elif not upper_ok:
+        witness = eig.vectors[:, -1].copy()
     return BoundsVerification(
         ok=lower_ok and upper_ok,
         lower_ok=lower_ok,
         upper_ok=upper_ok,
-        lower_margin=low.min,
-        upper_margin=up.min,
-        witness=None if failed is None else failed.vectors[:, 0].copy(),
+        lower_margin=lower_margin,
+        upper_margin=upper_margin,
+        witness=witness,
     )
 
 

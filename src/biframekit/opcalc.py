@@ -74,10 +74,6 @@ class ConstructionResult:
     rule: str
     certified: bool = True
 
-    @property
-    def predicted_target(self) -> np.ndarray:
-        return self.system.target
-
 
 def _as_operator(a, dim: int, name: str = "operator") -> np.ndarray:
     mat = linalg.as_matrix(a, square=True)

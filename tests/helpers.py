@@ -1,10 +1,10 @@
 """Shared random generators and reference implementations for the test suite.
 
 The references (``bisection_shift``, ``reference_optimal_bounds``,
-``reference_dumps``, ``reference_parse_matrix``) are the slower, plainer
-algorithms that the library's fast paths must agree with.  Everything random
-takes an explicit ``numpy.random.Generator`` so tests stay reproducible; seeds
-are fixed in the tests themselves.
+``reference_check_bounds``, ``reference_dumps``, ``reference_parse_matrix``)
+are the slower, plainer algorithms that the library's fast paths must agree
+with.  Everything random takes an explicit ``numpy.random.Generator`` so
+tests stay reproducible; seeds are fixed in the tests themselves.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from biframekit import BiframeSystem, DiscreteMeasure, linalg
 from biframekit.app import FORMAT_VERSION
-from biframekit.biframe import BoundsReport, frame_operator, gram_target
+from biframekit.biframe import BoundsReport, BoundsVerification, frame_operator, gram_target
 from biframekit.errors import ManifestValidationError
 
 
@@ -183,6 +183,30 @@ def reference_optimal_bounds(system: BiframeSystem, tol: float = linalg.DEFAULT_
         witness_negative_form=None if eig.is_psd(tol) else eig.vectors[:, 0].copy(),
         asymmetry=linalg.asymmetry(s),
         degenerate=shift.degenerate,
+    )
+
+
+def reference_check_bounds(system: BiframeSystem, lower: float, upper: float,
+                           tol: float = linalg.DEFAULT_TOL) -> BoundsVerification:
+    """Independent reference for ``check_bounds`` on a well-formed claim:
+    decomposes ``Herm(S) - lower K K*`` and ``upper I - Herm(S)`` separately,
+    whatever the target, and reads each margin and witness from the bottom
+    eigenpair of its own matrix."""
+    herm = linalg.hermitian_part(frame_operator(system))
+    gram = gram_target(system)
+    herm_norm = float(np.linalg.norm(herm))
+    low = linalg.hermitian_eigen(linalg.hermitian_part(herm - lower * gram), tol=tol)
+    up = linalg.hermitian_eigen(upper * np.eye(system.dim, dtype=herm.dtype) - herm, tol=tol)
+    lower_ok = low.min >= -tol * (herm_norm + lower * float(np.linalg.norm(gram)))
+    upper_ok = up.min >= -tol * (upper + herm_norm)
+    failed = low if not lower_ok else up if not upper_ok else None
+    return BoundsVerification(
+        ok=lower_ok and upper_ok,
+        lower_ok=lower_ok,
+        upper_ok=upper_ok,
+        lower_margin=low.min,
+        upper_margin=up.min,
+        witness=None if failed is None else failed.vectors[:, 0].copy(),
     )
 
 

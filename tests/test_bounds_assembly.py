@@ -1,18 +1,31 @@
-"""``optimal_bounds`` decomposes ``Herm(S)`` once.
+"""``optimal_bounds`` and ``check_bounds`` decompose ``Herm(S)`` once.
 
 ``max_psd_shift`` returns the spectrum of ``Herm(S)`` it gates on, and
 ``optimal_bounds`` reads the upper constant and the negative-form witness
 from it.  ``hermitian_part`` is exactly Hermitian, so that spectrum is, bit
 for bit, the one a second decomposition would build: the report must equal
 the reference assembly exactly, and cost one eigensolve less.
+
+When ``K K* = c * I`` exactly, the lower pencil is that same spectrum
+shifted, so both ``optimal_bounds`` and ``check_bounds`` make one eigensolve;
+``check_bounds`` must agree with the reference that decomposes both of its
+shifted matrices.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
-from biframekit import BiframeSystem, DiscreteMeasure, linalg, optimal_bounds
-from biframekit.biframe import frame_operator
-from helpers import random_target, random_valid_system, reference_optimal_bounds
+from biframekit import BiframeSystem, DiscreteMeasure, check_bounds, linalg, optimal_bounds
+from biframekit.biframe import NonSelfAdjointWarning, biframe_form, frame_operator, gram_target
+from helpers import (
+    random_matrix,
+    random_target,
+    random_valid_system,
+    reference_check_bounds,
+    reference_optimal_bounds,
+)
 
 
 def _system(seed: int, *, complex_: bool, target: str, valid: bool, dim: int = 4) -> BiframeSystem:
@@ -76,16 +89,7 @@ def test_shift_hands_back_the_spectrum_of_its_target():
     assert np.array_equal(spectrum.vectors, again.vectors)
 
 
-@pytest.mark.parametrize("target, valid, calls", [
-    # Herm(S), K K*, the whitened pencil
-    ("dense", True, 3),
-    # Herm(S) fails the PSD gate: no pencil
-    ("dense", False, 2),
-    # a null space of K K* adds the Schur block s22
-    ("rank-deficient", True, 4),
-])
-def test_optimal_bounds_eigensolve_count(monkeypatch, target, valid, calls):
-    system = _system(11, complex_=False, target=target, valid=valid)
+def _counting(monkeypatch) -> list:
     count = []
     real = linalg.hermitian_eigen
 
@@ -94,6 +98,110 @@ def test_optimal_bounds_eigensolve_count(monkeypatch, target, valid, calls):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "hermitian_eigen", counted)
+    return count
+
+
+@pytest.mark.parametrize("target, valid, calls", [
+    # Herm(S), K K*, the whitened pencil
+    ("dense", True, 3),
+    # Herm(S) fails the PSD gate: no pencil
+    ("dense", False, 2),
+    # a null space of K K* adds the Schur block s22
+    ("rank-deficient", True, 4),
+    # K K* = I: the pencil is the spectrum of Herm(S)
+    ("identity", True, 1),
+    ("identity", False, 1),
+])
+def test_optimal_bounds_eigensolve_count(monkeypatch, target, valid, calls):
+    system = _system(11, complex_=False, target=target, valid=valid)
+    count = _counting(monkeypatch)
     report = optimal_bounds(system)
     assert report.valid is valid
     assert len(count) == calls
+
+
+@pytest.mark.parametrize("target, calls", [("identity", 1), ("dense", 2)])
+def test_check_bounds_eigensolve_count(monkeypatch, target, calls):
+    system = _system(11, complex_=False, target=target, valid=True)
+    report = optimal_bounds(system)
+    count = _counting(monkeypatch)
+    assert check_bounds(system, 0.5 * report.lower_opt, 2.0 * report.upper_opt).ok
+    assert len(count) == calls
+
+
+# ---------------------------------------------------------------------------
+# check_bounds against the reference that decomposes both shifted matrices
+
+# name -> (K for a generator, a dim and a field; the exact c with K K* = c * I,
+# or None where K K* is not exactly a multiple of I, as for a unitary K)
+_TARGETS = {
+    "identity": (lambda rng, n, cx: np.eye(n), 1.0),
+    "2I": (lambda rng, n, cx: 2.0 * np.eye(n), 4.0),
+    "permutation": (lambda rng, n, cx: np.eye(n)[rng.permutation(n)], 1.0),
+    "diag(2,-2,..)": (lambda rng, n, cx: np.diag(np.r_[2.0, -2.0 * np.ones(n - 1)]), 4.0),
+    "unitary": (lambda rng, n, cx: np.linalg.qr(random_matrix(rng, n, n, cx))[0], None),
+    "dense": (lambda rng, n, cx: random_target(rng, n, cx), None),
+    "rank-deficient": (lambda rng, n, cx: random_target(rng, n, cx, rank=max(1, n // 2)), None),
+}
+
+
+def _claims(lower_opt: float, upper_opt: float):
+    """(lower, upper, lower verdict, upper verdict); ``None`` where a claim
+    sits within 1e-7 of the boundary on its false side, or within the
+    tolerance, where the cutoff decides."""
+    a, b, near = lower_opt, upper_opt, 1e-7
+    claims = [
+        (0.5 * a, 2.0 * b, True, True),
+        (2.0 * a, 2.0 * max(a, b), False, True),
+        (0.5 * min(a, b), 0.5 * b, True, False),
+        (a * (1 - near), b * (1 + near), True, True),
+        (a * (1 + near), max(a, b) * (1 + near), None, True),
+        (min(a, b) * (1 - near), b * (1 - near), True, None),
+        (a * (1 + 1e-11), max(a, b) * (1 + 1e-11), None, True),
+        (min(a, b) * (1 - 1e-11), b * (1 - 1e-11), True, None),
+    ]
+    if 4.0 * a <= b:
+        claims.append((2.0 * a, 0.5 * b, False, False))
+    return claims
+
+
+def _refutes(system: BiframeSystem, w: np.ndarray, lower: float, upper: float,
+             lower_ok: bool) -> bool:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonSelfAdjointWarning)
+        form = biframe_form(system, w)
+    if not lower_ok:
+        kw = linalg.adjoint(system.target) @ w
+        return form < lower * float(np.real(np.vdot(kw, kw)))
+    return form > upper * float(np.real(np.vdot(w, w)))
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("target", list(_TARGETS))
+def test_check_bounds_matches_the_two_decomposition_reference(target, complex_):
+    make, c = _TARGETS[target]
+    t_index = list(_TARGETS).index(target)
+    dim = 1 + (5 * t_index + 3 * complex_) % 8  # dims 1..8 over the targets and fields
+    rng = np.random.default_rng(10 * t_index + complex_)
+    base = random_valid_system(rng, dim, complex_=complex_, target=make(rng, dim, complex_),
+                               asym=0.3)
+    # the draw takes the path it is named for
+    assert linalg.identity_multiple(gram_target(base)) == c
+    for exponent in range(-12, 13):
+        system = _scaled(base, 10.0 ** exponent)
+        report = optimal_bounds(system)
+        assert report.valid
+        herm_norm = float(np.linalg.norm(linalg.hermitian_part(frame_operator(system))))
+        gram_norm = float(np.linalg.norm(gram_target(system)))
+        for lower, upper, lower_want, upper_want in _claims(report.lower_opt, report.upper_opt):
+            got = check_bounds(system, lower, upper)
+            want = reference_check_bounds(system, lower, upper)
+            assert (got.lower_ok, got.upper_ok, got.ok) == (want.lower_ok, want.upper_ok, want.ok)
+            assert lower_want in (None, got.lower_ok)
+            assert upper_want in (None, got.upper_ok)
+            slack = 1e-12 * (herm_norm + lower * gram_norm + upper)
+            assert abs(got.lower_margin - want.lower_margin) <= slack
+            assert abs(got.upper_margin - want.upper_margin) <= slack
+            assert (got.witness is None) == got.ok
+            if got.witness is not None:
+                assert _refutes(system, got.witness, lower, upper, got.lower_ok)

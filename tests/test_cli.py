@@ -85,6 +85,15 @@ class TestBounds:
         result = runner.invoke(main, ["bounds", str(bad)])
         assert result.exit_code == 2
 
+    def test_integer_literal_past_the_int_string_limit_is_usage_error(self, runner, manifests,
+                                                                      tmp_path):
+        text = Path(manifests["example-3-3"]).read_text()
+        bad = tmp_path / "long.json"
+        bad.write_text(text.replace('"dim": 3', '"dim": ' + "1" * 5001))
+        result = runner.invoke(main, ["bounds", str(bad)])
+        assert result.exit_code == 2
+        assert "not valid JSON" in result.output
+
     @pytest.mark.parametrize("where, message", [
         ("weight", "measure[0].weight: weights strictly positive and finite required"),
         ("F", "F[0][0]: an integer beyond the float range"),
@@ -220,6 +229,18 @@ class TestConstruct:
                                       "--op", "sum", "--term", json.dumps(term)])
         assert result.exit_code == 2
         assert "an integer beyond the float range" in result.output
+
+    @pytest.mark.parametrize("option, value", [
+        ("--operator", f"[[1,0,0],[0,1,0],[0,0,{'1' * 5001}]]"),
+        ("--term", f'{{"coeff": {"1" * 5001}, "target": [[1,0,0],[0,1,0],[0,0,1]]}}'),
+    ], ids=["operator", "term"])
+    def test_integer_literal_past_the_int_string_limit_is_usage_error(self, runner, manifests,
+                                                                      option, value):
+        op = "apply" if option == "--operator" else "sum"
+        result = runner.invoke(main, ["construct", manifests["example-3-11"],
+                                      "--op", op, option, value])
+        assert result.exit_code == 2
+        assert f"{option}: not valid JSON (Exceeds the limit" in result.output
 
     def test_missing_operator_is_usage_error(self, runner, manifests):
         result = runner.invoke(main, ["construct", manifests["example-3-11"],

@@ -310,15 +310,18 @@ def test_max_psd_shift_is_maximal():
 
 def test_max_psd_shift_matches_bisection_oracle():
     # PSD s of every rank, with and without a definite cushion, against p of
-    # every rank, real and complex, dims 1-8
+    # every rank and against p = c*I (random c > 0), real and complex, dims 1-8
     rng = np.random.default_rng(5)
-    for _ in range(400):
+    for trial in range(500):
         n = int(rng.integers(1, 9))
         complex_ = bool(rng.integers(0, 2))
         s = random_psd(rng, n, complex_, rank=int(rng.integers(1, n + 1)))
         if rng.integers(0, 2):
             s = s + 0.05 * np.eye(n)
-        p = random_psd(rng, n, complex_, rank=int(rng.integers(1, n + 1)))
+        if trial < 400:
+            p = random_psd(rng, n, complex_, rank=int(rng.integers(1, n + 1)))
+        else:
+            p = 10.0 ** rng.uniform(-3.0, 3.0) * np.eye(n, dtype=s.dtype)
         res = linalg.max_psd_shift(s, p)
         expected = bisection_shift(s, p)
         assert (res.amount is None) == (expected is None)
@@ -328,6 +331,21 @@ def test_max_psd_shift_matches_bisection_oracle():
         w = res.witness
         residual = np.vdot(w, (s - a * p) @ w)
         assert abs(residual) <= 1e-9 * max(1.0, np.linalg.norm(s, 2))
+
+
+@pytest.mark.parametrize("a, expected", [
+    (np.eye(3), 1.0),
+    (2.5 * np.eye(2, dtype=complex), 2.5),
+    (np.zeros((2, 2)), 0.0),
+    (-np.eye(2), -1.0),
+    (np.array([[7.0]]), 7.0),
+    # exact comparison: round-off away from c*I takes the general path
+    (np.eye(2) + np.diag([0.0, 1e-15]), None),
+    (np.array([[1.0, 1e-300], [0.0, 1.0]]), None),
+    (1j * np.eye(2), None),
+])
+def test_identity_multiple(a, expected):
+    assert linalg.identity_multiple(a) == expected
 
 
 @pytest.mark.parametrize("b, mu", [(3e-5, 0.0), (3e-5, 9e-10), (1e-5, 1e-10), (1e-7, 0.0)])

@@ -84,6 +84,13 @@ class TestParseErrors:
         assert info.value.line == 2
         assert info.value.column is not None
 
+    def test_integer_literal_past_the_int_string_limit(self):
+        # json raises a plain ValueError here (Python caps int literals at
+        # 4300 digits), not a JSONDecodeError, so there is no position
+        with pytest.raises(errors.ManifestParseError, match="not valid JSON") as info:
+            loads('{"dim": ' + "1" * 5001 + "}")
+        assert info.value.line is None and info.value.column is None
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load(tmp_path / "nope.json")

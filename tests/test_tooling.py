@@ -1,7 +1,11 @@
-"""The test configuration itself: a failing test must not hide the others."""
+"""The test configuration and tooling: a failing test must not hide the
+others, and the benchmark's tracer must find every name it wraps."""
 
+import importlib
+import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 PAIR = '''
 from hypothesis import given, strategies as st
@@ -29,3 +33,17 @@ def test_failing_hypothesis_test_does_not_abort_the_session(tmp_path, pytestconf
     )
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
+
+
+def test_every_traced_name_resolves():
+    # bench/tracing.py wraps these by name; a rename in the package would
+    # otherwise surface only as a crash of a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [(module, attr) for _, module, attr in tracing.LAYERS] + list(tracing.BUILD_CLASSES)
+    assert len(names) > 40
+    missing = [f"{module}.{attr}" for module, attr in names
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
