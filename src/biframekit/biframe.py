@@ -255,14 +255,15 @@ def optimal_bounds(system: BiframeSystem, tol: float = DEFAULT_TOL) -> BoundsRep
     form (:func:`linalg.max_psd_shift`); the upper constant is
     ``lambda_max(Herm(S))``.  Validity means a strictly positive lower
     constant exists.  ``Herm(S)`` is decomposed once: the upper constant and the
-    negative-form witness read the spectrum that ``max_psd_shift`` returns.
+    negative-form witness read the spectrum that ``max_psd_shift`` returns,
+    and ``K K*`` is whitened by the SVD of ``K``, never decomposed.
 
-    Eigensolves per call: 1 when ``K K* = c * I`` exactly (``c > 0``), valid
-    or not.  Otherwise 2 when ``Herm(S)`` fails its PSD gate or ``K = 0``, and
-    past the gate 3 for an invertible ``K`` and 4 for a rank-deficient one.
+    Eigensolves per call: 1 when ``Herm(S)`` fails its PSD gate, ``K = 0`` or
+    ``K K* = c * I`` exactly; otherwise 2 for an invertible ``K`` and 3 for a
+    rank-deficient one.
     """
     s = frame_operator(system)
-    shift = linalg.max_psd_shift(linalg.hermitian_part(s), gram_target(system), tol=tol)
+    shift = linalg.max_psd_shift(linalg.hermitian_part(s), system.target, tol=tol)
     eig = shift.spectrum
     return BoundsReport(
         lower_opt=shift.amount,

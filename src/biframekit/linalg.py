@@ -9,8 +9,9 @@ but its loop is pure Python and dominates the package's run time.  One
 where ``numpy.linalg.eigh`` takes 0.02 / 0.06 / 0.22 ms (one BLAS thread,
 best of a few runs on a 2-core x86 box).  So eigensolves are not spent
 twice: :func:`max_psd_shift` hands back the spectrum of ``s`` it gates on,
-and a reference matrix that is exactly ``c * I`` (:func:`identity_multiple`)
-reuses that spectrum instead of decomposing ``p`` and a pencil.
+reads the reference ``k k*`` off the SVD of its factor ``k`` rather than
+decomposing the product, and a reference that is exactly ``c * I``
+(:func:`identity_multiple`) reuses the spectrum of ``s`` for the pencil.
 Singular-value based helpers (pseudo-inverse, spectral norm, range/null
 bases) sit on ``numpy.linalg.svd`` with explicit rank thresholding.
 
@@ -23,11 +24,11 @@ Hermitian tests ``||a||_F``, rank decisions ``sigma_max`` (at
 formed from (``check_bounds``: ``||Herm S||_F + lower ||K K*||_F``).
 
 The central routine is :func:`max_psd_shift`, which computes the largest
-``a >= 0`` with ``s - a*p`` positive semidefinite.  That quantity is the
+``a >= 0`` with ``s - a*k k*`` positive semidefinite.  That quantity is the
 optimal lower bound of every sampled system in this package; it is solved in
-closed form (a Schur complement on ``null(p)`` and one whitened eigensolve),
-and its contract (tolerance semantics, witness vector) is spelled out in
-detail below.
+closed form (a Schur complement on the null space of ``k*`` and one
+eigensolve whitened by the singular values of ``k``), and its contract
+(tolerance semantics, witness vector) is spelled out in detail below.
 """
 
 from __future__ import annotations
@@ -375,7 +376,7 @@ class ShiftResult:
     spectrum:
         Eigendecomposition of ``s`` (its PSD gate and cutoff), for reuse.
     degenerate:
-        True when the reference matrix ``p`` vanished, making the shift
+        True when the reference ``k k*`` vanished, making the shift
         unconstrained.
     """
 
@@ -385,16 +386,19 @@ class ShiftResult:
     degenerate: bool = False
 
 
-def max_psd_shift(s, p, tol: float = DEFAULT_TOL) -> ShiftResult:
-    """Largest ``a >= 0`` such that ``s - a*p`` stays positive semidefinite.
+def max_psd_shift(s, k, tol: float = DEFAULT_TOL) -> ShiftResult:
+    """Largest ``a >= 0`` such that ``s - a*k k*`` stays positive semidefinite.
 
-    ``s`` and ``p`` must be Hermitian and ``p`` PSD.  Semidefiniteness of the
-    inputs is tested at tolerance (:meth:`EigenDecomposition.is_psd`).
+    ``s`` must be Hermitian and the factor ``k`` (any column count) have as
+    many rows; ``k k*`` is PSD by construction.  Semidefiniteness of ``s`` is
+    tested at tolerance (:meth:`EigenDecomposition.is_psd`).
 
     Once ``s`` is PSD the pencil has a closed form (the symmetric-definite
-    problem of Golub & Van Loan, *Matrix Computations*, section 8.7).  Split
-    the space into ``range(p)`` (basis ``Q1``, eigenvalues ``Lambda``) and
-    ``null(p)`` (basis ``Q2``) at p's own cutoff.  ``s - a*p`` is PSD iff the
+    problem of Golub & Van Loan, *Matrix Computations*, section 8.7), read
+    off the SVD ``k = U Sigma V*``: ``k k* = U Sigma^2 U*`` is never formed
+    into an eigenproblem.  Split the space into ``range(k)`` (left singular
+    vectors ``Q1`` with ``Lambda = sigma^2 > tol * sigma_max^2``, the PSD
+    cutoff of ``k k*``) and the rest (``Q2``).  ``s - a*k k*`` is PSD iff the
     Schur complement ``C = s11 - s12 s22^+ s21`` dominates ``a*Lambda`` (``s``
     PSD makes ``s22`` PSD with ``range(s21)`` inside ``range(s22)``), so the
     supremum is ``lambda_min(Lambda^{-1/2} C Lambda^{-1/2})``.  Its bottom
@@ -404,70 +408,64 @@ def max_psd_shift(s, p, tol: float = DEFAULT_TOL) -> ShiftResult:
     ``s22^+`` inverts the eigenvalues of ``s22`` floored at the cutoff of
     ``s``, so ``C`` is the exact Schur complement of a matrix within
     tolerance of ``s``.  A zero eigenvalue cannot simply be dropped: an ``s``
-    that is PSD only at tolerance may couple ``range(p)`` to it by
+    that is PSD only at tolerance may couple ``range(k)`` to it by
     ``sqrt(tol)``, and dropping that coupling reports a shift that
-    ``s - a*p`` violates by as much.  A shift counts as zero when
-    ``amount * lambda_max(p)`` is within the cutoff of ``s``.
+    ``s - a*k k*`` violates by as much.  A shift counts as zero when
+    ``amount * sigma_max^2`` is within the cutoff of ``s``.
 
-    When ``p`` is exactly ``c * I`` with ``c > 0`` (:func:`identity_multiple`),
-    ``s - a*p`` has the eigenvectors of ``s``: the shift is
-    ``max(lambda_min(s), 0) / c``, witnessed by the bottom eigenvector of
-    ``s``, and neither ``p`` nor a pencil is decomposed.
+    When ``k k*`` is exactly ``c * I`` (:func:`identity_multiple`; ``c > 0``
+    unless ``k k* = 0``), ``s - a*c*I`` has the eigenvectors of ``s``: the
+    shift is ``max(lambda_min(s), 0) / c``, witnessed by the bottom
+    eigenvector of ``s``, and neither ``k`` nor a pencil is decomposed.
 
-    Eigensolves per call: 1 when ``p = c * I`` with ``c > 0``; otherwise 2
-    when ``s`` fails its PSD gate or ``p`` vanishes, 3 for a definite ``p``,
-    and 4 when ``p`` has a null space (the Schur block ``s22``; none if ``s = 0``).
+    Eigensolves per call: 1 when ``s`` fails its PSD gate, ``k k*`` vanishes
+    or is ``c * I``; otherwise 2, plus 1 when ``k*`` has a null space (the
+    Schur block ``s22``; none if ``s = 0``).  ``k``'s SVD runs past the gate only.
 
     Returns
     -------
     ShiftResult
         ``amount=None`` when no shift above tolerance exists (e.g. ``s``
-        indefinite, or ``s`` vanishing on a direction that ``p`` sees);
-        ``amount=math.inf`` flagged ``degenerate`` when ``p = 0`` and ``s``
+        indefinite, or ``s`` vanishing on a direction that ``k*`` sees);
+        ``amount=math.inf`` flagged ``degenerate`` when ``k k* = 0`` and ``s``
         is PSD.
     """
     s_m = as_matrix(s, square=True)
-    p_m = as_matrix(p, square=True)
-    if s_m.shape != p_m.shape:
-        raise DimensionMismatchError(f"shape mismatch: {s_m.shape} vs {p_m.shape}")
+    k_m = as_matrix(k)
+    if s_m.shape[0] != k_m.shape[0]:
+        raise DimensionMismatchError(f"shape mismatch: {s_m.shape} vs factor {k_m.shape}")
     s_m = _require_hermitian(s_m, tol, "shift target")
-    p_m = _require_hermitian(p_m, tol, "reference matrix")
 
     s_eig = hermitian_eigen(s_m, tol=tol)
-    scalar = identity_multiple(p_m)
-    if scalar is not None and scalar > 0.0:
-        p_max, degenerate = scalar, False
-    else:
-        scalar = None  # p = 0 and a non-PSD p meet the general gates
-        p_eig = hermitian_eigen(p_m, tol=tol)
-        if not p_eig.is_psd(tol):
-            raise NotPSDError(f"reference matrix has eigenvalue {p_eig.min:.6e} < 0")
-        # p vanishes: the shift is unconstrained whenever s itself is PSD.
-        p_max = p_eig.max
-        degenerate = p_max <= p_eig.cutoff(tol)
+    gram = k_m @ adjoint(k_m)
+    # k k* vanishes: the shift is unconstrained whenever s itself is PSD.
+    degenerate = not gram.any()
     if not s_eig.is_psd(tol):
         # Even a = 0 fails; the bottom eigenvector certifies it.
         return ShiftResult(None, s_eig.vectors[:, 0].copy(), s_eig, degenerate)
     if degenerate:
         return ShiftResult(math.inf, None, s_eig, degenerate)
 
+    scalar = identity_multiple(gram)
     if scalar is not None:
         # s - a*c*I has the eigenvectors of s: the pencil is s's own spectrum
-        amount, witness = max(s_eig.min, 0.0) / scalar, s_eig.vectors[:, 0].copy()
+        p_max, amount, witness = scalar, max(s_eig.min, 0.0) / scalar, s_eig.vectors[:, 0].copy()
     else:
-        amount, witness = _schur_pencil(s_m, s_eig, p_eig, tol)
+        u, sigma, _ = np.linalg.svd(k_m)
+        p_max = sigma[0] ** 2
+        amount, witness = _schur_pencil(s_m, s_eig, u, sigma, tol)
     if amount * p_max <= s_eig.cutoff(tol):
         return ShiftResult(None, witness, s_eig)
     return ShiftResult(amount, witness, s_eig)
 
 
-def _schur_pencil(s_m: np.ndarray, s_eig: EigenDecomposition, p_eig: EigenDecomposition,
-                  tol: float) -> tuple[float, np.ndarray]:
-    """Bottom of the pencil ``s - a*p`` for a PSD ``s`` and a nonzero PSD
-    ``p``: the amount (clamped at 0) and the unit tight direction."""
-    seen = p_eig.values > p_eig.cutoff(tol)
-    q1, q2 = p_eig.vectors[:, seen], p_eig.vectors[:, ~seen]
-    inv_root = 1.0 / np.sqrt(p_eig.values[seen])
+def _schur_pencil(s_m: np.ndarray, s_eig: EigenDecomposition, u: np.ndarray,
+                  sigma: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
+    """Bottom of the pencil ``s - a*k k*`` for a PSD ``s`` and a nonzero ``k``
+    of SVD ``U diag(sigma) V*``: the amount (clamped at 0) and the unit tight direction."""
+    rank = int(np.count_nonzero(sigma**2 > tol * sigma[0] ** 2))
+    q1, q2 = u[:, :rank], u[:, rank:]
+    inv_root = 1.0 / sigma[:rank]
     s_cutoff = s_eig.cutoff(tol)
     s21 = adjoint(q2) @ s_m @ q1
     coupling = np.zeros_like(s21)  # s22^+ s21

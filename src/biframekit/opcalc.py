@@ -388,7 +388,7 @@ def max_transfer_ratio(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) ->
         raise RangeNotContainedError(
             "operator range is not contained in the target range"
         )
-    shift = linalg.max_psd_shift(mat @ linalg.adjoint(mat), gram_target(system), tol=tol)
+    shift = linalg.max_psd_shift(mat @ linalg.adjoint(mat), k, tol=tol)
     if shift.amount is None:
         return 0.0
     return float(np.sqrt(shift.amount))

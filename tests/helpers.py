@@ -107,43 +107,50 @@ def random_valid_system(rng: np.random.Generator, dim: int, *, complex_: bool = 
     return BiframeSystem.from_samples(measure, f, g, target)
 
 
-def _psd_up_to_roundoff(m: np.ndarray) -> bool:
-    # Cholesky of m + 1e-14*scale*I: the cushion absorbs round-off only, so
-    # the bisection finds the exact supremum rather than a tolerance-relaxed
-    # one (a cushion of tol*scale overshoots by tol*||s|| / <p v, v> along a
-    # null direction v of s that p barely sees, which can pass as a shift)
-    scale = max(1.0, float(np.linalg.norm(m, 2)))
+def _psd_up_to_roundoff(s: np.ndarray, p: np.ndarray, a: float) -> bool:
+    # Cholesky of s - a*p + 1e-14*(||s|| + a||p||)*I: the cushion absorbs the
+    # round-off of forming s - a*p only, so the bisection finds the exact
+    # supremum rather than a tolerance-relaxed one (a cushion of tol*||s||
+    # overshoots by tol*||s|| / <p v, v> along a null direction v of s that p
+    # barely sees, which can pass as a shift)
+    scale = float(np.linalg.norm(s, 2)) + a * float(np.linalg.norm(p, 2))
     try:
-        np.linalg.cholesky(m + (1e-14 * scale) * np.eye(m.shape[0], dtype=m.dtype))
+        np.linalg.cholesky(s - a * p + (1e-14 * scale) * np.eye(s.shape[0], dtype=s.dtype))
     except np.linalg.LinAlgError:
         return False
     return True
 
 
 def bisection_shift(s: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> float | None:
-    """Independent reference for ``linalg.max_psd_shift``'s amount.
+    """Independent reference for ``linalg.max_psd_shift``'s amount, with the
+    reference ``p = k k*`` formed.
 
     Bisects ``a`` on the Cholesky predicate "``s - a*p`` is PSD up to
     round-off" over the rigorous bracket ``[0, lambda_max(s) / lambda_min^+(p)]``
-    (widened while the tolerance-relaxed set pokes past it), then polishes
-    with the Rayleigh quotient of the tight eigenvector.  Uses LAPACK
+    (widened while the round-off cushion pokes past it), then polishes with
+    the Rayleigh quotient of the tight eigenvector.  Uses LAPACK
     (``numpy.linalg.eigh``) where the library uses its own eigensolver.
-    Returns ``None`` when no shift above ``tol`` exists and ``math.inf``
-    when ``p`` vanishes and ``s`` is PSD.
+    Every threshold is relative to ``||s||`` or ``||p||``, as the library's:
+    ``s`` is PSD when ``lambda_min(s) >= -tol * max|lambda(s)|``, ``p``
+    vanishes only when it is exactly zero, and a shift counts as none when
+    ``amount * lambda_max(p) <= tol * max|lambda(s)|``.  Returns ``None``
+    when no shift above that cutoff exists and ``math.inf`` when ``p``
+    vanishes and ``s`` is PSD.
     """
     s_vals = np.linalg.eigvalsh(s)
     p_vals = np.linalg.eigvalsh(p)
-    s_is_psd = s_vals[0] >= -tol * max(1.0, float(np.max(np.abs(s_vals))))
-    p_max = float(p_vals[-1])
-    if p_max <= tol * max(1.0, p_max):
+    s_cutoff = tol * float(np.max(np.abs(s_vals)))
+    s_is_psd = s_vals[0] >= -s_cutoff
+    if not np.any(p):
         return math.inf if s_is_psd else None
     if not s_is_psd:
         return None
 
+    p_max = float(p_vals[-1])
     lam_plus = float(p_vals[p_vals > 1e-12 * p_max][0])
-    lo, hi = 0.0, max(max(float(s_vals[-1]), 0.0) / lam_plus, tol)
+    lo, hi = 0.0, max(float(s_vals[-1]), 0.0) / lam_plus
     for _ in range(8):
-        if not _psd_up_to_roundoff(s - hi * p):
+        if hi == 0.0 or not _psd_up_to_roundoff(s, p, hi):
             break
         lo, hi = hi, 2.0 * hi
     else:
@@ -151,7 +158,7 @@ def bisection_shift(s: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> float | 
     if lo < hi:
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if _psd_up_to_roundoff(s - mid * p):
+            if _psd_up_to_roundoff(s, p, mid):
                 lo = mid
             else:
                 hi = mid
@@ -162,9 +169,9 @@ def bisection_shift(s: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> float | 
     if denom > 1e-12 * p_max:
         # s is PSD, so a negative quotient is round-off of an exact zero
         candidate = max(float(np.real(np.conj(witness) @ (s @ witness))) / denom, 0.0)
-        if abs(candidate - amount) <= 1e-6 * max(1.0, amount) and _psd_up_to_roundoff(s - candidate * p):
+        if abs(candidate - amount) <= 1e-6 * amount and _psd_up_to_roundoff(s, p, candidate):
             amount = candidate
-    return None if amount <= tol else amount
+    return None if amount * p_max <= s_cutoff else amount
 
 
 def reference_optimal_bounds(system: BiframeSystem, tol: float = linalg.DEFAULT_TOL) -> BoundsReport:
@@ -174,7 +181,7 @@ def reference_optimal_bounds(system: BiframeSystem, tol: float = linalg.DEFAULT_
     s = frame_operator(system)
     herm = linalg.hermitian_part(s)
     eig = linalg.hermitian_eigen(herm, tol=tol)
-    shift = linalg.max_psd_shift(herm, gram_target(system), tol=tol)
+    shift = linalg.max_psd_shift(herm, system.target, tol=tol)
     return BoundsReport(
         lower_opt=shift.amount,
         upper_opt=eig.max,

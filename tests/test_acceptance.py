@@ -400,7 +400,7 @@ def test_criterion_12_construction_dominance():
         grow = np.eye(dim, dtype=bump.dtype) + np.linalg.matrix_power(bump, power)
         gram = gram_target(general)
         shift = linalg.max_psd_shift(
-            linalg.hermitian_part(grow @ gram @ linalg.adjoint(grow)), gram)
+            linalg.hermitian_part(grow @ gram @ linalg.adjoint(grow)), general.target)
         provable = (None if shift.amount is None
                     else perturbed.guaranteed_lower * shift.amount)
         good, why = _dominates(dataclasses.replace(perturbed, guaranteed_lower=provable),

@@ -6,6 +6,11 @@ from it.  ``hermitian_part`` is exactly Hermitian, so that spectrum is, bit
 for bit, the one a second decomposition would build: the report must equal
 the reference assembly exactly, and cost one eigensolve less.
 
+``K K*`` itself is never decomposed: ``max_psd_shift`` takes the factor
+``K`` and whitens the pencil by its SVD, so a dense target costs two
+eigensolves (``Herm(S)`` and the whitened pencil) and a rank-deficient one
+three (plus the Schur block on the null space of ``K*``).
+
 When ``K K* = c * I`` exactly, the lower pencil is that same spectrum
 shifted, so both ``optimal_bounds`` and ``check_bounds`` make one eigensolve;
 ``check_bounds`` must agree with the reference that decomposes both of its
@@ -17,7 +22,15 @@ import warnings
 import numpy as np
 import pytest
 
-from biframekit import BiframeSystem, DiscreteMeasure, check_bounds, linalg, optimal_bounds
+from biframekit import (
+    BiframeSystem,
+    DiscreteMeasure,
+    check_bounds,
+    classify,
+    linalg,
+    opcalc,
+    optimal_bounds,
+)
 from biframekit.biframe import NonSelfAdjointWarning, biframe_form, frame_operator, gram_target
 from helpers import (
     random_matrix,
@@ -90,24 +103,26 @@ def test_shift_hands_back_the_spectrum_of_its_target():
 
 
 def _counting(monkeypatch) -> list:
-    count = []
+    """Every matrix ``hermitian_eigen`` is handed from now on, in order."""
+    seen = []
     real = linalg.hermitian_eigen
 
-    def counted(*args, **kwargs):
-        count.append(1)
-        return real(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        seen.append(np.array(a, copy=True))
+        return real(a, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "hermitian_eigen", counted)
-    return count
+    return seen
 
 
 @pytest.mark.parametrize("target, valid, calls", [
-    # Herm(S), K K*, the whitened pencil
-    ("dense", True, 3),
-    # Herm(S) fails the PSD gate: no pencil
-    ("dense", False, 2),
-    # a null space of K K* adds the Schur block s22
-    ("rank-deficient", True, 4),
+    # Herm(S) and the pencil whitened by the SVD of K
+    ("dense", True, 2),
+    # Herm(S) fails the PSD gate: no pencil, no SVD
+    ("dense", False, 1),
+    # a null space of K* adds the Schur block s22
+    ("rank-deficient", True, 3),
+    ("rank-deficient", False, 1),
     # K K* = I: the pencil is the spectrum of Herm(S)
     ("identity", True, 1),
     ("identity", False, 1),
@@ -118,6 +133,23 @@ def test_optimal_bounds_eigensolve_count(monkeypatch, target, valid, calls):
     report = optimal_bounds(system)
     assert report.valid is valid
     assert len(count) == calls
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("target", ["identity", "dense", "rank-deficient"])
+@pytest.mark.parametrize("valid", [True, False], ids=["valid", "indefinite"])
+def test_no_bound_computation_decomposes_the_gram_target(monkeypatch, target, valid, complex_):
+    system = _system(7, complex_=complex_, target=target, valid=valid, dim=5)
+    gram = gram_target(system)
+    u = system.target @ random_matrix(np.random.default_rng(3), 5, 5, complex_)
+    seen = _counting(monkeypatch)
+    assert optimal_bounds(system).valid is valid
+    classify(system)
+    opcalc.max_transfer_ratio(system, u)
+    # each call decomposes Herm(S) or U U* at least: the recorder sees them
+    assert len(seen) >= 3
+    for m in seen:
+        assert m.shape != gram.shape or not np.allclose(m, gram, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("target, calls", [("identity", 1), ("dense", 2)])

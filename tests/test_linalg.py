@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biframekit import errors, linalg
-from helpers import bisection_shift, random_psd
+from helpers import bisection_shift, random_matrix, random_psd
 
 
 # ---------------------------------------------------------------------------
@@ -229,26 +229,26 @@ def test_canonical_sign_fixes_phase():
 
 
 @pytest.mark.parametrize(
-    "s, p, expected",
+    "s, k, expected",
     [
-        (np.diag([5.0, 7.0, 11.0]), 4.0 * np.eye(3), 1.25),
+        (np.diag([5.0, 7.0, 11.0]), 2.0 * np.eye(3), 1.25),
         (np.diag([4.0, 3.0, 2.0]), np.eye(3), 2.0),
         (np.diag([2.0, 1.0]), np.diag([1.0, 0.0]), 2.0),
-        # s vanishes only on null(p)
+        # s vanishes only on null(k*)
         (np.diag([2.0, 0.0]), np.diag([1.0, 0.0]), 2.0),
-        # the Schur complement 2 - 1*1/1 couples range(p) to null(p)
+        # the Schur complement 2 - 1*1/1 couples range(k) to null(k*)
         (np.array([[2.0, 1.0], [1.0, 1.0]]), np.diag([1.0, 0.0]), 1.0),
         (np.array([[2.0, 1j], [-1j, 1.0]]), np.diag([1.0, 0.0]), 1.0),
     ],
 )
-def test_max_psd_shift_golden(s, p, expected):
-    res = linalg.max_psd_shift(s, p)
+def test_max_psd_shift_golden(s, k, expected):
+    res = linalg.max_psd_shift(s, k)
     assert res.amount == pytest.approx(expected, abs=1e-9)
     assert not res.degenerate
 
 
 def test_max_psd_shift_witness_is_tight_direction():
-    res = linalg.max_psd_shift(np.diag([5.0, 7.0, 11.0]), 4.0 * np.eye(3))
+    res = linalg.max_psd_shift(np.diag([5.0, 7.0, 11.0]), 2.0 * np.eye(3))
     assert np.abs(res.witness) == pytest.approx([1.0, 0.0, 0.0], abs=1e-8)
 
 
@@ -272,14 +272,31 @@ def test_max_psd_shift_zero_s_gives_none():
     assert res.amount is None
 
 
-def test_max_psd_shift_rejects_non_psd_reference():
-    with pytest.raises(errors.NotPSDError):
-        linalg.max_psd_shift(np.eye(2), np.diag([1.0, -1.0]))
+@pytest.mark.parametrize("n, r", [(5, 1), (5, 3), (4, 6), (3, 7)])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_max_psd_shift_non_square_factor_matches_its_zero_padded_square_form(n, r, complex_):
+    # a tall n x r factor pads with zero columns to n x n; a wide one is the
+    # zero padding of an n x n factor: either way k k* is the same matrix
+    rng = np.random.default_rng(10 * n + r + complex_)
+    s = random_psd(rng, n, complex_) + 0.05 * np.eye(n)
+    square = random_matrix(rng, n, min(n, r), complex_)
+    square = np.hstack([square, np.zeros((n, n - square.shape[1]), dtype=square.dtype)])
+    factor = square[:, :r] if r < n else np.hstack(
+        [square, np.zeros((n, r - n), dtype=square.dtype)])
+    got, want = linalg.max_psd_shift(s, factor), linalg.max_psd_shift(s, square)
+    assert got.amount == pytest.approx(want.amount, rel=1e-9)
+    assert got.witness == pytest.approx(want.witness, abs=1e-9)
 
 
 def test_max_psd_shift_shape_mismatch():
     with pytest.raises(errors.DimensionMismatchError):
         linalg.max_psd_shift(np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize("k", [np.ones((2, 3)), np.ones((2, 5)), np.ones((4, 1))])
+def test_max_psd_shift_factor_rows_must_match_s(k):
+    with pytest.raises(errors.DimensionMismatchError):
+        linalg.max_psd_shift(np.eye(3), k)
 
 
 def test_max_psd_shift_is_maximal():
@@ -299,7 +316,7 @@ def test_max_psd_shift_is_maximal():
         rank = int(rng.integers(1, n + 1))
         b = draw(rank)
         p = (b @ b.conj().T + (b @ b.conj().T).conj().T) / 2.0
-        res = linalg.max_psd_shift(s, p)
+        res = linalg.max_psd_shift(s, b)
         assert res.amount is not None and res.amount > 0
         scale = max(1.0, np.linalg.norm(s, 2))
         feasible = np.linalg.eigvalsh(s - res.amount * p).min()
@@ -309,20 +326,26 @@ def test_max_psd_shift_is_maximal():
 
 
 def test_max_psd_shift_matches_bisection_oracle():
-    # PSD s of every rank, with and without a definite cushion, against p of
-    # every rank and against p = c*I (random c > 0), real and complex, dims 1-8
+    # PSD s of every rank, with and without a definite cushion, against
+    # factors k of every rank and against k = sqrt(c)*I, real and complex,
+    # dims 1-8; the last rows scale s and k by 10^e, e in [-6, 6], so the
+    # reference k k* spans twenty-four decades
     rng = np.random.default_rng(5)
-    for trial in range(500):
+    for trial in range(700):
         n = int(rng.integers(1, 9))
         complex_ = bool(rng.integers(0, 2))
         s = random_psd(rng, n, complex_, rank=int(rng.integers(1, n + 1)))
         if rng.integers(0, 2):
             s = s + 0.05 * np.eye(n)
-        if trial < 400:
-            p = random_psd(rng, n, complex_, rank=int(rng.integers(1, n + 1)))
+        if trial < 400 or trial >= 500:
+            k = random_matrix(rng, n, int(rng.integers(1, n + 1)), complex_)
         else:
-            p = 10.0 ** rng.uniform(-3.0, 3.0) * np.eye(n, dtype=s.dtype)
-        res = linalg.max_psd_shift(s, p)
+            k = 10.0 ** rng.uniform(-6.0, 6.0) * np.eye(n, dtype=s.dtype)
+        if trial >= 500:
+            s = 10.0 ** int(rng.integers(-6, 7)) * s
+            k = 10.0 ** int(rng.integers(-6, 7)) * k
+        p = k @ k.conj().T
+        res = linalg.max_psd_shift(s, k)
         expected = bisection_shift(s, p)
         assert (res.amount is None) == (expected is None)
         if expected is not None:
@@ -330,7 +353,7 @@ def test_max_psd_shift_matches_bisection_oracle():
         a = res.amount or 0.0
         w = res.witness
         residual = np.vdot(w, (s - a * p) @ w)
-        assert abs(residual) <= 1e-9 * max(1.0, np.linalg.norm(s, 2))
+        assert abs(residual) <= 1e-9 * np.linalg.norm(s, 2)
 
 
 @pytest.mark.parametrize("a, expected", [
@@ -350,15 +373,15 @@ def test_identity_multiple(a, expected):
 
 @pytest.mark.parametrize("b, mu", [(3e-5, 0.0), (3e-5, 9e-10), (1e-5, 1e-10), (1e-7, 0.0)])
 def test_max_psd_shift_is_feasible_on_near_boundary_pencils(b, mu):
-    # s is PSD at tolerance and couples range(p) by ~sqrt(tol) to a direction
+    # s is PSD at tolerance and couples range(k) by ~sqrt(tol) to a direction
     # at which s nearly vanishes; the reported shift must still leave s - a*p
     # PSD at tolerance (an exact pseudo-inverse of s22 reports a = 1 here,
     # which s - a*p violates by ~b)
     s = np.array([[1.0, b], [b, mu]])
-    p = np.diag([1.0, 0.0])
-    res = linalg.max_psd_shift(s, p)
+    k = np.diag([1.0, 0.0])
+    res = linalg.max_psd_shift(s, k)
     assert res.amount is not None
-    assert np.linalg.eigvalsh(s - res.amount * p).min() >= -1e-9
+    assert np.linalg.eigvalsh(s - res.amount * k @ k.T).min() >= -1e-9
 
 
 def test_as_matrix_rejects_non_finite():

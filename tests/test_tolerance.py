@@ -2,6 +2,8 @@
 
 A system's bounds are homogeneous in its weights: multiply every weight by
 ``c`` and the optimal pair becomes ``(c A, c B)`` with the same validity.
+Scaling the target ``K`` by ``c`` scales ``K K*`` by ``c^2``, so the pair
+becomes ``(A / c^2, B)``.
 They are also invariant under a unitary change of basis and under exchanging
 the two families.  Every verdict must follow, which holds only when each
 threshold is relative to the problem it is about.
@@ -97,10 +99,11 @@ def _claims(report) -> tuple[tuple[float, float] | None, tuple[float, float]]:
     return (lower / 2.0, max(2.0 * upper, lower)), (2.0 * lower, max(2.0 * upper, 2.0 * lower))
 
 
-def _verdicts(system: BiframeSystem, claims, scale: float = 1.0) -> tuple:
+def _verdicts(system: BiframeSystem, claims, scales: tuple[float, float] = (1.0, 1.0)) -> tuple:
     report = optimal_bounds(system)
     checks = tuple(
-        None if claim is None else check_bounds(system, scale * claim[0], scale * claim[1]).ok
+        None if claim is None
+        else check_bounds(system, scales[0] * claim[0], scales[1] * claim[1]).ok
         for claim in claims
     )
     return (report.valid, report.witness_negative_form is None) + checks
@@ -136,7 +139,41 @@ def test_scaling_the_weights_scales_the_bounds_and_keeps_every_verdict(system, e
     want_lower = None if report.lower_opt is None else c * report.lower_opt
     assert _same_bound(moved.lower_opt, want_lower)
     assert _same_bound(moved.upper_opt, c * report.upper_opt)
-    assert _verdicts(scaled, claims, c) == verdicts
+    assert _verdicts(scaled, claims, (c, c)) == verdicts
+
+
+def _target_claims(report, c: float):
+    """:func:`_claims`, well formed both as ``(lower, upper)`` and as
+    ``(lower / c^2, upper)``: a claim's upper constant that holds rises to
+    cover the moved lower one.  A zero target's false claim fails on its
+    upper side, so there the lower constant, which only asks
+    ``Herm(S) >= 0`` of a zero target, shrinks instead."""
+    true_claim, false_claim = _claims(report)
+
+    def raised(claim):
+        return claim[0], max(claim[1], c**-2 * claim[0])
+
+    if math.isinf(report.lower_opt or 0.0):
+        false_claim = (false_claim[0] * min(1.0, c**2), false_claim[1])
+    else:
+        false_claim = raised(false_claim)
+    return (None if true_claim is None else raised(true_claim)), false_claim
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems, st.integers(-6, 6))
+def test_scaling_the_target_divides_the_lower_bound_and_keeps_every_verdict(system, exponent):
+    c = 10.0 ** exponent
+    report = optimal_bounds(system)
+    claims = _target_claims(report, c)
+    verdicts = _verdicts(system, claims)
+    assert verdicts[2:] == ((None if claims[0] is None else True), False)
+    scaled = system.with_target(c * system.target)
+    moved = optimal_bounds(scaled)
+    want_lower = None if report.lower_opt is None else report.lower_opt / c**2
+    assert _same_bound(moved.lower_opt, want_lower)
+    assert moved.upper_opt == report.upper_opt
+    assert _verdicts(scaled, claims, (c**-2, 1.0)) == verdicts
 
 
 @settings(max_examples=30, deadline=None)
