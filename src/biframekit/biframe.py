@@ -139,13 +139,24 @@ class BiframeSystem:
         return "complex" if self.analysis.is_complex else "real"
 
     def with_target(self, target) -> "BiframeSystem":
-        """Same samples and weights, different target operator."""
-        return BiframeSystem(
+        """Same samples and weights, different target operator.
+
+        The new system starts with this one's cached frame operator, its
+        norm and the spectrum of its Hermitian part: none depends on the
+        target."""
+        system = BiframeSystem(
             measure=self.measure,
             analysis=self.analysis,
             synthesis=self.synthesis,
             target=np.asarray(target),
         )
+        system._cache.update((key, self._cache[key]) for key in _TARGET_FREE
+                             if key in self._cache)
+        return system
+
+
+# cache entries computed from the samples and weights alone
+_TARGET_FREE = ("frame_operator", "frame_norm", "herm_spectrum")
 
 
 def analysis(field_: SampledField, f) -> np.ndarray:
@@ -180,6 +191,21 @@ def frame_operator(system: BiframeSystem) -> np.ndarray:
     return cached
 
 
+def _herm_spectrum(system: BiframeSystem, tol: float) -> linalg.EigenDecomposition:
+    """Eigendecomposition of ``Herm(S)``, read-only and cached on the system.
+
+    ``hermitian_part`` is exactly Hermitian, so ``tol`` gates a check that
+    cannot fail and leaves the spectrum as it is: one entry serves every
+    ``tol``."""
+    cached = system._cache.get("herm_spectrum")
+    if cached is None:
+        cached = linalg.hermitian_eigen(linalg.hermitian_part(frame_operator(system)), tol=tol)
+        cached.values.flags.writeable = False
+        cached.vectors.flags.writeable = False
+        system._cache["herm_spectrum"] = cached
+    return cached
+
+
 def biframe_form(system: BiframeSystem, f, tol: float = DEFAULT_TOL) -> float:
     """Quadratic form ``sum_i w_i <f, F_i> <G_i, f>`` evaluated directly.
 
@@ -210,7 +236,9 @@ def swap(system: BiframeSystem) -> BiframeSystem:
     """Exchange the analysis and synthesis families.
 
     The swapped system has frame operator ``S*``, hence the identical
-    Hermitian part and identical optimal bounds.
+    Hermitian part and identical optimal bounds.  It inherits no cache entry:
+    its ``S*`` is formed from the swapped samples and need not equal the
+    adjoint of ``S`` bit for bit.
     """
     return BiframeSystem(
         measure=system.measure,
@@ -254,16 +282,19 @@ def optimal_bounds(system: BiframeSystem, tol: float = DEFAULT_TOL) -> BoundsRep
     The lower constant solves ``max { a : Herm(S) - a K K* >= 0 }`` in closed
     form (:func:`linalg.max_psd_shift`); the upper constant is
     ``lambda_max(Herm(S))``.  Validity means a strictly positive lower
-    constant exists.  ``Herm(S)`` is decomposed once: the upper constant and the
-    negative-form witness read the spectrum that ``max_psd_shift`` returns,
-    and ``K K*`` is whitened by the SVD of ``K``, never decomposed.
+    constant exists.  ``Herm(S)`` is decomposed once per system: its spectrum
+    is cached on the system, handed to ``max_psd_shift``, and read for the
+    upper constant and the negative-form witness; ``K K*`` is whitened by the
+    SVD of ``K``, never decomposed.
 
-    Eigensolves per call: 1 when ``Herm(S)`` fails its PSD gate, ``K = 0`` or
-    ``K K* = c * I`` exactly; otherwise 2 for an invertible ``K`` and 3 for a
-    rank-deficient one.
+    Eigensolves per call, on a system whose spectrum is not yet cached: 1
+    when ``Herm(S)`` fails its PSD gate, ``K = 0`` or ``K K* = c * I``
+    exactly; otherwise 2 for an invertible ``K`` and 3 for a rank-deficient
+    one.  Once it is cached, one fewer.
     """
     s = frame_operator(system)
-    shift = linalg.max_psd_shift(linalg.hermitian_part(s), system.target, tol=tol)
+    shift = linalg.max_psd_shift(linalg.hermitian_part(s), system.target, tol=tol,
+                                 _spectrum=_herm_spectrum(system, tol))
     eig = shift.spectrum
     return BoundsReport(
         lower_opt=shift.amount,
@@ -297,7 +328,8 @@ def check_bounds(system: BiframeSystem, lower: float, upper: float,
     ``K K* = c * I`` exactly (:func:`linalg.identity_multiple`), the lower side
     is the same spectrum shifted by ``-lower * c``; any other target
     decomposes ``Herm(S) - lower K K*``.  So a check costs 1 eigensolve
-    against a multiple of the identity and 2 otherwise.
+    against a multiple of the identity and 2 otherwise, on a system whose
+    spectrum of ``Herm(S)`` is not yet cached; once it is, 0 and 1.
 
     The PSD cutoffs scale with the claim's data, ``tol * (||Herm S||_F +
     lower ||K K*||_F)`` and ``tol * (upper + ||Herm S||_F)``: the differences
@@ -311,7 +343,7 @@ def check_bounds(system: BiframeSystem, lower: float, upper: float,
     herm = linalg.hermitian_part(frame_operator(system))
     gram = gram_target(system)
     herm_norm = float(np.linalg.norm(herm))
-    eig = linalg.hermitian_eigen(herm, tol=tol)
+    eig = _herm_spectrum(system, tol)
     scalar = linalg.identity_multiple(gram)
     if scalar is None:
         low = linalg.hermitian_eigen(linalg.hermitian_part(herm - lower * gram), tol=tol)

@@ -12,6 +12,10 @@ twice: :func:`max_psd_shift` hands back the spectrum of ``s`` it gates on,
 reads the reference ``k k*`` off the SVD of its factor ``k`` rather than
 decomposing the product, and a reference that is exactly ``c * I``
 (:func:`identity_multiple`) reuses the spectrum of ``s`` for the pencil.
+Across calls, a system caches the spectrum of its ``Herm(S)`` and hands it
+to :func:`max_psd_shift` and :func:`sqrt_psd` (their private ``_spectrum``
+argument), so one system's ``Herm(S)`` is decomposed once, however many
+bounds, checks and quotients read it.
 Singular-value based helpers (pseudo-inverse, spectral norm, range/null
 bases) sit on ``numpy.linalg.svd`` with explicit rank thresholding.
 
@@ -288,14 +292,16 @@ def is_psd(a, tol: float = DEFAULT_TOL) -> bool:
     return hermitian_eigen(a, tol=tol).is_psd(tol)
 
 
-def sqrt_psd(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+def sqrt_psd(a, tol: float = DEFAULT_TOL, *,
+             _spectrum: EigenDecomposition | None = None) -> np.ndarray:
     """Positive-semidefinite square root of a PSD matrix.
 
     Eigenvalues below the PSD tolerance are clamped to zero, so mild
     round-off on the input does not leak into the result.  Raises
-    :class:`NotPSDError` for genuinely indefinite input.
+    :class:`NotPSDError` for genuinely indefinite input.  ``_spectrum``, when
+    given, is ``hermitian_eigen(a, tol)`` already computed.
     """
-    eig = hermitian_eigen(a, tol=tol)
+    eig = hermitian_eigen(a, tol=tol) if _spectrum is None else _spectrum
     cutoff = eig.cutoff(tol)
     if not eig.is_psd(tol):
         raise NotPSDError(f"matrix has eigenvalue {eig.min:.6e} < -{cutoff:.3e}")
@@ -386,7 +392,8 @@ class ShiftResult:
     degenerate: bool = False
 
 
-def max_psd_shift(s, k, tol: float = DEFAULT_TOL) -> ShiftResult:
+def max_psd_shift(s, k, tol: float = DEFAULT_TOL, *,
+                  _spectrum: EigenDecomposition | None = None) -> ShiftResult:
     """Largest ``a >= 0`` such that ``s - a*k k*`` stays positive semidefinite.
 
     ``s`` must be Hermitian and the factor ``k`` (any column count) have as
@@ -418,9 +425,11 @@ def max_psd_shift(s, k, tol: float = DEFAULT_TOL) -> ShiftResult:
     shift is ``max(lambda_min(s), 0) / c``, witnessed by the bottom
     eigenvector of ``s``, and neither ``k`` nor a pencil is decomposed.
 
-    Eigensolves per call: 1 when ``s`` fails its PSD gate, ``k k*`` vanishes
-    or is ``c * I``; otherwise 2, plus 1 when ``k*`` has a null space (the
-    Schur block ``s22``; none if ``s = 0``).  ``k``'s SVD runs past the gate only.
+    Eigensolves per call, counting the decomposition of ``s``: 1 when ``s``
+    fails its PSD gate, ``k k*`` vanishes or is ``c * I``; otherwise 2, plus 1
+    when ``k*`` has a null space (the Schur block ``s22``; none if ``s = 0``).
+    ``k``'s SVD runs past the gate only.  ``_spectrum``, when given, is
+    ``hermitian_eigen(s, tol)`` already computed, and saves that one.
 
     Returns
     -------
@@ -436,7 +445,7 @@ def max_psd_shift(s, k, tol: float = DEFAULT_TOL) -> ShiftResult:
         raise DimensionMismatchError(f"shape mismatch: {s_m.shape} vs factor {k_m.shape}")
     s_m = _require_hermitian(s_m, tol, "shift target")
 
-    s_eig = hermitian_eigen(s_m, tol=tol)
+    s_eig = hermitian_eigen(s_m, tol=tol) if _spectrum is None else _spectrum
     gram = k_m @ adjoint(k_m)
     # k k* vanishes: the shift is unconstrained whenever s itself is PSD.
     degenerate = not gram.any()

@@ -22,13 +22,16 @@ class DiscreteMeasure:
 
     ``ids`` are unique string labels (they survive round-trips through the
     JSON manifest format) and ``weights`` are strictly positive and finite.
+    The measure keeps its own read-only copy of the weights.
     """
 
     ids: tuple[str, ...]
     weights: np.ndarray
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
+        # a private read-only copy: systems cache results derived from it
+        weights = np.array(self.weights, dtype=np.float64, copy=True)
+        weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "ids", tuple(str(i) for i in self.ids))
         if weights.ndim != 1:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .biframe import BiframeSystem, frame_operator, gram_target, optimal_bounds
+from .biframe import BiframeSystem, _herm_spectrum, frame_operator, optimal_bounds
 from .errors import DimensionMismatchError
 from .linalg import DEFAULT_TOL
 from .opcalc import _map_samples
@@ -124,7 +124,8 @@ def validity_cross_check(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> 
     :func:`~biframekit.linalg.sqrt_psd` raises
     :class:`~biframekit.errors.NotPSDError` otherwise.
     """
-    root = linalg.sqrt_psd(linalg.hermitian_part(frame_operator(system)), tol=tol)
+    root = linalg.sqrt_psd(linalg.hermitian_part(frame_operator(system)), tol=tol,
+                           _spectrum=_herm_spectrum(system, tol))
     report = optimal_bounds(system, tol=tol)
     quot = quotient_norm(linalg.adjoint(system.target), root)
     agree = bool(report.valid) == bool(quot.exists)
@@ -168,7 +169,8 @@ def transform_equivalences(system: BiframeSystem, t, *,
             f"transform is {t_mat.shape[0]}x{t_mat.shape[1]}, system dimension is {system.dim}"
         )
     herm = linalg.hermitian_part(frame_operator(system))
-    root = linalg.sqrt_psd(herm, tol=tol)  # NotPSDError unless herm is PSD
+    # NotPSDError unless herm is PSD
+    root = linalg.sqrt_psd(herm, tol=tol, _spectrum=_herm_spectrum(system, tol))
 
     pushed = _map_samples(system, t_mat, t_mat @ system.target)
     pushed_report = optimal_bounds(pushed, tol=tol)

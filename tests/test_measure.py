@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biframekit import DiscreteMeasure, errors, gauss_legendre, product_measure
+from biframekit import (
+    BiframeSystem,
+    DiscreteMeasure,
+    errors,
+    gauss_legendre,
+    optimal_bounds,
+    product_measure,
+)
 from biframekit.measure import from_partition, integrate
 
 
@@ -22,6 +29,18 @@ class TestDiscreteMeasure:
             DiscreteMeasure(("a", "b"), np.array([1.0, -2.0]))
         with pytest.raises(errors.InvalidMassError):
             DiscreteMeasure(("a",), np.array([np.inf]))
+
+    def test_keeps_a_read_only_copy_of_its_weights(self):
+        w = np.ones(3)
+        m = DiscreteMeasure(ids=("a", "b", "c"), weights=w)
+        system = BiframeSystem.from_samples(m, np.eye(3), np.eye(3), np.eye(3))
+        assert optimal_bounds(system).upper_opt == 1.0  # fills the system's cache
+        w[0] = 5.0
+        assert m.weights[0] == 1.0
+        fresh = BiframeSystem.from_samples(m, np.eye(3), np.eye(3), np.eye(3))
+        assert optimal_bounds(system).upper_opt == optimal_bounds(fresh).upper_opt == 1.0
+        with pytest.raises(ValueError):
+            m.weights[1] = -1.0
 
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(errors.InvalidMassError):

@@ -1,11 +1,16 @@
 """The test configuration and tooling: a failing test must not hide the
-others, and the benchmark's tracer must find every name it wraps."""
+others, the benchmark's tracer must find every name it wraps, and it must
+see a cached spectrum as no eigensolve."""
 
 import importlib
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from biframekit import BiframeSystem, DiscreteMeasure, biframe
 
 PAIR = '''
 from hypothesis import given, strategies as st
@@ -47,3 +52,29 @@ def test_every_traced_name_resolves():
     missing = [f"{module}.{attr}" for module, attr in names
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_traced_bounds_and_check_decompose_herm_s_once():
+    # the bench's linalg.hermitian_eigen.calls_per_op counts the spans its
+    # tracer records: a cached spectrum must show up as no span at all
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=(9, 4))
+    system = BiframeSystem.from_samples(DiscreteMeasure(tuple("abcdefghi"), np.ones(9)),
+                                        f, f, np.eye(4))
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    tracer.active = True
+    try:
+        report = biframe.optimal_bounds(system)
+        biframe.optimal_bounds(system)
+        assert biframe.check_bounds(system, 0.5 * report.lower_opt, 2.0 * report.upper_opt).ok
+    finally:
+        tracer.active = False
+        tracing.uninstall(undo)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("biframe.optimal_bounds") == 2
+    assert names.count("linalg.hermitian_eigen") == 1
