@@ -23,6 +23,7 @@ import numpy as np
 
 from .. import linalg
 from ..biframe import (
+    _claim_holds,
     biframe_form,
     check_bounds,
     frame_operator,
@@ -256,7 +257,8 @@ def construct(ctx: click.Context, file: str, op_name: str, operator_text: str | 
     """Apply a construction rule and certify the result's bounds.
 
     Exits 0 when the recomputed optimal bounds dominate the rule's
-    guaranteed bounds, 1 when they do not (or a precondition fails).
+    guaranteed bounds (the claim rule of `verify`), 1 when they do not (or a
+    precondition fails).
     """
     record = _load(file)
     system = record.system
@@ -292,13 +294,7 @@ def construct(ctx: click.Context, file: str, op_name: str, operator_text: str | 
         ctx.exit(1)
 
     after = optimal_bounds(result.system, tol=tol)
-    lower_ok = (
-        result.guaranteed_lower is None
-        or (after.lower_opt is not None
-            and after.lower_opt >= (1.0 - tol) * result.guaranteed_lower)
-    )
-    upper_ok = after.upper_opt <= result.guaranteed_upper + tol * abs(result.guaranteed_upper)
-    dominated = lower_ok and upper_ok
+    dominated = all(_claim_holds(after, result.guaranteed_lower, result.guaranteed_upper, tol))
 
     if output is not None:
         claim = None

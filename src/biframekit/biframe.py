@@ -307,9 +307,31 @@ def optimal_bounds(system: BiframeSystem, tol: float = DEFAULT_TOL) -> BoundsRep
     )
 
 
+def _claim_holds(report: BoundsReport, lower: float | None, upper: float,
+                 tol: float) -> tuple[bool, bool]:
+    """Whether each side of a claimed pair holds against the optimal pair in
+    ``report``: the one rule every bound claim is decided by.
+
+    The lower claim holds iff ``lower_opt`` exists and ``lower <= lower_opt +
+    tol * lower_opt`` (always, when ``lower_opt`` is ``inf``); ``None`` claims
+    nothing.  The upper claim holds iff ``upper >= upper_opt - tol *
+    |upper_opt|``.  Both tolerances are relative to the bound they compare
+    against, so scaling the weights and the claim together keeps the verdict.
+    """
+    a = report.lower_opt
+    lower_ok = lower is None or (a is not None and lower <= a + tol * a)
+    upper_ok = upper >= report.upper_opt - tol * abs(report.upper_opt)
+    return lower_ok, upper_ok
+
+
 @dataclass(frozen=True, eq=False)
 class BoundsVerification:
-    """Pass/fail detail for a claimed bound pair."""
+    """Pass/fail detail for a claimed bound pair.
+
+    ``lower_margin`` is ``lower_opt - lower`` (``lower_opt`` counting as 0 when
+    no positive lower constant exists, ``inf`` for a zero target) and
+    ``upper_margin`` is ``upper - upper_opt``: both in bound units, negative
+    where the claim overshoots the optimum."""
 
     ok: bool
     lower_ok: bool
@@ -323,59 +345,48 @@ def check_bounds(system: BiframeSystem, lower: float, upper: float,
                  tol: float = DEFAULT_TOL) -> BoundsVerification:
     """Like :func:`verify_bounds` but with margins and a failing witness.
 
-    The upper side reads the top eigenpair of ``Herm(S)``: its margin is
-    ``upper - lambda_max`` and its witness the top eigenvector.  When
-    ``K K* = c * I`` exactly (:func:`linalg.identity_multiple`), the lower side
-    is the same spectrum shifted by ``-lower * c``; any other target
-    decomposes ``Herm(S) - lower K K*``.  So a check costs 1 eigensolve
-    against a multiple of the identity and 2 otherwise, on a system whose
-    spectrum of ``Herm(S)`` is not yet cached; once it is, 0 and 1.
-
-    The PSD cutoffs scale with the claim's data, ``tol * (||Herm S||_F +
-    lower ||K K*||_F)`` and ``tol * (upper + ||Herm S||_F)``: the differences
-    tested cancel near a tight claim."""
+    The claim is decided against :func:`optimal_bounds`: the lower side holds
+    iff a positive ``lower_opt`` exists and ``lower <= lower_opt + tol *
+    lower_opt``, the upper side iff ``upper >= upper_opt - tol * |upper_opt|``
+    (:func:`_claim_holds`).  So a check costs the eigensolves of
+    ``optimal_bounds`` and no more.  A refuted lower claim is witnessed by
+    the report's ``witness_lower``: along the tight direction ``w`` of the
+    pencil, ``<(Herm S - lower K K*) w, w> = -(lower - lower_opt) ||K* w||^2``,
+    and where the form is indefinite ``w`` is the bottom eigenvector of
+    ``Herm(S)``.  Where the form is PSD but its positive lower constant
+    stays within tolerance of zero, ``w`` refutes only claims above the
+    pencil's bottom along it.  A refuted upper claim is witnessed by the top
+    eigenvector of ``Herm(S)``."""
     if not (np.isfinite(lower) and np.isfinite(upper)):
         raise MalformedBoundsError("bounds must be finite numbers")
     if not (0.0 < lower <= upper):
         raise MalformedBoundsError(
             f"need 0 < lower <= upper, got lower={lower!r} upper={upper!r}"
         )
-    herm = linalg.hermitian_part(frame_operator(system))
-    gram = gram_target(system)
-    herm_norm = float(np.linalg.norm(herm))
-    eig = _herm_spectrum(system, tol)
-    scalar = linalg.identity_multiple(gram)
-    if scalar is None:
-        low = linalg.hermitian_eigen(linalg.hermitian_part(herm - lower * gram), tol=tol)
-        lower_margin = low.min
-    else:
-        # Herm(S) - lower*c*I has the eigenvectors of Herm(S)
-        low = eig
-        lower_margin = eig.min - lower * scalar
-    upper_margin = upper - eig.max
-    lower_ok = lower_margin >= -tol * (herm_norm + lower * float(np.linalg.norm(gram)))
-    upper_ok = upper_margin >= -tol * (upper + herm_norm)
+    report = optimal_bounds(system, tol=tol)
+    lower_ok, upper_ok = _claim_holds(report, lower, upper, tol)
     witness = None
     if not lower_ok:
-        witness = low.vectors[:, 0].copy()
+        witness = report.witness_lower
     elif not upper_ok:
-        witness = eig.vectors[:, -1].copy()
+        witness = _herm_spectrum(system, tol).vectors[:, -1].copy()
     return BoundsVerification(
         ok=lower_ok and upper_ok,
         lower_ok=lower_ok,
         upper_ok=upper_ok,
-        lower_margin=lower_margin,
-        upper_margin=upper_margin,
+        lower_margin=(report.lower_opt or 0.0) - lower,
+        upper_margin=upper - report.upper_opt,
         witness=witness,
     )
 
 
 def verify_bounds(system: BiframeSystem, lower: float, upper: float,
                   tol: float = DEFAULT_TOL) -> bool:
-    """Whether the pair ``(lower, upper)`` is a valid bound pair:
-    ``Herm(S) - lower * K K*`` and ``upper * I - Herm(S)`` both PSD at
-    tolerance.  Claims with ``lower <= 0`` or ``lower > upper`` are rejected
-    as :class:`MalformedBoundsError`."""
+    """Whether the pair ``(lower, upper)`` is a valid bound pair: a positive
+    optimal lower constant exists and ``lower`` is within it, and ``upper``
+    is at least the optimal upper constant, both at relative tolerance
+    (see :func:`check_bounds`).  Claims with ``lower <= 0`` or
+    ``lower > upper`` are rejected as :class:`MalformedBoundsError`."""
     return check_bounds(system, lower, upper, tol=tol).ok
 
 

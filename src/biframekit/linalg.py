@@ -24,8 +24,10 @@ zero when it is at most ``tol`` times a norm of the problem the verdict is
 about, with no absolute floor, so scaling a problem leaves its verdicts
 unchanged.  PSD tests use ``max|lambda|`` (:meth:`EigenDecomposition.cutoff`),
 Hermitian tests ``||a||_F``, rank decisions ``sigma_max`` (at
-:data:`DEFAULT_TOL`), and composite verdicts the norms of the data they are
-formed from (``check_bounds``: ``||Herm S||_F + lower ||K K*||_F``).
+:data:`DEFAULT_TOL`), and bound claims the optimal bound they are compared
+with: a claimed pair holds iff ``lower <= lower_opt + tol * lower_opt`` and
+``upper >= upper_opt - tol * |upper_opt|`` (``check_bounds``, the CLI's
+``construct`` dominance and the tensor product law all decide by it).
 
 The central routine is :func:`max_psd_shift`, which computes the largest
 ``a >= 0`` with ``s - a*k k*`` positive semidefinite.  That quantity is the

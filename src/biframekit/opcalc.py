@@ -27,7 +27,6 @@ from . import linalg
 from .biframe import (
     BiframeSystem,
     BoundsReport,
-    check_bounds,
     frame_operator,
     gram_target,
     optimal_bounds,
@@ -166,14 +165,12 @@ def restrict_to_range(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> Con
 
 
 def combine_sum(system: BiframeSystem, terms: Sequence[tuple[complex, np.ndarray]], *,
-                bounds: Sequence[tuple[float, float]] | None = None,
                 tol: float = DEFAULT_TOL) -> ConstructionResult:
     """Re-target a system onto a linear combination of target operators.
 
     ``terms`` is a sequence of ``(coefficient, target)`` pairs; the system
-    must be valid against every listed target (verified, either from the
-    supplied per-term ``bounds`` or from freshly computed optimal ones).
-    The resulting target is ``sum_j a_j K_j``.
+    must be valid against every listed target, and each term contributes
+    its optimal bound pair.  The resulting target is ``sum_j a_j K_j``.
 
     The stated guarantees are kept verbatim: for two terms the lower
     constant is ``[max(|a_1|^2, |a_2|^2) (1/A_1 + 1/A_2)]^-1`` with upper
@@ -192,19 +189,8 @@ def combine_sum(system: BiframeSystem, terms: Sequence[tuple[complex, np.ndarray
     if peak == 0.0:
         raise ZeroOperatorError("all combination coefficients vanish")
 
-    if bounds is None:
-        pairs = [_valid_bounds(system.with_target(k), tol, f"term #{j}")
-                 for j, k in enumerate(targets)]
-    else:
-        if len(bounds) != len(terms):
-            raise ValueError("need exactly one bound pair per term")
-        pairs = []
-        for j, (k, (lo, hi)) in enumerate(zip(targets, bounds)):
-            if not check_bounds(system.with_target(k), lo, hi, tol=tol).ok:
-                raise NotABiframeError(
-                    f"claimed bounds ({lo}, {hi}) fail against target #{j}"
-                )
-            pairs.append((float(lo), float(hi)))
+    pairs = [_valid_bounds(system.with_target(k), tol, f"term #{j}")
+             for j, k in enumerate(targets)]
 
     combined = sum(a * k for a, k in zip(coeffs, targets))
     if not np.iscomplexobj(system.target):

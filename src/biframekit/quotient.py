@@ -177,9 +177,9 @@ def transform_equivalences(system: BiframeSystem, t, *,
 
     numerator = linalg.adjoint(pushed.target)
     plain = quotient_norm(numerator, root @ linalg.adjoint(t_mat))
-    # T H T* is Hermitian by construction, but cancellation may leave it at round-off
-    pushed_root = linalg.sqrt_psd(linalg.hermitian_part(t_mat @ herm @ linalg.adjoint(t_mat)),
-                                  tol=tol)
+    # Herm(S_pushed) = T H T*, already decomposed by optimal_bounds(pushed)
+    pushed_root = linalg.sqrt_psd(linalg.hermitian_part(frame_operator(pushed)), tol=tol,
+                                  _spectrum=_herm_spectrum(pushed, tol))
     through = quotient_norm(numerator, pushed_root)
 
     target_scale = linalg.spectral_norm(system.target) * linalg.spectral_norm(t_mat)

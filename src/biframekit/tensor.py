@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biframe import BiframeSystem, BoundsReport, optimal_bounds
+from .biframe import BiframeSystem, BoundsReport, _claim_holds, optimal_bounds
 from .errors import FieldMismatchError, NotABiframeError
 from .linalg import DEFAULT_TOL
 from .measure import product_measure
@@ -77,8 +77,9 @@ def factor_bounds_check(ts: TensorSystem, *, tol: float = DEFAULT_TOL) -> bool:
 def product_law(left: BoundsReport, right: BoundsReport, combined: BoundsReport, *,
                 tol: float = DEFAULT_TOL) -> bool:
     """Whether a combined system's optimal bounds multiply from its factors':
-    ``lower_opt(combined) >= (1 - tol) * lower_opt(left) * lower_opt(right)``
-    and ``upper_opt(combined) <= (1 + tol) * upper_opt(left) * upper_opt(right)``.
+    the pair ``(lower_opt(left) * lower_opt(right), upper_opt(left) *
+    upper_opt(right))`` holds against ``combined`` by the claim rule of
+    :func:`~biframekit.biframe.check_bounds`.
     It is a theorem only when one factor is self-adjoint; skew parts enter
     the combined Hermitian part as ``-J1 (x) J2`` (see :func:`tensor_system`).
 
@@ -88,6 +89,5 @@ def product_law(left: BoundsReport, right: BoundsReport, combined: BoundsReport,
                          (right, "right factor")):
         if not report.valid:
             raise NotABiframeError(f"{what} is not valid against its target")
-    lower_ok = combined.lower_opt >= (1.0 - tol) * left.lower_opt * right.lower_opt
-    upper_ok = combined.upper_opt <= (1.0 + tol) * left.upper_opt * right.upper_opt
-    return bool(lower_ok and upper_ok)
+    return all(_claim_holds(combined, left.lower_opt * right.lower_opt,
+                            left.upper_opt * right.upper_opt, tol))

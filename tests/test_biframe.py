@@ -192,6 +192,23 @@ def test_check_bounds_rejects_malformed_claims():
             bk.check_bounds(sys_, lo, hi)
 
 
+@pytest.mark.parametrize("target, lower", [
+    (np.eye(2), 1e-10),
+    (np.array([[1.0, 0.3], [0.2, 1.0]]), 5e-10),
+])
+def test_check_bounds_refutes_a_positive_lower_claim_where_none_exists(target, lower):
+    # F = G = diag(1, 0): the form vanishes on e_2, so no positive lower
+    # constant exists, however small the claim
+    m = bk.DiscreteMeasure(("a", "b"), np.ones(2))
+    sys_ = bk.BiframeSystem.from_samples(m, np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), target)
+    assert bk.optimal_bounds(sys_).lower_opt is None
+    out = bk.check_bounds(sys_, lower, 1.0)
+    assert out.ok is False and not out.lower_ok and out.upper_ok
+    w = out.witness
+    kw = target.T @ w
+    assert bk.biframe_form(sys_, w) < lower * float(kw @ kw)
+
+
 def test_optimal_bounds_verify_for_random_valid_systems():
     rng = np.random.default_rng(77)
     for trial in range(20):

@@ -12,10 +12,12 @@ eigensolves (``Herm(S)`` and the whitened pencil) and a rank-deficient one
 three (plus the Schur block on the null space of ``K*``).
 
 When ``K K* = c * I`` exactly, the lower pencil is that same spectrum
-shifted, so both ``optimal_bounds`` and ``check_bounds`` make one eigensolve;
-``check_bounds`` must agree with the reference that decomposes both of its
-shifted matrices.  The counts are those of a system whose spectrum of
-``Herm(S)`` is not yet cached; once it is, each call makes one fewer.
+shifted, so ``optimal_bounds`` makes one eigensolve.  ``check_bounds`` decides
+a claim from ``optimal_bounds`` and costs what it costs; it must agree with
+the reference that decomposes both of its shifted matrices wherever the
+claim is clear of the tolerance band.  The counts are those of a system
+whose spectrum of ``Herm(S)`` is not yet cached; once it is, each call makes
+one fewer.
 """
 
 import warnings
@@ -153,22 +155,30 @@ def test_no_bound_computation_decomposes_the_gram_target(monkeypatch, target, va
         assert m.shape != gram.shape or not np.allclose(m, gram, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("target, calls", [("identity", 1), ("dense", 2)])
-def test_check_bounds_eigensolve_count(monkeypatch, target, calls):
-    fresh = _system(11, complex_=False, target=target, valid=True)
-    warm = _system(11, complex_=False, target=target, valid=True)
+@pytest.mark.parametrize("target, valid, calls", [
+    ("identity", True, 1),
+    ("dense", True, 2),
+    ("rank-deficient", True, 3),
+    ("dense", False, 1),
+])
+def test_check_bounds_eigensolve_count(monkeypatch, target, valid, calls):
+    fresh = _system(11, complex_=False, target=target, valid=valid)
+    warm = _system(11, complex_=False, target=target, valid=valid)
     report = optimal_bounds(warm)
+    claim = ((0.5 * report.lower_opt, 2.0 * report.upper_opt) if valid
+             else (report.upper_opt, 2.0 * report.upper_opt))
     count = _counting(monkeypatch)
-    assert check_bounds(fresh, 0.5 * report.lower_opt, 2.0 * report.upper_opt).ok
+    assert check_bounds(fresh, *claim).ok is valid
     assert len(count) == calls
     # after optimal_bounds, the spectrum of Herm(S) is cached on the system
     count.clear()
-    assert check_bounds(warm, 0.5 * report.lower_opt, 2.0 * report.upper_opt).ok
+    assert check_bounds(warm, *claim).ok is valid
     assert len(count) == calls - 1
 
 
 # ---------------------------------------------------------------------------
-# check_bounds against the reference that decomposes both shifted matrices
+# check_bounds against the claim rule and the reference that decomposes both
+# shifted matrices
 
 # name -> (K for a generator, a dim and a field; the exact c with K K* = c * I,
 # or None where K K* is not exactly a multiple of I, as for a unitary K)
@@ -186,7 +196,7 @@ _TARGETS = {
 def _claims(lower_opt: float, upper_opt: float):
     """(lower, upper, lower verdict, upper verdict); ``None`` where a claim
     sits within 1e-7 of the boundary on its false side, or within the
-    tolerance, where the cutoff decides."""
+    tolerance, where the reference's cutoff and the claim rule may differ."""
     a, b, near = lower_opt, upper_opt, 1e-7
     claims = [
         (0.5 * a, 2.0 * b, True, True),
@@ -231,14 +241,21 @@ def test_check_bounds_matches_the_two_decomposition_reference(target, complex_):
         assert report.valid
         herm_norm = float(np.linalg.norm(linalg.hermitian_part(frame_operator(system))))
         gram_norm = float(np.linalg.norm(gram_target(system)))
-        for lower, upper, lower_want, upper_want in _claims(report.lower_opt, report.upper_opt):
+        a, b, tol = report.lower_opt, report.upper_opt, linalg.DEFAULT_TOL
+        for lower, upper, lower_want, upper_want in _claims(a, b):
             got = check_bounds(system, lower, upper)
             want = reference_check_bounds(system, lower, upper)
-            assert (got.lower_ok, got.upper_ok, got.ok) == (want.lower_ok, want.upper_ok, want.ok)
-            assert lower_want in (None, got.lower_ok)
-            assert upper_want in (None, got.upper_ok)
+            # decided claims: the reference agrees; every claim: the claim rule
+            if lower_want is not None:
+                assert got.lower_ok == want.lower_ok == lower_want
+            if upper_want is not None:
+                assert got.upper_ok == want.upper_ok == upper_want
+            lower_rule, upper_rule = lower <= a + tol * a, upper >= b - tol * abs(b)
+            assert (got.lower_ok, got.upper_ok) == (lower_rule, upper_rule)
+            assert got.ok == (got.lower_ok and got.upper_ok)
+            assert not got.ok or (report.valid and lower_rule and upper_rule)
+            assert got.lower_margin == a - lower
             slack = 1e-12 * (herm_norm + lower * gram_norm + upper)
-            assert abs(got.lower_margin - want.lower_margin) <= slack
             assert abs(got.upper_margin - want.upper_margin) <= slack
             assert (got.witness is None) == got.ok
             if got.witness is not None:

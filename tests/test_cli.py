@@ -196,6 +196,29 @@ class TestConstruct:
         assert "stated claim" in result.output
         assert "dominance: VIOLATED" in result.output
 
+    @pytest.mark.parametrize("op, operand", [
+        ("apply", ["--operator", "[[1,0.2,0],[0,1,0],[0.1,0,2]]"]),
+        ("dual", ["--operator", "[[2,0,0],[0,1,0.5],[0,0,1]]"]),
+        # U = I: the guaranteed pair is the optimal one, inside the tolerance band
+        ("sandwich", ["--operator", "[[1,0,0],[0,1,0],[0,0,1]]"]),
+        ("perturb", ["--operator", "[[1,0.5,0],[0.5,1,0],[0,0,0.2]]", "--power", "2"]),
+        ("product", ["--operator", "[[1,0,0],[0,2,0],[0,0,0.5]]"]),
+        ("commute", ["--operator", "[[2,1,0],[0,1,0],[0,0,1]]"]),
+        # two equal terms: the stated lower constant overshoots
+        ("sum", ["--term", json.dumps({"coeff": 1.0, "target": np.eye(3).tolist()})] * 2),
+    ])
+    def test_dominance_is_the_check_bounds_verdict(self, runner, tmp_path, op, operand):
+        plain = tmp_path / "plain.json"
+        save(fixture("example-3-11").with_target(np.eye(3)), plain)
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, ["--format", "json", "construct", str(plain),
+                                      "--op", op, *operand, "-o", str(out)])
+        payload = json.loads(result.output)
+        gl, gu = payload["guaranteed_lower"], payload["guaranteed_upper"]
+        assert 0 < gl <= gu
+        assert payload["dominated"] is biframekit.check_bounds(load(out).system, gl, gu).ok
+        assert result.exit_code == (0 if payload["dominated"] else 1)
+
     def test_perturb_rejects_indefinite_operator(self, runner, manifests):
         result = runner.invoke(main, ["construct", manifests["example-3-11"],
                                       "--op", "perturb",

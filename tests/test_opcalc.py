@@ -133,18 +133,6 @@ class TestCombineSum:
         assert res.guaranteed_lower == pytest.approx(min(lows) / 3.0, rel=1e-9)
         assert np.allclose(res.system.target, 1.5 * k + 0.25 * np.eye(3))
 
-    def test_explicit_bounds_are_verified_first(self, promoted_diagonal):
-        k = promoted_diagonal.target
-        res = opcalc.combine_sum(
-            promoted_diagonal, [(1.0, k), (1.0, k)], bounds=[(1.0, 11.0), (1.0, 12.0)]
-        )
-        assert res.guaranteed_lower == pytest.approx(0.5, abs=1e-12)
-        assert res.guaranteed_upper == pytest.approx(11.5, abs=1e-12)
-        with pytest.raises(errors.NotABiframeError):
-            opcalc.combine_sum(
-                promoted_diagonal, [(1.0, k), (1.0, k)], bounds=[(2.0, 11.0), (1.0, 11.0)]
-            )
-
     def test_rejects_empty_and_all_zero(self, promoted_diagonal):
         with pytest.raises(ValueError):
             opcalc.combine_sum(promoted_diagonal, [])

@@ -112,6 +112,20 @@ class TestFactorBoundsCheck:
                                   fixture("example-5-3-right"))
         assert tensor.factor_bounds_check(ts)
 
+    def test_law_is_the_check_bounds_verdict(self):
+        # the fixture pair satisfies the law; two skew factors break it
+        rng = np.random.default_rng(3)
+        pairs = [(fixture("example-5-3-left"), fixture("example-5-3-right")),
+                 (random_valid_system(rng, 2, asym=0.9), random_valid_system(rng, 2, asym=0.9))]
+        verdicts = []
+        for s1, s2 in pairs:
+            ts = tensor.tensor_system(s1, s2)
+            r1, r2, rc = (biframe.optimal_bounds(s) for s in (s1, s2, ts.combined))
+            claim = (r1.lower_opt * r2.lower_opt, r1.upper_opt * r2.upper_opt)
+            verdicts.append(tensor.product_law(r1, r2, rc))
+            assert verdicts[-1] is biframe.check_bounds(ts.combined, *claim).ok
+        assert verdicts == [True, False]
+
     def test_invalid_factor_breaks_combined_first(self):
         # an invalid factor always poisons the product, so the combined
         # check trips before the per-factor ones
