@@ -1,17 +1,21 @@
 """Golden CLI snapshots: the command-line behaviour, pinned.
 
-Every case runs one ``--format json`` command in a directory holding the
-bundled fixtures' manifests and compares it with ``data/cli_snapshots.json``:
-exit codes, report keys, booleans, strings and stderr exactly, floats at
+Every case runs one command twice, with ``--format json`` and with
+``--format text``, in a directory holding the bundled fixtures' manifests,
+and compares both runs with ``data/cli_snapshots.json``: exit codes, report
+keys, booleans, strings, stderr and every text line exactly, floats at
 relative 1e-9 (with an absolute floor of 1e-12 for round-off-level values
-such as a zero asymmetry).  Witness vectors are not compared entry by entry:
-the snapshot only fixes whether one is present, and the test checks that the
-reported vector refutes what it is reported against, so a different but
-equally valid witness passes.
+such as a zero asymmetry).  Witnesses are not compared entry by entry: the
+snapshot only fixes whether a witness vector or a text line printing one is
+present, and the test checks that the reported JSON vector refutes what it
+is reported against, so a different but equally valid witness passes.
 
 Regenerate the data (after a deliberate change of behaviour) with
 
     PYTHONPATH=src python tests/test_cli_snapshots.py
+
+which prints every value that moved, and whether the test tolerates the
+move, before it writes.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ from biframekit.tensor import tensor_system
 GOLDEN = Path(__file__).parent / "data" / "cli_snapshots.json"
 
 WITNESS_KEYS = {"witness", "negative_form_witness", "witness_scaled", "form_at_witness"}
+# text lines that print a witness, by the label before their first colon
+WITNESS_LINES = {"lower witness", "negative-form witness", "witness", "witness (scaled)",
+                 "form at witness"}
 
 PLAIN = "plain.json"  # example-3-11's families against the identity target
 
@@ -88,7 +95,8 @@ def write_manifests(directory: Path) -> None:
 
 
 def run_all(directory: Path) -> list[dict]:
-    """Run every case with ``directory`` as the working directory."""
+    """Run every case, in both formats, with ``directory`` as the working
+    directory."""
     write_manifests(directory)
     runner = CliRunner()
     records = []
@@ -97,11 +105,14 @@ def run_all(directory: Path) -> list[dict]:
     try:
         for case in cases():
             result = runner.invoke(main, ["--format", "json", *case["args"]])
+            text = runner.invoke(main, ["--format", "text", *case["args"]])
             records.append({
                 "args": case["args"],
                 "exit_code": result.exit_code,
                 "stdout": json.loads(result.stdout) if result.stdout.strip() else None,
                 "stderr": result.stderr,
+                "text": {"exit_code": text.exit_code, "stdout": text.stdout.splitlines(),
+                         "stderr": text.stderr},
             })
     finally:
         os.chdir(cwd)
@@ -111,31 +122,38 @@ def run_all(directory: Path) -> list[dict]:
 # ----------------------------------------------------------------- checks
 
 
-def _same(golden, got, where: str) -> list[str]:
-    """Differences between a golden report and a fresh one, witnesses aside."""
-    if isinstance(golden, dict):
-        if not isinstance(got, dict) or set(golden) != set(got):
-            return [f"{where}: {golden!r} != {got!r}"]
-        out = []
-        for key in golden:
-            if key in WITNESS_KEYS:
-                if (golden[key] is None) != (got[key] is None):
-                    out.append(f"{where}.{key}: presence changed")
+def _witness_line(line: str) -> str | None:
+    label = line.split(":", 1)[0]
+    return label if label in WITNESS_LINES else None
+
+
+def _diff(golden, got, where: str):
+    """Every value that differs between a golden record and a fresh one, as
+    ``(path, old, new, tolerated)``.  A float move is tolerated within the
+    test's tolerance, a witness (a JSON vector or a text line printing one)
+    whenever its presence is unchanged."""
+    if isinstance(golden, dict) and isinstance(got, dict):
+        for key in sorted(golden.keys() | got.keys()):
+            path = f"{where}.{key}"
+            if key not in golden or key not in got:
+                yield path, golden.get(key, "<absent>"), got.get(key, "<absent>"), False
+            elif key in WITNESS_KEYS:
+                if golden[key] != got[key]:
+                    yield path, golden[key], got[key], (golden[key] is None) == (got[key] is None)
             else:
-                out += _same(golden[key], got[key], f"{where}.{key}")
-        return out
-    if isinstance(golden, list):
-        if not isinstance(got, list) or len(golden) != len(got):
-            return [f"{where}: {golden!r} != {got!r}"]
-        return [d for i, (a, b) in enumerate(zip(golden, got))
-                for d in _same(a, b, f"{where}[{i}]")]
-    if isinstance(golden, float) and not isinstance(got, bool) and isinstance(got, (int, float)):
-        if math.isclose(golden, got, rel_tol=1e-9, abs_tol=1e-12):
-            return []
-        return [f"{where}: {golden!r} != {got!r}"]
-    if type(golden) is not type(got) or golden != got:
-        return [f"{where}: {golden!r} != {got!r}"]
-    return []
+                yield from _diff(golden[key], got[key], path)
+    elif isinstance(golden, list) and isinstance(got, list) and len(golden) == len(got):
+        for i, (a, b) in enumerate(zip(golden, got)):
+            yield from _diff(a, b, f"{where}[{i}]")
+    elif type(golden) is type(got) and golden == got:
+        return
+    elif isinstance(golden, float) and not isinstance(got, bool) and isinstance(got, (int, float)):
+        yield where, golden, got, math.isclose(golden, got, rel_tol=1e-9, abs_tol=1e-12)
+    elif isinstance(golden, str) and isinstance(got, str):
+        label = _witness_line(golden)
+        yield where, golden, got, label is not None and label == _witness_line(got)
+    else:
+        yield where, golden, got, False
 
 
 def _vector(rows) -> np.ndarray:
@@ -204,11 +222,8 @@ def test_cli_matches_golden_snapshots(tmp_path):
     faults = []
     for case, want, have in zip(cases(), golden, got):
         where = " ".join(case["args"][:4])
-        if want["exit_code"] != have["exit_code"]:
-            faults.append(f"{where}: exit {have['exit_code']}, golden {want['exit_code']}")
-        if want["stderr"] != have["stderr"]:
-            faults.append(f"{where}: stderr {have['stderr']!r}, golden {want['stderr']!r}")
-        faults += _same(want["stdout"], have["stdout"], where)
+        faults += [f"{path}: {old!r} != {new!r}"
+                   for path, old, new, tolerated in _diff(want, have, where) if not tolerated]
         if isinstance(have["stdout"], dict):
             faults += [f"{where}: {f}" for f in _witness_faults(case, have["stdout"], tmp_path)]
     assert not faults, "\n".join(faults)
@@ -219,6 +234,17 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         records = run_all(Path(tmp))
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else []
+    old_by_args = {json.dumps(r["args"]): r for r in old}
+    for record in records:
+        where = " ".join(record["args"][:4])
+        want = old_by_args.get(json.dumps(record["args"]))
+        if want is None:
+            print(f"{where}: new case", file=sys.stderr)
+            continue
+        for path, a, b, tolerated in _diff(want, record, where):
+            verdict = "within tolerance" if tolerated else "OUTSIDE tolerance"
+            print(f"{path}: {a!r} -> {b!r} ({verdict})", file=sys.stderr)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} cases to {GOLDEN}", file=sys.stderr)
