@@ -7,9 +7,11 @@ and certify the result), ``tensor`` (combine two manifests), and ``demo``
 
 Exit codes follow one contract everywhere: 0 when the requested property
 verified, 1 when verification failed (a witness is printed where one
-exists), 2 for usage, parse, or validation problems.  Text reports print
-numbers with 12 significant digits; ``--format json`` emits the same report
-as a machine-readable object at full precision.
+exists), 2 for usage, parse, or validation problems.  Each command builds
+its report as one ordered list of rows ``(key, value, line)``, and
+:func:`_emit` renders it: ``--format json`` emits every key with its value
+at full precision, the text report prints every line that is not ``None``
+(numbers with 12 significant digits).
 """
 
 from __future__ import annotations
@@ -58,19 +60,17 @@ def _scalar_repr(z) -> str:
     return _num(float(np.real(z)))
 
 
-def _vec(v) -> str:
-    if v is None:
-        return "none"
-    return "[" + ", ".join(_scalar_repr(z) for z in np.asarray(v)) + "]"
-
-
-def _vec_json(v):
+def _vec_line(label: str, v) -> str | None:
+    """The text line printing vector ``v``; none when there is no vector."""
     if v is None:
         return None
-    arr = np.asarray(v)
-    if np.iscomplexobj(arr):
-        return [[float(z.real), float(z.imag)] for z in arr]
-    return [float(z) for z in arr]
+    return f"{label}: [" + ", ".join(_scalar_repr(z) for z in v) + "]"
+
+
+def _vec_json(v: np.ndarray) -> list:
+    if np.iscomplexobj(v):
+        return [[float(z.real), float(z.imag)] for z in v]
+    return [float(z) for z in v]
 
 
 def _finite(obj):
@@ -82,12 +82,22 @@ def _finite(obj):
     return str(obj) if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
-def _emit(ctx: click.Context, payload: dict, lines: list[str]) -> None:
+def _emit(ctx: click.Context, rows: list[tuple], code: int) -> None:
+    """Print a report and end the command with exit ``code``.
+
+    ``rows`` holds one ``(key, value, line)`` per report field, in text
+    order: the JSON report holds every key with its value, the text report
+    prints every line that is not ``None``.
+    """
     if ctx.obj["format"] == "json":
+        payload = {key: _vec_json(value) if isinstance(value, np.ndarray) else value
+                   for key, value, _ in rows}
         click.echo(json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False))
     else:
-        for line in lines:
-            click.echo(line)
+        for _, _, line in rows:
+            if line is not None:
+                click.echo(line)
+    ctx.exit(code)
 
 
 def _load(path: str) -> manifest.ManifestRecord:
@@ -146,35 +156,23 @@ def main(ctx: click.Context, tol: float, quad_nodes: int, fmt: str) -> None:
 def bounds(ctx: click.Context, file: str) -> None:
     """Print the optimal bound report for a manifest; exit 0 iff valid."""
     record = _load(file)
-    report = optimal_bounds(record.system, tol=ctx.obj["tol"])
-    payload = {
-        "file": file,
-        "label": record.label,
-        "dim": record.system.dim,
-        "field": record.system.field_name,
-        "lower": report.lower_opt,
-        "upper": report.upper_opt,
-        "valid": report.valid,
-        "degenerate": report.degenerate,
-        "asymmetry": report.asymmetry,
-        "witness": _vec_json(report.witness_lower),
-        "negative_form_witness": _vec_json(report.witness_negative_form),
-    }
-    lines = [
-        f"system: {record.label or file} "
-        f"(dim {record.system.dim}, {record.system.field_name}, "
-        f"{len(record.system.measure)} nodes)",
-        f"optimal lower: {_num(report.lower_opt)}",
-        f"optimal upper: {_num(report.upper_opt)}",
-        f"valid: {'yes' if report.valid else 'no'}",
-        f"asymmetry: {_num(report.asymmetry)}",
-    ]
-    if report.witness_lower is not None:
-        lines.append(f"lower witness: {_vec(report.witness_lower)}")
-    if report.witness_negative_form is not None:
-        lines.append(f"negative-form witness: {_vec(report.witness_negative_form)}")
-    _emit(ctx, payload, lines)
-    ctx.exit(0 if report.valid else 1)
+    system = record.system
+    report = optimal_bounds(system, tol=ctx.obj["tol"])
+    _emit(ctx, [
+        ("file", file, None),
+        ("label", record.label, None),
+        ("dim", system.dim, None),
+        ("field", system.field_name, f"system: {record.label or file} (dim {system.dim}, "
+                                     f"{system.field_name}, {len(system.measure)} nodes)"),
+        ("lower", report.lower_opt, f"optimal lower: {_num(report.lower_opt)}"),
+        ("upper", report.upper_opt, f"optimal upper: {_num(report.upper_opt)}"),
+        ("valid", report.valid, f"valid: {'yes' if report.valid else 'no'}"),
+        ("degenerate", report.degenerate, None),
+        ("asymmetry", report.asymmetry, f"asymmetry: {_num(report.asymmetry)}"),
+        ("witness", report.witness_lower, _vec_line("lower witness", report.witness_lower)),
+        ("negative_form_witness", report.witness_negative_form,
+         _vec_line("negative-form witness", report.witness_negative_form)),
+    ], 0 if report.valid else 1)
 
 
 @main.command()
@@ -198,29 +196,19 @@ def verify(ctx: click.Context, file: str, lower: float | None, upper: float | No
         outcome = check_bounds(record.system, lower, upper, tol=ctx.obj["tol"])
     except MalformedBoundsError as exc:
         raise click.UsageError(str(exc)) from exc
-    payload = {
-        "file": file,
-        "lower": lower,
-        "upper": upper,
-        "ok": outcome.ok,
-        "lower_ok": outcome.lower_ok,
-        "upper_ok": outcome.upper_ok,
-        "lower_margin": outcome.lower_margin,
-        "upper_margin": outcome.upper_margin,
-        "witness": _vec_json(outcome.witness),
-    }
-    lines = [
-        f"claim: lower {_num(lower)}, upper {_num(upper)}",
-        f"lower holds: {'yes' if outcome.lower_ok else 'no'} "
-        f"(margin {_num(outcome.lower_margin)})",
-        f"upper holds: {'yes' if outcome.upper_ok else 'no'} "
-        f"(margin {_num(outcome.upper_margin)})",
-        f"verdict: {'verified' if outcome.ok else 'REFUTED'}",
-    ]
-    if outcome.witness is not None:
-        lines.append(f"witness: {_vec(outcome.witness)}")
-    _emit(ctx, payload, lines)
-    ctx.exit(0 if outcome.ok else 1)
+    _emit(ctx, [
+        ("file", file, None),
+        ("lower", lower, f"claim: lower {_num(lower)}, upper {_num(upper)}"),
+        ("upper", upper, None),
+        ("lower_ok", outcome.lower_ok, f"lower holds: {'yes' if outcome.lower_ok else 'no'} "
+                                       f"(margin {_num(outcome.lower_margin)})"),
+        ("lower_margin", outcome.lower_margin, None),
+        ("upper_ok", outcome.upper_ok, f"upper holds: {'yes' if outcome.upper_ok else 'no'} "
+                                       f"(margin {_num(outcome.upper_margin)})"),
+        ("upper_margin", outcome.upper_margin, None),
+        ("ok", outcome.ok, f"verdict: {'verified' if outcome.ok else 'REFUTED'}"),
+        ("witness", outcome.witness, _vec_line("witness", outcome.witness)),
+    ], 0 if outcome.ok else 1)
 
 
 # --op name -> the opcalc rule, called with the system, its operand (the
@@ -304,29 +292,20 @@ def construct(ctx: click.Context, file: str, op_name: str, operator_text: str | 
         manifest.save(result.system, output, claimed_bounds=claim,
                       label=f"{record.label or file} [{result.rule}]")
 
-    payload = {
-        "rule": result.rule,
-        "certified": result.certified,
-        "guaranteed_lower": result.guaranteed_lower,
-        "guaranteed_upper": result.guaranteed_upper,
-        "optimal_lower": after.lower_opt,
-        "optimal_upper": after.upper_opt,
-        "valid": after.valid,
-        "dominated": dominated,
-        "output": output,
-    }
-    lines = [
-        f"rule: {result.rule} ({'certified' if result.certified else 'stated claim'})",
-        f"guaranteed lower: {_num(result.guaranteed_lower)}",
-        f"guaranteed upper: {_num(result.guaranteed_upper)}",
-        f"optimal lower: {_num(after.lower_opt)}",
-        f"optimal upper: {_num(after.upper_opt)}",
-        f"dominance: {'ok' if dominated else 'VIOLATED'}",
-    ]
-    if output is not None:
-        lines.append(f"wrote: {output}")
-    _emit(ctx, payload, lines)
-    ctx.exit(0 if dominated else 1)
+    _emit(ctx, [
+        ("rule", result.rule,
+         f"rule: {result.rule} ({'certified' if result.certified else 'stated claim'})"),
+        ("certified", result.certified, None),
+        ("guaranteed_lower", result.guaranteed_lower,
+         f"guaranteed lower: {_num(result.guaranteed_lower)}"),
+        ("guaranteed_upper", result.guaranteed_upper,
+         f"guaranteed upper: {_num(result.guaranteed_upper)}"),
+        ("optimal_lower", after.lower_opt, f"optimal lower: {_num(after.lower_opt)}"),
+        ("optimal_upper", after.upper_opt, f"optimal upper: {_num(after.upper_opt)}"),
+        ("valid", after.valid, None),
+        ("dominated", dominated, f"dominance: {'ok' if dominated else 'VIOLATED'}"),
+        ("output", output, None if output is None else f"wrote: {output}"),
+    ], 0 if dominated else 1)
 
 
 @main.command()
@@ -357,24 +336,15 @@ def tensor(ctx: click.Context, left: str, right: str, output: str) -> None:
 
     manifest.save(ts.combined, output,
                   label=f"tensor of {left_rec.label or left} and {right_rec.label or right}")
-    payload = {
-        "left": {"lower": lb.lower_opt, "upper": lb.upper_opt},
-        "right": {"lower": rb.lower_opt, "upper": rb.upper_opt},
-        "combined": {"lower": cb.lower_opt, "upper": cb.upper_opt},
-        "frame_operator_relative_gap": kron_gap,
-        "product_law": law_ok,
-        "output": output,
-    }
-    lines = [
-        f"left optimal: ({_num(lb.lower_opt)}, {_num(lb.upper_opt)})",
-        f"right optimal: ({_num(rb.lower_opt)}, {_num(rb.upper_opt)})",
-        f"combined optimal: ({_num(cb.lower_opt)}, {_num(cb.upper_opt)})",
-        f"frame operator gap (relative): {_num(kron_gap)}",
-        f"product law: {'ok' if law_ok else 'VIOLATED'}",
-        f"wrote: {output}",
-    ]
-    _emit(ctx, payload, lines)
-    ctx.exit(0 if law_ok else 1)
+    rows = [(side, {"lower": b.lower_opt, "upper": b.upper_opt},
+             f"{side} optimal: ({_num(b.lower_opt)}, {_num(b.upper_opt)})")
+            for side, b in (("left", lb), ("right", rb), ("combined", cb))]
+    _emit(ctx, rows + [
+        ("frame_operator_relative_gap", kron_gap,
+         f"frame operator gap (relative): {_num(kron_gap)}"),
+        ("product_law", law_ok, f"product law: {'ok' if law_ok else 'VIOLATED'}"),
+        ("output", output, f"wrote: {output}"),
+    ], 0 if law_ok else 1)
 
 
 @main.command()
@@ -404,33 +374,18 @@ def demo(ctx: click.Context, name: str) -> None:
 
     outcome = check_bounds(system, *claim, tol=tol)
     report = optimal_bounds(system, tol=tol)
-    payload = {
-        "name": name,
-        "description": description,
-        "claimed": list(claim),
-        "ok": outcome.ok,
-        "lower": report.lower_opt,
-        "upper": report.upper_opt,
-        "witness": _vec_json(outcome.witness),
-    }
-    lines = [
-        f"{name}: {description}",
-        f"claimed bounds: ({_num(claim[0])}, {_num(claim[1])})",
-        f"optimal lower: {_num(report.lower_opt)}",
-        f"optimal upper: {_num(report.upper_opt)}",
+    rows = [
+        ("name", name, f"{name}: {description}"),
+        ("description", description, None),
+        ("claimed", list(claim), f"claimed bounds: ({_num(claim[0])}, {_num(claim[1])})"),
+        ("lower", report.lower_opt, f"optimal lower: {_num(report.lower_opt)}"),
+        ("upper", report.upper_opt, f"optimal upper: {_num(report.upper_opt)}"),
+        ("ok", outcome.ok, f"verdict: {'PASS' if outcome.ok else 'FAIL'}"),
+        ("witness", outcome.witness, None),
     ]
-    if outcome.ok:
-        lines.append("verdict: PASS")
-    else:
-        witness = outcome.witness
-        scaled = witness / np.max(np.abs(witness))
+    if not outcome.ok:
+        scaled = outcome.witness / np.max(np.abs(outcome.witness))
         value = biframe_form(system, scaled)
-        payload["witness_scaled"] = _vec_json(scaled)
-        payload["form_at_witness"] = value
-        lines += [
-            "verdict: FAIL",
-            f"witness (scaled): {_vec(scaled)}",
-            f"form at witness: {_num(value)}",
-        ]
-    _emit(ctx, payload, lines)
-    ctx.exit(0 if outcome.ok else 1)
+        rows += [("witness_scaled", scaled, _vec_line("witness (scaled)", scaled)),
+                 ("form_at_witness", value, f"form at witness: {_num(value)}")]
+    _emit(ctx, rows, 0 if outcome.ok else 1)
