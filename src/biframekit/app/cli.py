@@ -7,11 +7,11 @@ and certify the result), ``tensor`` (combine two manifests), and ``demo``
 
 Exit codes follow one contract everywhere: 0 when the requested property
 verified, 1 when verification failed (a witness is printed where one
-exists), 2 for usage, parse, or validation problems.  Each command builds
-its report as one ordered list of rows ``(key, value, line)``, and
-:func:`_emit` renders it: ``--format json`` emits every key with its value
-at full precision, the text report prints every line that is not ``None``
-(numbers with 12 significant digits).
+exists), 2 for every invalid argument and every usage, parse, or validation
+problem.  Each command builds its report as one ordered list of rows
+``(key, value, line)``, and :func:`_emit` renders it: ``--format json``
+emits every key with its value at full precision, the text report prints
+every line that is not ``None`` (numbers with 12 significant digits).
 """
 
 from __future__ import annotations
@@ -116,8 +116,22 @@ def _json_error(exc: ValueError) -> str:
     return exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
 
 
-def _read_matrix(value: str, dim: int, complex_field: bool, what: str) -> np.ndarray:
-    """Parse an operator option: inline JSON rows, or a path to such JSON."""
+def _json_option(text: str, option: str):
+    """Parse an option's JSON value; a non-finite number is a usage error."""
+    def finite(literal: str) -> float:
+        value = float(literal)
+        if not math.isfinite(value):
+            raise click.UsageError(f"{option}: {literal} is not a finite number")
+        return value
+
+    try:
+        return json.loads(text, parse_float=finite, parse_constant=finite)
+    except ValueError as exc:
+        raise click.UsageError(f"{option}: not valid JSON ({_json_error(exc)})") from exc
+
+
+def _read_matrix(value: str, dim: int, complex_field: bool) -> np.ndarray:
+    """Parse ``--operator``: inline JSON rows, or a path to such JSON."""
     text = value
     candidate = Path(value)
     try:
@@ -125,20 +139,14 @@ def _read_matrix(value: str, dim: int, complex_field: bool, what: str) -> np.nda
             text = candidate.read_text(encoding="utf-8")
     except OSError:
         pass
-    try:
-        rows = json.loads(text)
-    except ValueError as exc:
-        raise click.UsageError(f"{what}: not valid JSON ({_json_error(exc)})") from exc
-    try:
-        return manifest._parse_matrix(rows, dim, dim, complex_field, what)
-    except ManifestError as exc:
-        raise click.UsageError(str(exc)) from exc
+    return manifest._parse_matrix(_json_option(text, "--operator"), dim, dim, complex_field,
+                                  "--operator")
 
 
 @click.group()
 @click.option("--tol", type=float, default=linalg.DEFAULT_TOL, show_default=True,
               help="Relative tolerance for all verification decisions, in (0, 1).")
-@click.option("--quad-nodes", type=int, default=8, show_default=True,
+@click.option("--quad-nodes", type=click.IntRange(min=1), default=8, show_default=True,
               help="Quadrature resolution for quadrature-built demo systems.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True, help="Report style on stdout.")
@@ -232,7 +240,7 @@ _RULES = {
               help="Operator matrix as JSON rows (inline, or a path to a JSON "
                    "file).  For --op dual and --op product this is the new / "
                    "right target.")
-@click.option("--power", type=int, default=1, show_default=True,
+@click.option("--power", type=click.IntRange(min=1), default=1, show_default=True,
               help="Perturbation power (only with --op perturb).")
 @click.option("--term", "terms_text", multiple=True,
               help='Sum term as JSON {"coeff": c, "target": rows}; repeatable '
@@ -262,10 +270,7 @@ def construct(ctx: click.Context, file: str, op_name: str, operator_text: str | 
         if op_name == "sum":
             operand = []
             for raw in terms_text:
-                try:
-                    obj = json.loads(raw)
-                except ValueError as exc:
-                    raise click.UsageError(f"--term: not valid JSON ({_json_error(exc)})") from exc
+                obj = _json_option(raw, "--term")
                 if not isinstance(obj, dict) or "coeff" not in obj or "target" not in obj:
                     raise click.UsageError('--term needs {"coeff": ..., "target": ...}')
                 coeff = manifest._parse_scalar(obj["coeff"], complex_field, "coeff")
@@ -273,7 +278,7 @@ def construct(ctx: click.Context, file: str, op_name: str, operator_text: str | 
                                                 complex_field, "target")
                 operand.append((coeff, target))
         else:
-            operand = _read_matrix(operator_text, system.dim, complex_field, "--operator")
+            operand = _read_matrix(operator_text, system.dim, complex_field)
         result = _RULES[op_name](system, operand, power, tol)
     except ManifestError as exc:
         raise click.UsageError(str(exc)) from exc
@@ -383,7 +388,7 @@ def demo(ctx: click.Context, name: str) -> None:
         ("ok", outcome.ok, f"verdict: {'PASS' if outcome.ok else 'FAIL'}"),
         ("witness", outcome.witness, None),
     ]
-    if not outcome.ok:
+    if outcome.witness is not None:
         scaled = outcome.witness / np.max(np.abs(outcome.witness))
         value = biframe_form(system, scaled)
         rows += [("witness_scaled", scaled, _vec_line("witness (scaled)", scaled)),

@@ -331,7 +331,11 @@ class BoundsVerification:
     ``lower_margin`` is ``lower_opt - lower`` (``lower_opt`` counting as 0 when
     no positive lower constant exists, ``inf`` for a zero target) and
     ``upper_margin`` is ``upper - upper_opt``: both in bound units, negative
-    where the claim overshoots the optimum."""
+    where the claim overshoots the optimum.  ``witness`` is a vector that
+    breaks the claim, or ``None`` when the claim holds, and also when a
+    lower claim is refuted on a PSD form whose lower constant is within
+    tolerance of zero and no such vector is at hand (see
+    :func:`check_bounds`)."""
 
     ok: bool
     lower_ok: bool
@@ -354,9 +358,10 @@ def check_bounds(system: BiframeSystem, lower: float, upper: float,
     pencil, ``<(Herm S - lower K K*) w, w> = -(lower - lower_opt) ||K* w||^2``,
     and where the form is indefinite ``w`` is the bottom eigenvector of
     ``Herm(S)``.  Where the form is PSD but its positive lower constant
-    stays within tolerance of zero, ``w`` refutes only claims above the
-    pencil's bottom along it.  A refuted upper claim is witnessed by the top
-    eigenvector of ``Herm(S)``."""
+    stays within tolerance of zero, ``w`` is reported only when it refutes
+    the claim, ``<Herm S w, w> < lower ||K* w||^2``; otherwise the refuted
+    claim carries no witness.  A refuted upper claim is witnessed by the
+    top eigenvector of ``Herm(S)``."""
     if not (np.isfinite(lower) and np.isfinite(upper)):
         raise MalformedBoundsError("bounds must be finite numbers")
     if not (0.0 < lower <= upper):
@@ -368,6 +373,13 @@ def check_bounds(system: BiframeSystem, lower: float, upper: float,
     witness = None
     if not lower_ok:
         witness = report.witness_lower
+        if report.lower_opt is None and report.witness_negative_form is None:
+            # a PSD form with its lower constant within tolerance of zero:
+            # the tight direction is evidence only where it breaks the claim
+            h = linalg.hermitian_part(frame_operator(system))
+            form = np.real(np.vdot(witness, h @ witness))
+            if not form < lower * np.linalg.norm(linalg.adjoint(system.target) @ witness) ** 2:
+                witness = None
     elif not upper_ok:
         witness = _herm_spectrum(system, tol).vectors[:, -1].copy()
     return BoundsVerification(

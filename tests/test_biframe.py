@@ -209,6 +209,26 @@ def test_check_bounds_refutes_a_positive_lower_claim_where_none_exists(target, l
     assert bk.biframe_form(sys_, w) < lower * float(kw @ kw)
 
 
+@pytest.mark.parametrize("lower, refuted_along_e2", [(1e-13, False), (1e-3, True)])
+def test_check_bounds_ships_a_lower_witness_only_where_it_refutes_the_claim(lower,
+                                                                            refuted_along_e2):
+    # F = G = diag(1, 1e-6): the form is PSD, 1e-12 along e_2, so its lower
+    # constant is within tolerance of zero and every lower claim is refuted;
+    # e_2 breaks only the claims above 1e-12
+    m = bk.DiscreteMeasure(("a", "b"), np.ones(2))
+    f = np.diag([1.0, 1e-6])
+    sys_ = bk.BiframeSystem.from_samples(m, f, f, np.eye(2))
+    report = bk.optimal_bounds(sys_)
+    assert report.lower_opt is None and report.witness_negative_form is None
+    out = bk.check_bounds(sys_, lower, 2.0)
+    assert out.ok is False and not out.lower_ok and out.upper_ok
+    if refuted_along_e2:
+        assert np.abs(out.witness) == pytest.approx([0.0, 1.0], abs=1e-12)
+        assert bk.biframe_form(sys_, out.witness) < lower * float(out.witness @ out.witness)
+    else:
+        assert out.witness is None
+
+
 def test_optimal_bounds_verify_for_random_valid_systems():
     rng = np.random.default_rng(77)
     for trial in range(20):

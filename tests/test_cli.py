@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import biframekit
 from biframekit.app import load, save
+from biframekit.app import cli
 from biframekit.app.cli import main
 from biframekit.app.fixtures import fixture, fixture_record
 
@@ -325,6 +326,17 @@ class TestDemo:
         result = runner.invoke(main, ["--quad-nodes", "2", "demo", "example-3-4"])
         assert result.exit_code == 1
 
+    def test_refuted_claim_without_a_witness_prints_no_witness_lines(self, runner,
+                                                                     monkeypatch):
+        refuted = biframekit.BoundsVerification(ok=False, lower_ok=False, upper_ok=True,
+                                                lower_margin=-1.0, upper_margin=1.0,
+                                                witness=None)
+        monkeypatch.setattr(cli, "check_bounds", lambda *args, **kwargs: refuted)
+        result = runner.invoke(main, ["demo", "example-3-3"])
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1] == "verdict: FAIL"
+        assert "witness" not in result.output
+
     def test_unknown_demo_is_usage_error(self, runner):
         result = runner.invoke(main, ["demo", "example-0-0"])
         assert result.exit_code == 2
@@ -350,6 +362,33 @@ class TestTolerance:
     def test_tolerance_inside_the_interval_is_accepted(self, runner):
         result = runner.invoke(main, ["--tol", "1e-6", "demo", "example-3-3"])
         assert result.exit_code == 0
+
+
+_EYE = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("option, args", [
+    ("--quad-nodes", ["--quad-nodes", "0", "demo", "example-3-4"]),
+    ("--power", ["construct", "M", "--op", "perturb", "--operator", json.dumps(_EYE),
+                 "--power", "0"]),
+    ("--power", ["construct", "M", "--op", "perturb", "--operator", json.dumps(_EYE),
+                 "--power", "-1"]),
+    ("--operator", ["construct", "M", "--op", "apply",
+                    "--operator", "[[1e400,0,0],[0,1,0],[0,0,1]]"]),
+    ("--operator", ["construct", "M", "--op", "apply",
+                    "--operator", "[[NaN,0,0],[0,1,0],[0,0,1]]"]),
+    ("--term", ["construct", "M", "--op", "sum",
+                "--term", f'{{"coeff": 1e400, "target": {json.dumps(_EYE)}}}']),
+    ("--term", ["construct", "M", "--op", "sum",
+                "--term", '{"coeff": 1, "target": [[Infinity,0,0],[0,1,0],[0,0,1]]}']),
+], ids=["quad-nodes-0", "power-0", "power-negative", "operator-overflow", "operator-nan",
+        "term-coeff-overflow", "term-target-infinity"])
+def test_invalid_argument_is_usage_error(runner, manifests, option, args):
+    args = [manifests["example-3-11"] if a == "M" else a for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert option in result.output
+    assert "Traceback" not in result.output
 
 
 def test_library_import_leaves_the_cli_unloaded():
