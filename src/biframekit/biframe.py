@@ -54,14 +54,7 @@ class SampledField:
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.samples, copy=True)
-        if arr.ndim != 2:
-            raise DimensionMismatchError(
-                f"samples must form a (nodes, dim) array, got ndim={arr.ndim}"
-            )
-        arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("field samples must be finite")
+        arr = linalg.as_matrix(self.samples)
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
@@ -99,6 +92,8 @@ class BiframeSystem:
     analysis: SampledField
     synthesis: SampledField
     target: np.ndarray
+    # every entry depends only on the measure and the two families, so
+    # systems that differ only in the target share one dict
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -141,22 +136,15 @@ class BiframeSystem:
     def with_target(self, target) -> "BiframeSystem":
         """Same samples and weights, different target operator.
 
-        The new system starts with this one's cached frame operator, its
-        norm and the spectrum of its Hermitian part: none depends on the
-        target."""
-        system = BiframeSystem(
+        The new system shares this one's cache: its frame operator, norm
+        and spectrum of ``Herm(S)``, computed on either system, serve both."""
+        return BiframeSystem(
             measure=self.measure,
             analysis=self.analysis,
             synthesis=self.synthesis,
             target=np.asarray(target),
+            _cache=self._cache,
         )
-        system._cache.update((key, self._cache[key]) for key in _TARGET_FREE
-                             if key in self._cache)
-        return system
-
-
-# cache entries computed from the samples and weights alone
-_TARGET_FREE = ("frame_operator", "frame_norm", "herm_spectrum")
 
 
 def analysis(field_: SampledField, f) -> np.ndarray:
@@ -191,15 +179,14 @@ def frame_operator(system: BiframeSystem) -> np.ndarray:
     return cached
 
 
-def _herm_spectrum(system: BiframeSystem, tol: float) -> linalg.EigenDecomposition:
+def _herm_spectrum(system: BiframeSystem) -> linalg.EigenDecomposition:
     """Eigendecomposition of ``Herm(S)``, read-only and cached on the system.
 
-    ``hermitian_part`` is exactly Hermitian, so ``tol`` gates a check that
-    cannot fail and leaves the spectrum as it is: one entry serves every
-    ``tol``."""
+    ``hermitian_part`` is exactly Hermitian, so no tolerance enters it: one
+    entry serves every ``tol``."""
     cached = system._cache.get("herm_spectrum")
     if cached is None:
-        cached = linalg.hermitian_eigen(linalg.hermitian_part(frame_operator(system)), tol=tol)
+        cached = linalg.hermitian_eigen(linalg.hermitian_part(frame_operator(system)))
         cached.values.flags.writeable = False
         cached.vectors.flags.writeable = False
         system._cache["herm_spectrum"] = cached
@@ -236,9 +223,9 @@ def swap(system: BiframeSystem) -> BiframeSystem:
     """Exchange the analysis and synthesis families.
 
     The swapped system has frame operator ``S*``, hence the identical
-    Hermitian part and identical optimal bounds.  It inherits no cache entry:
-    its ``S*`` is formed from the swapped samples and need not equal the
-    adjoint of ``S`` bit for bit.
+    Hermitian part and identical optimal bounds.  It shares no cache with
+    ``system``: its ``S*`` is formed from the swapped samples and need not
+    equal the adjoint of ``S`` bit for bit.
     """
     return BiframeSystem(
         measure=system.measure,
@@ -282,10 +269,10 @@ def optimal_bounds(system: BiframeSystem, tol: float = DEFAULT_TOL) -> BoundsRep
     The lower constant solves ``max { a : Herm(S) - a K K* >= 0 }`` in closed
     form (:func:`linalg.max_psd_shift`); the upper constant is
     ``lambda_max(Herm(S))``.  Validity means a strictly positive lower
-    constant exists.  ``Herm(S)`` is decomposed once per system: its spectrum
-    is cached on the system, handed to ``max_psd_shift``, and read for the
-    upper constant and the negative-form witness; ``K K*`` is whitened by the
-    SVD of ``K``, never decomposed.
+    constant exists.  ``Herm(S)`` is decomposed once per set of samples: its
+    spectrum is cached on the system, handed to ``max_psd_shift``, and read
+    for the upper constant and the negative-form witness; ``K K*`` is
+    whitened by the SVD of ``K``, never decomposed.
 
     Eigensolves per call, on a system whose spectrum is not yet cached: 1
     when ``Herm(S)`` fails its PSD gate, ``K = 0`` or ``K K* = c * I``
@@ -293,9 +280,9 @@ def optimal_bounds(system: BiframeSystem, tol: float = DEFAULT_TOL) -> BoundsRep
     one.  Once it is cached, one fewer.
     """
     s = frame_operator(system)
+    eig = _herm_spectrum(system)
     shift = linalg.max_psd_shift(linalg.hermitian_part(s), system.target, tol=tol,
-                                 _spectrum=_herm_spectrum(system, tol))
-    eig = shift.spectrum
+                                 _spectrum=eig)
     return BoundsReport(
         lower_opt=shift.amount,
         upper_opt=eig.max,
@@ -381,7 +368,7 @@ def check_bounds(system: BiframeSystem, lower: float, upper: float,
             if not form < lower * np.linalg.norm(linalg.adjoint(system.target) @ witness) ** 2:
                 witness = None
     elif not upper_ok:
-        witness = _herm_spectrum(system, tol).vectors[:, -1].copy()
+        witness = _herm_spectrum(system).vectors[:, -1].copy()
     return BoundsVerification(
         ok=lower_ok and upper_ok,
         lower_ok=lower_ok,

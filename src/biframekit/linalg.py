@@ -8,14 +8,14 @@ but its loop is pure Python and dominates the package's run time.  One
 :func:`hermitian_eigen` takes about 9 / 40 / 175 ms at dim 16 / 32 / 64,
 where ``numpy.linalg.eigh`` takes 0.02 / 0.06 / 0.22 ms (one BLAS thread,
 best of a few runs on a 2-core x86 box).  So eigensolves are not spent
-twice: :func:`max_psd_shift` hands back the spectrum of ``s`` it gates on,
-reads the reference ``k k*`` off the SVD of its factor ``k`` rather than
-decomposing the product, and a reference that is exactly ``c * I``
-(:func:`identity_multiple`) reuses the spectrum of ``s`` for the pencil.
-Across calls, a system caches the spectrum of its ``Herm(S)`` and hands it
-to :func:`max_psd_shift` and :func:`sqrt_psd` (their private ``_spectrum``
-argument), so one system's ``Herm(S)`` is decomposed once, however many
-bounds, checks and quotients read it.
+twice: :func:`max_psd_shift` reads the reference ``k k*`` off the SVD of its
+factor ``k`` rather than decomposing the product, and a reference that is
+exactly ``c * I`` (:func:`identity_multiple`) reuses the spectrum of ``s``
+for the pencil.  Across calls, one cache per set of samples holds the
+spectrum of ``Herm(S)``, and its systems hand it to :func:`max_psd_shift`
+and :func:`sqrt_psd` (their private ``_spectrum`` argument), so ``Herm(S)``
+is decomposed once, however many bounds, checks and quotients read it,
+under however many targets.
 Singular-value based helpers (pseudo-inverse, spectral norm, range/null
 bases) sit on ``numpy.linalg.svd`` with explicit rank thresholding.
 
@@ -381,8 +381,6 @@ class ShiftResult:
     witness:
         Unit vector along which the pencil is tight (or which certifies that
         no positive shift exists); ``None`` in the degenerate case.
-    spectrum:
-        Eigendecomposition of ``s`` (its PSD gate and cutoff), for reuse.
     degenerate:
         True when the reference ``k k*`` vanished, making the shift
         unconstrained.
@@ -390,7 +388,6 @@ class ShiftResult:
 
     amount: float | None
     witness: np.ndarray | None
-    spectrum: EigenDecomposition
     degenerate: bool = False
 
 
@@ -453,9 +450,9 @@ def max_psd_shift(s, k, tol: float = DEFAULT_TOL, *,
     degenerate = not gram.any()
     if not s_eig.is_psd(tol):
         # Even a = 0 fails; the bottom eigenvector certifies it.
-        return ShiftResult(None, s_eig.vectors[:, 0].copy(), s_eig, degenerate)
+        return ShiftResult(None, s_eig.vectors[:, 0].copy(), degenerate)
     if degenerate:
-        return ShiftResult(math.inf, None, s_eig, degenerate)
+        return ShiftResult(math.inf, None, degenerate)
 
     scalar = identity_multiple(gram)
     if scalar is not None:
@@ -466,8 +463,8 @@ def max_psd_shift(s, k, tol: float = DEFAULT_TOL, *,
         p_max = sigma[0] ** 2
         amount, witness = _schur_pencil(s_m, s_eig, u, sigma, tol)
     if amount * p_max <= s_eig.cutoff(tol):
-        return ShiftResult(None, witness, s_eig)
-    return ShiftResult(amount, witness, s_eig)
+        return ShiftResult(None, witness)
+    return ShiftResult(amount, witness)
 
 
 def _schur_pencil(s_m: np.ndarray, s_eig: EigenDecomposition, u: np.ndarray,

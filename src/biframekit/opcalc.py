@@ -129,7 +129,7 @@ def promote(system: BiframeSystem, new_target, *, tol: float = DEFAULT_TOL) -> C
         raise ZeroOperatorError("cannot promote to a zero target")
     return ConstructionResult(
         system=system.with_target(k),
-        guaranteed_lower=lower / k_norm**2,
+        guaranteed_lower=lower / k_norm / k_norm,
         guaranteed_upper=upper,
         rule="promote",
     )
@@ -158,7 +158,7 @@ def restrict_to_range(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> Con
     )
     return ConstructionResult(
         system=compressed,
-        guaranteed_lower=lower / pinv_norm**2,
+        guaranteed_lower=lower / pinv_norm / pinv_norm,
         guaranteed_upper=upper,
         rule="restrict",
     )
@@ -228,7 +228,7 @@ def combine_product(system: BiframeSystem, right_target, *,
     lower, upper = _valid_bounds(system, tol, "product input")
     return ConstructionResult(
         system=system.with_target(system.target @ k2),
-        guaranteed_lower=lower / nrm**2,
+        guaranteed_lower=lower / nrm / nrm,
         guaranteed_upper=upper,
         rule="product",
     )
@@ -249,18 +249,18 @@ def product_chain(system: BiframeSystem, targets: Sequence[np.ndarray], *,
     mats = [_as_operator(k, system.dim, f"target #{j}") for j, k in enumerate(targets)]
     pairs = [_valid_bounds(system.with_target(k), tol, f"chain term #{j}")
              for j, k in enumerate(mats)]
-    penalty = 1.0
+    lower = min(lo for lo, _ in pairs)
     for k in mats[:-1]:
         nrm = linalg.spectral_norm(k)
         if nrm == 0.0:
             raise ZeroOperatorError("chain contains a zero factor")
-        penalty *= nrm**2
+        lower = lower / nrm / nrm
     composed = mats[0]
     for k in mats[1:]:
         composed = composed @ k
     return ConstructionResult(
         system=system.with_target(composed),
-        guaranteed_lower=min(lo for lo, _ in pairs) / penalty,
+        guaranteed_lower=lower,
         guaranteed_upper=min(hi for _, hi in pairs),
         rule="product-chain",
         certified=False,
@@ -279,10 +279,11 @@ def apply_operator(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) -> Con
     mat = _as_operator(u, system.dim)
     report = optimal_bounds(system, tol=tol)
     lower = report.lower_opt if report.valid else None
+    u_norm = linalg.spectral_norm(mat)
     return ConstructionResult(
         system=_map_samples(system, mat, mat @ system.target),
         guaranteed_lower=lower,
-        guaranteed_upper=float(report.upper_opt) * linalg.spectral_norm(mat) ** 2,
+        guaranteed_upper=float(report.upper_opt) * u_norm * u_norm,
         rule="apply",
     )
 
@@ -305,12 +306,12 @@ def canonical_dual(system: BiframeSystem, new_target, *, tol: float = DEFAULT_TO
         raise SingularFrameOperatorError(
             "frame operator is numerically singular; no canonical dual exists"
         ) from exc
-    s_norm = linalg.spectral_norm(s)
+    s_norm, inv_norm, k_norm = (linalg.spectral_norm(m) for m in (s, s_inv, k))
     mapped = _map_samples(system, k @ s_inv, k)
     return ConstructionResult(
         system=mapped,
-        guaranteed_lower=lower / s_norm**2,
-        guaranteed_upper=upper * linalg.spectral_norm(s_inv) ** 2 * linalg.spectral_norm(k) ** 2,
+        guaranteed_lower=lower / s_norm / s_norm,
+        guaranteed_upper=upper * inv_norm * inv_norm * k_norm * k_norm,
         rule="dual",
     )
 
@@ -328,8 +329,8 @@ def sandwich(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) -> Construct
     target = mat @ system.target @ linalg.adjoint(mat)
     return ConstructionResult(
         system=_map_samples(system, mat, target),
-        guaranteed_lower=lower / u_norm**2,
-        guaranteed_upper=upper * u_norm**2,
+        guaranteed_lower=lower / u_norm / u_norm,
+        guaranteed_upper=upper * u_norm * u_norm,
         rule="sandwich",
     )
 
@@ -346,10 +347,11 @@ def inverse_conjugate(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) -> 
     inv = linalg.invert(mat)  # SingularOperatorError for defective u
     lower, upper = _valid_bounds(system, tol, "inverse_conjugate input")
     target = inv @ system.target @ mat
+    u_norm, inv_norm = linalg.spectral_norm(mat), linalg.spectral_norm(inv)
     return ConstructionResult(
         system=_map_samples(system, inv, target),
-        guaranteed_lower=lower / linalg.spectral_norm(mat) ** 2,
-        guaranteed_upper=upper * linalg.spectral_norm(inv) ** 2,
+        guaranteed_lower=lower / u_norm / u_norm,
+        guaranteed_upper=upper * inv_norm * inv_norm,
         rule="inverse-conjugate",
     )
 
@@ -396,10 +398,11 @@ def commuting_transform(system: BiframeSystem, t, *, tol: float = DEFAULT_TOL) -
             f"operator does not commute with the target (defect {gap:.3e})"
         )
     lower, upper = _valid_bounds(system, tol, "commuting input")
+    t_norm, inv_norm = linalg.spectral_norm(mat), linalg.spectral_norm(inv)
     return ConstructionResult(
         system=_map_samples(system, mat, k),
-        guaranteed_lower=lower / linalg.spectral_norm(inv) ** 2,
-        guaranteed_upper=upper * linalg.spectral_norm(mat) ** 2,
+        guaranteed_lower=lower / inv_norm / inv_norm,
+        guaranteed_upper=upper * t_norm * t_norm,
         rule="commute",
     )
 
@@ -426,10 +429,11 @@ def perturb_positive(system: BiframeSystem, t, power: int = 1, *,
         raise NotPSDError("perturbation has a negative eigenvalue beyond tolerance")
     lower, upper = _valid_bounds(system, tol, "perturbation input")
     bump = np.eye(system.dim, dtype=herm.dtype) + np.linalg.matrix_power(herm, power)
+    bump_norm = linalg.spectral_norm(bump)
     return ConstructionResult(
         system=_map_samples(system, bump, system.target),
         guaranteed_lower=lower,
-        guaranteed_upper=upper * linalg.spectral_norm(bump) ** 2,
+        guaranteed_upper=upper * bump_norm * bump_norm,
         rule="perturb",
         certified=False,
     )

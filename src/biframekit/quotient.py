@@ -63,10 +63,8 @@ def quotient_norm(u, v) -> QuotientResult:
     null_basis = linalg.orthonormal_nullspace(v_mat)
     u_scale = linalg.spectral_norm(u_mat)
     if null_basis.shape[1]:
-        restricted = u_mat @ null_basis
-        top = np.linalg.svd(restricted, compute_uv=False)
+        _, top, vh = np.linalg.svd(u_mat @ null_basis)
         if top.size and top[0] > DEFAULT_TOL * u_scale:
-            _, _, vh = np.linalg.svd(restricted)
             witness = linalg.canonical_sign(null_basis @ np.conj(vh[0]))
             return QuotientResult(False, None, witness, None)
 
@@ -125,7 +123,7 @@ def validity_cross_check(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> 
     :class:`~biframekit.errors.NotPSDError` otherwise.
     """
     root = linalg.sqrt_psd(linalg.hermitian_part(frame_operator(system)), tol=tol,
-                           _spectrum=_herm_spectrum(system, tol))
+                           _spectrum=_herm_spectrum(system))
     report = optimal_bounds(system, tol=tol)
     quot = quotient_norm(linalg.adjoint(system.target), root)
     agree = bool(report.valid) == bool(quot.exists)
@@ -170,7 +168,7 @@ def transform_equivalences(system: BiframeSystem, t, *,
         )
     herm = linalg.hermitian_part(frame_operator(system))
     # NotPSDError unless herm is PSD
-    root = linalg.sqrt_psd(herm, tol=tol, _spectrum=_herm_spectrum(system, tol))
+    root = linalg.sqrt_psd(herm, tol=tol, _spectrum=_herm_spectrum(system))
 
     pushed = _map_samples(system, t_mat, t_mat @ system.target)
     pushed_report = optimal_bounds(pushed, tol=tol)
@@ -179,7 +177,7 @@ def transform_equivalences(system: BiframeSystem, t, *,
     plain = quotient_norm(numerator, root @ linalg.adjoint(t_mat))
     # Herm(S_pushed) = T H T*, already decomposed by optimal_bounds(pushed)
     pushed_root = linalg.sqrt_psd(linalg.hermitian_part(frame_operator(pushed)), tol=tol,
-                                  _spectrum=_herm_spectrum(pushed, tol))
+                                  _spectrum=_herm_spectrum(pushed))
     through = quotient_norm(numerator, pushed_root)
 
     target_scale = linalg.spectral_norm(system.target) * linalg.spectral_norm(t_mat)

@@ -1,10 +1,11 @@
 """``optimal_bounds`` and ``check_bounds`` decompose ``Herm(S)`` once.
 
-``max_psd_shift`` returns the spectrum of ``Herm(S)`` it gates on, and
-``optimal_bounds`` reads the upper constant and the negative-form witness
-from it.  ``hermitian_part`` is exactly Hermitian, so that spectrum is, bit
-for bit, the one a second decomposition would build: the report must equal
-the reference assembly exactly, and cost one eigensolve less.
+``optimal_bounds`` hands the cached spectrum of ``Herm(S)`` to
+``max_psd_shift`` for its PSD gate, and reads the upper constant and the
+negative-form witness from the same spectrum.  ``hermitian_part`` is exactly
+Hermitian, so that spectrum is, bit for bit, the one a second decomposition
+would build: the report must equal the reference assembly exactly, and cost
+one eigensolve less.
 
 ``K K*`` itself is never decomposed: ``max_psd_shift`` takes the factor
 ``K`` and whitens the pencil by its SVD, so a dense target costs two
@@ -94,15 +95,6 @@ def test_report_equals_the_two_decomposition_assembly_bit_for_bit(seed, complex_
         assert got.degenerate == want.degenerate
         assert _same_vector(got.witness_lower, want.witness_lower)
         assert _same_vector(got.witness_negative_form, want.witness_negative_form)
-
-
-def test_shift_hands_back_the_spectrum_of_its_target():
-    system = _system(3, complex_=True, target="dense", valid=True)
-    herm = linalg.hermitian_part(frame_operator(system))
-    spectrum = linalg.max_psd_shift(herm, np.eye(system.dim)).spectrum
-    again = linalg.hermitian_eigen(herm)
-    assert np.array_equal(spectrum.values, again.values)
-    assert np.array_equal(spectrum.vectors, again.vectors)
 
 
 def _counting(monkeypatch) -> list:

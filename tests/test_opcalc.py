@@ -7,11 +7,16 @@ behaviour is measured (see the rate test at the bottom) instead of asserted;
 the perturbation's stated law is refuted outright by a 2x2 counterexample.
 """
 
+import json
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import biframekit as bk
 from biframekit import errors, linalg, opcalc
+from biframekit.app import save
+from biframekit.app.cli import main
 from biframekit.app.fixtures import fixture
 from helpers import random_psd, random_system, random_valid_system
 
@@ -431,7 +436,43 @@ class TestParsevalCheck:
 
 
 # ---------------------------------------------------------------------------
-# dominance across the calculus (certified rules: hard; stated rules: rate)
+# operators whose squared norms leave the float range
+
+# 1e-170 * I: its squared norm underflows to 0, its inverse's overflows
+_TINY = 1e-170 * np.eye(3)
+_TINY_RULES = {
+    "promote": lambda base: opcalc.promote(base, _TINY),
+    "product": lambda base: opcalc.combine_product(base, _TINY),
+    "apply": lambda base: opcalc.apply_operator(base, _TINY),
+    "dual": lambda base: opcalc.canonical_dual(base, _TINY),
+    "sandwich": lambda base: opcalc.sandwich(base, _TINY),
+    "inverse-conjugate": lambda base: opcalc.inverse_conjugate(base, _TINY),
+    "commute": lambda base: opcalc.commuting_transform(base, _TINY),
+    "perturb": lambda base: opcalc.perturb_positive(base, _TINY),
+}
+
+
+@pytest.mark.parametrize("rule, cli", [(rule, False) for rule in _TINY_RULES]
+                         + [(rule, True) for rule in ("product", "sandwich", "commute")],
+                         ids=lambda v: v if isinstance(v, str) else ("cli" if v else "lib"))
+def test_a_tiny_operator_saturates_the_guaranteed_constants(tmp_path, rule, cli):
+    # squares saturate to inf or 0 as everywhere else in the package, where
+    # ** raised OverflowError and a division by an underflowed square
+    # ZeroDivisionError; warnings are errors in this suite
+    base = fixture("example-3-3").with_target(np.eye(3))
+    if cli:
+        path = tmp_path / "plain.json"
+        save(base, path)
+        run = CliRunner().invoke(main, ["--format", "json", "construct", str(path), "--op", rule,
+                                        "--operator", json.dumps(_TINY.tolist())])
+        assert run.exit_code in (0, 1), run.output
+        assert run.exception is None or isinstance(run.exception, SystemExit)
+        report = json.loads(run.output)
+        constants = report["guaranteed_lower"], report["guaranteed_upper"]
+    else:
+        result = _TINY_RULES[rule](base)
+        constants = result.guaranteed_lower, result.guaranteed_upper
+    assert all(float(c) >= 0.0 for c in constants)  # no NaN either
 
 
 def _dominates(result, tol=1e-8):

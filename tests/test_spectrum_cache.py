@@ -1,8 +1,9 @@
 """One decomposition of ``Herm(S)`` per system.
 
 A system caches the spectrum of ``Herm(S)`` on first use; ``with_target``
-hands it on, since it does not depend on the target.  The cache must be
-invisible: a warm system (cache filled, or inherited) gives bit-for-bit the
+shares that cache, since nothing in it depends on the target, so a
+decomposition made on either system serves both.  The cache must be
+invisible: a warm system (cache filled, or shared) gives bit-for-bit the
 reports, verdicts and witnesses of a freshly built one.  The cached arrays
 are read-only, and every witness handed out is a writable copy.
 """
@@ -149,8 +150,9 @@ def _counting(monkeypatch, herm: np.ndarray) -> list:
     return seen
 
 
+@pytest.mark.parametrize("first", ["promote", "sum", "product-chain"])
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-def test_a_round_of_every_rule_decomposes_the_base_once(monkeypatch, complex_):
+def test_a_round_of_every_rule_decomposes_the_base_once(monkeypatch, complex_, first):
     dim = 6
     rng = np.random.default_rng(31 + complex_)
     eye = np.eye(dim, dtype=complex if complex_ else float)
@@ -161,24 +163,29 @@ def test_a_round_of_every_rule_decomposes_the_base_once(monkeypatch, complex_):
     herm = linalg.hermitian_part(frame_operator(base))
     seen = _counting(monkeypatch, herm)
 
-    # restrict_to_range is left out of the certification below: onto
-    # range(I) it rebuilds the base as a new system of the same Herm(S),
-    # which decomposes its own
+    rules = {
+        "promote": lambda: opcalc.promote(base, k2),
+        # sum and product-chain decompose Herm(S) on a retargeted copy of
+        # the base first: the base and the result read that one decomposition
+        "sum": lambda: opcalc.combine_sum(base, [(1.0, ka), (0.5, kb)]),
+        "product-chain": lambda: opcalc.product_chain(base, [ka, kb]),
+        "product": lambda: opcalc.combine_product(base, k2),
+        "apply": lambda: opcalc.apply_operator(base, u),
+        "dual": lambda: opcalc.canonical_dual(base, k2),
+        "sandwich": lambda: opcalc.sandwich(base, u),
+        "inverse-conjugate": lambda: opcalc.inverse_conjugate(base, u),
+        "commute": lambda: opcalc.commuting_transform(base, u),
+        "perturb": lambda: opcalc.perturb_positive(base, t_psd),
+    }
+    for name in [first] + [name for name in rules if name != first]:
+        result = rules[name]()
+        assert result.rule == name
+        optimal_bounds(result.system)  # the result certified, as the benchmark does
+        assert len(seen) == 1
+    # restrict_to_range is left out of the certification: onto range(I) it
+    # rebuilds the base as a new system of the same Herm(S), which
+    # decomposes its own
     assert opcalc.restrict_to_range(base).rule == "restrict"
-    results = [
-        opcalc.promote(base, k2),
-        opcalc.combine_sum(base, [(1.0, ka), (0.5, kb)]),
-        opcalc.combine_product(base, k2),
-        opcalc.product_chain(base, [ka, kb]),
-        opcalc.apply_operator(base, u),
-        opcalc.canonical_dual(base, k2),
-        opcalc.sandwich(base, u),
-        opcalc.inverse_conjugate(base, u),
-        opcalc.commuting_transform(base, u),
-        opcalc.perturb_positive(base, t_psd),
-    ]
-    for result in results:  # each rule's result, certified as the benchmark does
-        optimal_bounds(result.system)
     assert opcalc.max_transfer_ratio(base, u) > 0.0
     with pytest.raises(errors.NotTightError):
         opcalc.tight_scaling_check(base, 1.0, 1.0)

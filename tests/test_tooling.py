@@ -40,13 +40,39 @@ def test_failing_hypothesis_test_does_not_abort_the_session(tmp_path, pytestconf
     assert "1 failed, 1 passed" in run.stdout
 
 
-def test_every_traced_name_resolves():
-    # bench/tracing.py wraps these by name; a rename in the package would
-    # otherwise surface only as a crash of a traced benchmark run
+def _tracing():
+    """``bench/tracing.py``, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def _traced(call) -> list[str]:
+    """Names of the spans the bench's tracer records while ``call`` runs."""
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    tracer.active = True
+    try:
+        call()
+    finally:
+        tracer.active = False
+        tracing.uninstall(undo)
+    return [span[0] for span in tracer.spans]
+
+
+def _system() -> BiframeSystem:
+    f = np.random.default_rng(5).normal(size=(9, 4))
+    return BiframeSystem.from_samples(DiscreteMeasure(tuple("abcdefghi"), np.ones(9)),
+                                      f, f, np.eye(4))
+
+
+def test_every_traced_name_resolves():
+    # bench/tracing.py wraps these by name; a rename in the package would
+    # otherwise surface only as a crash of a traced benchmark run
+    tracing = _tracing()
     names = [(module, attr) for _, module, attr in tracing.LAYERS] + list(tracing.BUILD_CLASSES)
     assert len(names) > 40
     missing = [f"{module}.{attr}" for module, attr in names
@@ -57,25 +83,26 @@ def test_every_traced_name_resolves():
 def test_traced_bounds_and_check_decompose_herm_s_once():
     # the bench's linalg.hermitian_eigen.calls_per_op counts the spans its
     # tracer records: a cached spectrum must show up as no span at all
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    rng = np.random.default_rng(5)
-    f = rng.normal(size=(9, 4))
-    system = BiframeSystem.from_samples(DiscreteMeasure(tuple("abcdefghi"), np.ones(9)),
-                                        f, f, np.eye(4))
-    tracer = tracing.Tracer()
-    undo = tracing.install(tracer)
-    tracer.active = True
-    try:
+    system = _system()
+
+    def run():
         report = biframe.optimal_bounds(system)
         biframe.optimal_bounds(system)
         assert biframe.check_bounds(system, 0.5 * report.lower_opt, 2.0 * report.upper_opt).ok
-    finally:
-        tracer.active = False
-        tracing.uninstall(undo)
-    names = [span[0] for span in tracer.spans]
+
+    names = _traced(run)
     # check_bounds decides its claim from a third optimal_bounds
     assert names.count("biframe.optimal_bounds") == 3
+    assert names.count("linalg.hermitian_eigen") == 1
+
+
+def test_a_parent_reads_the_spectrum_its_retargeted_child_traced():
+    system = _system()
+
+    def run():
+        assert biframe.optimal_bounds(system.with_target(2.0 * np.eye(4))).valid
+        assert biframe.optimal_bounds(system).valid
+
+    names = _traced(run)
+    assert names.count("biframe.optimal_bounds") == 2
     assert names.count("linalg.hermitian_eigen") == 1
