@@ -8,10 +8,13 @@ and certify the result), ``tensor`` (combine two manifests), and ``demo``
 Exit codes follow one contract everywhere: 0 when the requested property
 verified, 1 when verification failed (a witness is printed where one
 exists), 2 for every invalid argument and every usage, parse, or validation
-problem.  Each command builds its report as one ordered list of rows
-``(key, value, line)``, and :func:`_emit` renders it: ``--format json``
-emits every key with its value at full precision, the text report prints
-every line that is not ``None`` (numbers with 12 significant digits).
+problem, including an input whose optimal lower constant lies outside the
+float64 range (``construct`` reports a result out of that range in its
+``certification_error`` row and exits 1).  Each command builds its report
+as one ordered list of rows ``(key, value, line)``, and :func:`_emit`
+renders it: ``--format json`` emits every key with its value at full
+precision, the text report prints every line that is not ``None`` (numbers
+with 12 significant digits).
 """
 
 from __future__ import annotations
@@ -143,7 +146,19 @@ def _read_matrix(value: str, dim: int, complex_field: bool) -> np.ndarray:
                                   "--operator")
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports a bound outside the float64 range (``OverflowError``, as
+    :func:`linalg.max_psd_shift` raises it) as an invalid input, exit 2,
+    instead of a traceback."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except OverflowError as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 @click.option("--tol", type=float, default=linalg.DEFAULT_TOL, show_default=True,
               help="Relative tolerance for all verification decisions, in (0, 1).")
 @click.option("--quad-nodes", type=click.IntRange(min=1), default=8, show_default=True,
@@ -254,7 +269,8 @@ def construct(ctx: click.Context, file: str, op_name: str, operator_text: str | 
 
     Exits 0 when the recomputed optimal bounds dominate the rule's
     guaranteed bounds (the claim rule of `verify`), 1 when they do not (or a
-    precondition fails).
+    precondition fails, or the result's lower constant lies outside the
+    float64 range).
     """
     record = _load(file)
     system = record.system
@@ -286,8 +302,21 @@ def construct(ctx: click.Context, file: str, op_name: str, operator_text: str | 
         click.echo(f"construction failed: {exc}", err=True)
         ctx.exit(1)
 
-    after = optimal_bounds(result.system, tol=tol)
-    dominated = all(_claim_holds(after, result.guaranteed_lower, result.guaranteed_upper, tol))
+    try:
+        after = optimal_bounds(result.system, tol=tol)
+    except OverflowError as exc:
+        # the result's lower constant lies outside float64: nothing to certify with
+        certification, dominated = [("certification_error", str(exc),
+                                     f"certification failed: {exc}")], False
+    else:
+        dominated = all(_claim_holds(after, result.guaranteed_lower, result.guaranteed_upper,
+                                     tol))
+        certification = [
+            ("optimal_lower", after.lower_opt, f"optimal lower: {_num(after.lower_opt)}"),
+            ("optimal_upper", after.upper_opt, f"optimal upper: {_num(after.upper_opt)}"),
+            ("valid", after.valid, None),
+            ("dominated", dominated, f"dominance: {'ok' if dominated else 'VIOLATED'}"),
+        ]
 
     if output is not None:
         claim = None
@@ -305,10 +334,7 @@ def construct(ctx: click.Context, file: str, op_name: str, operator_text: str | 
          f"guaranteed lower: {_num(result.guaranteed_lower)}"),
         ("guaranteed_upper", result.guaranteed_upper,
          f"guaranteed upper: {_num(result.guaranteed_upper)}"),
-        ("optimal_lower", after.lower_opt, f"optimal lower: {_num(after.lower_opt)}"),
-        ("optimal_upper", after.upper_opt, f"optimal upper: {_num(after.upper_opt)}"),
-        ("valid", after.valid, None),
-        ("dominated", dominated, f"dominance: {'ok' if dominated else 'VIOLATED'}"),
+        *certification,
         ("output", output, None if output is None else f"wrote: {output}"),
     ], 0 if dominated else 1)
 

@@ -278,6 +278,9 @@ def optimal_bounds(system: BiframeSystem, tol: float = DEFAULT_TOL) -> BoundsRep
     when ``Herm(S)`` fails its PSD gate, ``K = 0`` or ``K K* = c * I``
     exactly; otherwise 2 for an invertible ``K`` and 3 for a rank-deficient
     one.  Once it is cached, one fewer.
+
+    A positive lower constant outside the float64 range (a target of
+    extreme scale) raises ``OverflowError`` (:func:`linalg.max_psd_shift`).
     """
     s = frame_operator(system)
     eig = _herm_spectrum(system)

@@ -150,12 +150,17 @@ def restrict_to_range(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> Con
     if rank == 0:
         raise ZeroOperatorError("target range is trivial; nothing to restrict to")
     pinv_norm = linalg.spectral_norm(linalg.pseudo_inverse(k))
-    compressed = BiframeSystem.from_samples(
-        system.measure,
-        system.analysis.samples @ np.conj(basis),
-        system.synthesis.samples @ np.conj(basis),
-        np.eye(rank, dtype=basis.dtype),
-    )
+    eye = np.eye(rank, dtype=basis.dtype)
+    if np.array_equal(basis, eye):
+        # the basis is the standard one: same samples, and the same cache
+        compressed = system.with_target(eye)
+    else:
+        compressed = BiframeSystem.from_samples(
+            system.measure,
+            system.analysis.samples @ np.conj(basis),
+            system.synthesis.samples @ np.conj(basis),
+            eye,
+        )
     return ConstructionResult(
         system=compressed,
         guaranteed_lower=lower / pinv_norm / pinv_norm,
@@ -185,7 +190,7 @@ def combine_sum(system: BiframeSystem, terms: Sequence[tuple[complex, np.ndarray
     targets = [_as_operator(k, system.dim, f"target #{j}") for j, (_, k) in enumerate(terms)]
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("combination coefficients must be finite")
-    peak = float(np.max(np.abs(coeffs)) ** 2)
+    peak = float(np.max(np.abs(coeffs)))  # divided by twice, never squared
     if peak == 0.0:
         raise ZeroOperatorError("all combination coefficients vanish")
 
@@ -199,10 +204,10 @@ def combine_sum(system: BiframeSystem, terms: Sequence[tuple[complex, np.ndarray
 
     if len(terms) == 2:
         (a1, b1), (a2, b2) = pairs
-        lower = 1.0 / (peak * (1.0 / a1 + 1.0 / a2))
+        lower = 1.0 / (1.0 / a1 + 1.0 / a2) / peak / peak
         upper = (b1 + b2) / 2.0
     else:
-        lower = min(lo for lo, _ in pairs) / (len(terms) * peak)
+        lower = min(lo for lo, _ in pairs) / len(terms) / peak / peak
         upper = min(hi for _, hi in pairs)
     return ConstructionResult(
         system=system.with_target(combined),

@@ -76,6 +76,16 @@ class TestBounds:
         assert payload["lower"] == "inf"
         assert payload["degenerate"] is True
 
+    def test_lower_constant_outside_the_float_range_is_usage_error(self, runner, tmp_path):
+        # K = 1e-170 I: the lower constant is ~1e340, not the zero target's inf
+        path = tmp_path / "tiny.json"
+        save(fixture("example-3-3").with_target(1e-170 * np.eye(3)), path)
+        result = runner.invoke(main, ["bounds", str(path)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "target of scale 2^-565" in result.output
+        assert "outside the float64 range" in result.output
+
     def test_missing_file_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["bounds", str(tmp_path / "absent.json")])
         assert result.exit_code == 2
@@ -155,6 +165,17 @@ class TestVerify:
 
 
 class TestConstruct:
+    def test_result_outside_the_float_range_reports_why_and_exits_one(self, runner, tmp_path):
+        path = tmp_path / "plain.json"
+        save(fixture("example-3-3").with_target(np.eye(3)), path)
+        result = runner.invoke(main, ["--format", "json", "construct", str(path),
+                                      "--op", "product", "--operator",
+                                      json.dumps((1e-170 * np.eye(3)).tolist())])
+        assert result.exit_code == 1
+        payload = json.loads(result.output)
+        assert "outside the float64 range" in payload["certification_error"]
+        assert "dominated" not in payload and payload["guaranteed_lower"] == "inf"
+
     def test_sandwich_is_certified_and_dominates(self, runner, manifests, tmp_path):
         out = tmp_path / "sandwiched.json"
         result = runner.invoke(main, [

@@ -23,14 +23,6 @@ def _hermitian(dim: int, complex_: bool, seed: int) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-hermitian_matrices = st.builds(
-    _hermitian,
-    dim=st.integers(1, 8),
-    complex_=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-
-
 def _general(rows: int, cols: int, complex_: bool, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(rows, cols))
@@ -68,24 +60,49 @@ def test_eigen_scalar_matrix():
     assert eig.max == pytest.approx(4.5)
 
 
+def _eigen_input(dim: int, complex_: bool, seed: int, kind: str, exponent: int) -> np.ndarray:
+    """``10^exponent`` times a dense Hermitian matrix of ``dim`` rows, or
+    ``kron(I_3, h)`` of a dense ``h`` (every eigenvalue threefold), or an
+    exactly diagonal matrix."""
+    if kind == "repeated":
+        h = np.kron(np.eye(3), _hermitian(max(1, dim // 3), complex_, seed))
+    elif kind == "diagonal":
+        h = np.diag(np.random.default_rng(seed).normal(size=dim))
+        h = h.astype(complex) if complex_ else h
+    else:
+        h = _hermitian(dim, complex_, seed)
+    return h * 10.0 ** exponent
+
+
+# the sizes the workloads decompose (dims up to 64), at every scale
+eigen_inputs = st.builds(
+    _eigen_input,
+    dim=st.integers(1, 64),
+    complex_=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["dense", "dense", "repeated", "diagonal"]),
+    exponent=st.one_of(st.just(0), st.integers(-150, 150)),
+)
+
+
 @settings(max_examples=120, deadline=None)
-@given(hermitian_matrices)
+@given(eigen_inputs)
 def test_eigen_matches_lapack(h):
     eig = linalg.hermitian_eigen(h)
     ref = np.linalg.eigvalsh(h)
-    scale = max(1.0, float(np.abs(ref).max()))
-    assert np.allclose(eig.values, ref, atol=1e-10 * scale)
+    scale = float(np.abs(ref).max())
+    assert np.allclose(eig.values, ref, rtol=0.0, atol=1e-14 * h.shape[0] * scale)
 
 
 @settings(max_examples=80, deadline=None)
-@given(hermitian_matrices)
+@given(eigen_inputs)
 def test_eigen_vectors_are_orthonormal_eigenvectors(h):
     eig = linalg.hermitian_eigen(h)
     n = h.shape[0]
     v = eig.vectors
-    scale = max(1.0, float(np.abs(eig.values).max()))
-    assert np.allclose(v.conj().T @ v, np.eye(n), atol=1e-12 * n)
-    assert np.linalg.norm(h @ v - v * eig.values) <= 1e-9 * scale
+    scale = float(np.abs(eig.values).max())
+    assert np.allclose(v.conj().T @ v, np.eye(n), rtol=0.0, atol=1e-14 * n)
+    assert np.linalg.norm(h @ v - v * eig.values) <= 1e-14 * n * scale
 
 
 def test_eigen_near_diagonal_with_round_off_noise():
@@ -265,6 +282,12 @@ def test_max_psd_shift_zero_reference_is_degenerate():
     # ... unless s itself fails PSD
     res2 = linalg.max_psd_shift(np.diag([1.0, -1.0]), np.zeros((2, 2)))
     assert res2.degenerate and res2.amount is None
+
+
+def test_max_psd_shift_reads_a_column_major_complex_factor():
+    # as_matrix keeps the memory order of a transposed input
+    k = (np.diag([2.0, 4.0, 8.0]) + 0j).T
+    assert linalg.max_psd_shift(np.eye(3), k).amount == pytest.approx(1.0 / 64.0)
 
 
 def test_max_psd_shift_zero_s_gives_none():

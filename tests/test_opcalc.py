@@ -8,6 +8,7 @@ the perturbation's stated law is refuted outright by a 2x2 counterexample.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -102,6 +103,21 @@ class TestRestrictToRange:
         with pytest.raises(errors.NotABiframeError):
             opcalc.restrict_to_range(fixture("example-3-4"))
 
+    def test_identity_target_keeps_the_cached_spectrum(self, monkeypatch):
+        # onto range(I) the basis is exactly I: the result is the input
+        # retargeted, and shares its decomposition of Herm(S)
+        base = fixture("example-3-3").with_target(np.eye(3))
+        want = bk.optimal_bounds(base)
+        calls = []
+        real = linalg.hermitian_eigen
+        monkeypatch.setattr(linalg, "hermitian_eigen",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        res = opcalc.restrict_to_range(base)
+        got = bk.optimal_bounds(res.system)
+        assert calls == []
+        assert np.array_equal(res.system.analysis.samples, base.analysis.samples)
+        assert (got.lower_opt, got.upper_opt) == (want.lower_opt, want.upper_opt)
+
 
 # ---------------------------------------------------------------------------
 # sums and products of targets
@@ -137,6 +153,22 @@ class TestCombineSum:
                 for t in (k, k, np.eye(3))]
         assert res.guaranteed_lower == pytest.approx(min(lows) / 3.0, rel=1e-9)
         assert np.allclose(res.system.target, 1.5 * k + 0.25 * np.eye(3))
+
+    @pytest.mark.parametrize("c", [1e-170, 1e200, 1e100, 1e-100])
+    def test_coefficients_at_any_scale(self, c):
+        # the largest |a_j| is divided by twice, never squared: 1e-170 is not
+        # taken for zero, and 1e200 does not overflow (warnings are errors
+        # in this suite); the stated constant is 0.4 / c^2, saturating
+        base = fixture("example-3-3").with_target(np.eye(3))
+        res = opcalc.combine_sum(base, [(c, np.eye(3)), (c, 2.0 * np.eye(3))])
+        want = opcalc.combine_sum(base, [(1.0, np.eye(3)), (1.0, 2.0 * np.eye(3))])
+        assert want.guaranteed_lower == pytest.approx(0.4, rel=1e-12)
+        if c == 1e-170:
+            assert res.guaranteed_lower == math.inf
+        elif c == 1e200:
+            assert res.guaranteed_lower == 0.0
+        else:
+            assert res.guaranteed_lower * c * c == pytest.approx(0.4, rel=1e-12)
 
     def test_rejects_empty_and_all_zero(self, promoted_diagonal):
         with pytest.raises(ValueError):

@@ -182,10 +182,10 @@ def test_a_round_of_every_rule_decomposes_the_base_once(monkeypatch, complex_, f
         assert result.rule == name
         optimal_bounds(result.system)  # the result certified, as the benchmark does
         assert len(seen) == 1
-    # restrict_to_range is left out of the certification: onto range(I) it
-    # rebuilds the base as a new system of the same Herm(S), which
-    # decomposes its own
-    assert opcalc.restrict_to_range(base).rule == "restrict"
+    # onto range(I) restrict_to_range retargets the base, sharing its cache
+    result = opcalc.restrict_to_range(base)
+    assert result.rule == "restrict"
+    optimal_bounds(result.system)
     assert opcalc.max_transfer_ratio(base, u) > 0.0
     with pytest.raises(errors.NotTightError):
         opcalc.tight_scaling_check(base, 1.0, 1.0)

@@ -26,6 +26,7 @@ from biframekit import (
     optimal_bounds,
     swap,
 )
+from biframekit.app.fixtures import fixture
 from helpers import random_matrix, random_system, random_target, random_valid_system
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "biframekit"
@@ -174,6 +175,42 @@ def test_scaling_the_target_divides_the_lower_bound_and_keeps_every_verdict(syst
     assert _same_bound(moved.lower_opt, want_lower)
     assert moved.upper_opt == report.upper_opt
     assert _verdicts(scaled, claims, (c**-2, 1.0)) == verdicts
+
+
+# the example-3-3 samples against c * I and c * M: at c = 1e155 the squared
+# norm of the target overflows, at 1e-150 the whitening would
+_M = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+_EXTREME_TARGETS = {"identity": np.eye(3), "M": _M}
+
+
+@pytest.mark.parametrize("c", [1e155, 1e150, 1e-150])
+@pytest.mark.parametrize("target", list(_EXTREME_TARGETS))
+def test_an_extreme_target_scale_divides_the_lower_bound_by_its_square(c, target):
+    base = fixture("example-3-3")
+    k = _EXTREME_TARGETS[target]
+    want = optimal_bounds(base.with_target(k)).lower_opt
+    report = optimal_bounds(base.with_target(c * k))  # warnings are errors in this suite
+    assert report.valid and not report.degenerate
+    assert report.lower_opt * c * c == pytest.approx(want, rel=1e-9)
+
+
+def test_only_an_exactly_zero_target_is_degenerate():
+    base = fixture("example-3-3")
+    zero = optimal_bounds(base.with_target(np.zeros((3, 3))))
+    assert zero.degenerate and zero.lower_opt == math.inf
+    for k in _EXTREME_TARGETS.values():
+        report = optimal_bounds(base.with_target(1e-150 * k))
+        assert not report.degenerate and math.isfinite(report.lower_opt)
+    # the smallest subnormal target: k k* underflows to 0, k itself does not
+    with pytest.raises(OverflowError):
+        optimal_bounds(base.with_target(5e-324 * np.eye(3)))
+
+
+@pytest.mark.parametrize("c", [1e-170, 1e-160, 1e200])
+def test_a_lower_constant_outside_the_float_range_raises_naming_the_scale(c):
+    base = fixture("example-3-3")
+    with pytest.raises(OverflowError, match=r"target of scale 2\^-?\d+ .*float64 range"):
+        optimal_bounds(base.with_target(c * _M))
 
 
 @settings(max_examples=30, deadline=None)
