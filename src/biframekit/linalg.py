@@ -7,15 +7,13 @@ gives us eigenvectors we fully control (deterministic ordering and sign),
 but its loop is pure Python and dominates the package's run time.  One
 :func:`hermitian_eigen` of a dense real matrix takes about 18 / 85 / 230 ms
 at dim 16 / 32 / 64, where ``numpy.linalg.eigh`` takes 0.05 / 0.11 / 0.37 ms
-(one BLAS thread, best of a few runs on a shared 2-core x86 box); each
-rotation is one Hermitian update of two columns mirrored into the rows,
-about 1.4x faster at dims 4-64 than rotating the columns and then the rows.
-So eigensolves are not spent twice: :func:`max_psd_shift` reads the
-reference ``k k*`` off the SVD of its factor ``k`` rather than decomposing
-the product, and a reference that is exactly ``c * I``
+(one BLAS thread, best of a few runs on a shared 2-core x86 box).  So
+eigensolves are not spent twice: :func:`max_psd_shift` reads the reference
+``k k*`` off the SVD of its factor ``k`` rather than decomposing the
+product, and a reference that is exactly ``c * I``
 (:func:`identity_multiple`) reuses the spectrum of ``s`` for the pencil.
-Across calls, one cache per set of samples holds the
-spectrum of ``Herm(S)``, and its systems hand it to :func:`max_psd_shift`
+Across calls, one cache per set of samples holds the spectrum of
+``Herm(S)``, and its systems hand it to :func:`max_psd_shift`
 and :func:`sqrt_psd` (their private ``_spectrum`` argument), so ``Herm(S)``
 is decomposed once, however many bounds, checks and quotients read it,
 under however many targets.
@@ -444,10 +442,11 @@ def max_psd_shift(s, k, tol: float = DEFAULT_TOL, *,
     shift is ``max(lambda_min(s), 0) / c``, witnessed by the bottom
     eigenvector of ``s``, and neither ``k`` nor a pencil is decomposed.
 
-    All of the above runs on ``k / 2^e``, where ``2^e`` is the power of two
-    at the top of ``k``'s largest entry: ``k k*``, ``sigma^2``, the rank
-    split, the whitening and the zero-shift test stay in range at any target
-    scale, and the amount is divided by ``2^e`` twice at the end.  Scaling by
+    All of the above runs on ``k / 2^e``, where ``2^e`` is the largest power
+    of two at most the largest real or imaginary part of ``k``: ``k k*``,
+    ``sigma^2``, the rank split, the whitening and the zero-shift test stay
+    in range at any target scale, and the amount is divided by ``2^e`` twice
+    at the end.  Scaling by
     a power of two is exact, so wherever the unscaled arithmetic stays in
     range the result is bit for bit the unscaled one.  ``degenerate`` is set
     only for a ``k`` that is exactly zero.
@@ -479,11 +478,11 @@ def max_psd_shift(s, k, tol: float = DEFAULT_TOL, *,
     s_m = _require_hermitian(s_m, tol, "shift target")
 
     s_eig = hermitian_eigen(s_m, tol=tol) if _spectrum is None else _spectrum
-    # k = scale * k_unit with scale = 2^e (see above), taken from the largest
-    # real or imaginary part: the largest modulus may itself overflow
+    # k = 2^e * k_unit (see above); the parts, not the moduli, which may
+    # overflow
     top = max(float(np.max(np.abs(k_m.real))), float(np.max(np.abs(k_m.imag))))
-    _, exponent = math.frexp(top)
-    scale = math.ldexp(1.0, exponent - 1)
+    e = math.frexp(top)[1] - 1
+    scale = math.ldexp(1.0, e)
     k_unit = k_m / scale
     gram = k_unit @ adjoint(k_unit)
     # k k* vanishes: the shift is unconstrained whenever s itself is PSD.
@@ -508,7 +507,7 @@ def max_psd_shift(s, k, tol: float = DEFAULT_TOL, *,
     shift = amount / scale / scale
     if shift == 0.0 or shift == math.inf:
         raise OverflowError(
-            f"the shift for a target of scale 2^{exponent - 1} (~{scale:.3e}) lies "
+            f"the shift for a target of scale 2^{e} (~{scale:.3e}) lies "
             f"outside the float64 range: {amount:.6e} / {scale:.3e}^2"
         )
     return ShiftResult(shift, witness)
