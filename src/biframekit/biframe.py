@@ -266,18 +266,16 @@ class BoundsReport:
 def optimal_bounds(system: BiframeSystem, tol: float = DEFAULT_TOL) -> BoundsReport:
     """Best achievable bound pair for the system against its target.
 
-    The lower constant solves ``max { a : Herm(S) - a K K* >= 0 }`` in closed
-    form (:func:`linalg.max_psd_shift`); the upper constant is
-    ``lambda_max(Herm(S))``.  Validity means a strictly positive lower
-    constant exists.  ``Herm(S)`` is decomposed once per set of samples: its
-    spectrum is cached on the system, handed to ``max_psd_shift``, and read
-    for the upper constant and the negative-form witness; ``K K*`` is
-    whitened by the SVD of ``K``, never decomposed.
+    The lower constant solves ``max { a : Herm(S) - a K K* >= 0 }``: it is
+    ``1 / ||[K* / Herm(S)^{1/2}]||^2`` (:func:`linalg.max_psd_shift`); the
+    upper constant is ``lambda_max(Herm(S))``.  Validity means a strictly
+    positive lower constant exists.  ``Herm(S)`` is decomposed once per set
+    of samples: its spectrum is cached on the system, handed to
+    ``max_psd_shift``, and read for both constants and the negative-form
+    witness; ``K K*`` is never decomposed.
 
-    Eigensolves per call, on a system whose spectrum is not yet cached: 1
-    when ``Herm(S)`` fails its PSD gate, ``K = 0`` or ``K K* = c * I``
-    exactly; otherwise 2 for an invertible ``K`` and 3 for a rank-deficient
-    one.  Once it is cached, one fewer.
+    Eigensolves per call: 1 on a system whose spectrum is not yet cached,
+    whatever the target; 0 once it is.
 
     A positive lower constant outside the float64 range (a target of
     extreme scale) raises ``OverflowError`` (:func:`linalg.max_psd_shift`).
@@ -343,7 +341,8 @@ def check_bounds(system: BiframeSystem, lower: float, upper: float,
     iff a positive ``lower_opt`` exists and ``lower <= lower_opt + tol *
     lower_opt``, the upper side iff ``upper >= upper_opt - tol * |upper_opt|``
     (:func:`_claim_holds`).  So a check costs the eigensolves of
-    ``optimal_bounds`` and no more.  A refuted lower claim is witnessed by
+    ``optimal_bounds`` and no more: 1, or 0 once the spectrum of
+    ``Herm(S)`` is cached.  A refuted lower claim is witnessed by
     the report's ``witness_lower``: along the tight direction ``w`` of the
     pencil, ``<(Herm S - lower K K*) w, w> = -(lower - lower_opt) ||K* w||^2``,
     and where the form is indefinite ``w`` is the bottom eigenvector of

@@ -8,15 +8,12 @@ but its loop is pure Python and dominates the package's run time.  One
 :func:`hermitian_eigen` of a dense real matrix takes about 18 / 85 / 230 ms
 at dim 16 / 32 / 64, where ``numpy.linalg.eigh`` takes 0.05 / 0.11 / 0.37 ms
 (one BLAS thread, best of a few runs on a shared 2-core x86 box).  So
-eigensolves are not spent twice: :func:`max_psd_shift` reads the reference
-``k k*`` off the SVD of its factor ``k`` rather than decomposing the
-product, and a reference that is exactly ``c * I``
-(:func:`identity_multiple`) reuses the spectrum of ``s`` for the pencil.
-Across calls, one cache per set of samples holds the spectrum of
-``Herm(S)``, and its systems hand it to :func:`max_psd_shift`
-and :func:`sqrt_psd` (their private ``_spectrum`` argument), so ``Herm(S)``
-is decomposed once, however many bounds, checks and quotients read it,
-under however many targets.
+eigensolves are not spent twice: :func:`max_psd_shift` needs only the
+spectrum of ``s``, whatever the factor ``k``, and one cache per set of
+samples holds the spectrum of ``Herm(S)``, which its systems hand to
+:func:`max_psd_shift` and :func:`sqrt_psd` (their private ``_spectrum``
+argument).  ``Herm(S)`` is decomposed once, however many bounds, checks and
+quotients read it, under however many targets.
 Singular-value based helpers (pseudo-inverse, spectral norm, range/null
 bases) sit on ``numpy.linalg.svd`` with explicit rank thresholding.
 
@@ -32,10 +29,10 @@ with: a claimed pair holds iff ``lower <= lower_opt + tol * lower_opt`` and
 
 The central routine is :func:`max_psd_shift`, which computes the largest
 ``a >= 0`` with ``s - a*k k*`` positive semidefinite.  That quantity is the
-optimal lower bound of every sampled system in this package; it is solved in
-closed form (a Schur complement on the null space of ``k*`` and one
-eigensolve whitened by the singular values of ``k``), and its contract
-(tolerance semantics, witness vector) is spelled out in detail below.
+optimal lower bound of every sampled system in this package; it is the
+quotient constant ``1 / ||[k* / s^{1/2}]||^2``, read with one SVD of ``k`` in
+the eigenbasis of ``s``, and its contract (tolerance semantics, witness
+vector) is spelled out in detail below.
 """
 
 from __future__ import annotations
@@ -65,11 +62,12 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
 
     Real input comes back as ``float64``, complex input as ``complex128``.
     """
-    arr = np.array(a, copy=True)
+    arr = np.asarray(a)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.size == 0:
         raise DimensionMismatchError("empty matrices are not supported")
+    # astype copies even when the dtype already matches: the one copy
     arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
@@ -80,7 +78,7 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
 
 def as_vector(v, dim: int | None = None) -> np.ndarray:
     """Validate ``v`` as a finite 1-D vector (optionally of length ``dim``)."""
-    arr = np.array(v, copy=True)
+    arr = np.asarray(v)
     if arr.ndim != 1:
         raise DimensionMismatchError(f"expected a vector, got ndim={arr.ndim}")
     arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
@@ -127,7 +125,7 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
     if pivot == 0:  # pragma: no cover - argmax guarantees a nonzero pivot
         return v.copy()
     factor = np.conj(pivot) / abs(pivot)
-    out = v * factor
+    out = v * factor + 0.0  # + 0.0 turns the -0.0 a negative factor leaves into 0.0
     if not np.iscomplexobj(v):
         out = out.real
     return out
@@ -141,11 +139,26 @@ def unit_vector(v: np.ndarray) -> np.ndarray:
     return canonical_sign(v / nrm)
 
 
+def _binary_normalised(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(a / 2^e, e)``, where ``2^e`` is the largest power of two at most the
+    largest real or imaginary part of ``a`` (the parts, not the moduli, which
+    may overflow).  The largest part of ``a / 2^e`` lies in ``[1, 2)``, so its
+    norms neither over- nor underflow; and dividing by a power of two is
+    exact, so wherever ``a`` itself stays in range the arithmetic on
+    ``a / 2^e`` is bit for bit the arithmetic on ``a``, scaled.
+    """
+    top = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
+    e = math.frexp(top)[1] - 1
+    return a / math.ldexp(1.0, e), e
+
+
 def _require_hermitian(a: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
-    defect = np.linalg.norm(a - adjoint(a))
-    if defect > tol * np.linalg.norm(a):
+    # both norms of a / 2^e: those of a may underflow or overflow together
+    unit, _ = _binary_normalised(a)
+    defect, norm = np.linalg.norm(unit - adjoint(unit)), np.linalg.norm(unit)
+    if defect > tol * norm:
         raise NotHermitianError(
-            f"{what} is not Hermitian: ||a - a*|| = {defect:.3e} exceeds {tol:.1e} * ||a||"
+            f"{what} is not Hermitian: ||a - a*|| / ||a|| = {defect / norm:.3e} exceeds {tol:.1e}"
         )
     return (a + adjoint(a)) / 2.0
 
@@ -188,6 +201,12 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     (``beta = |a_pq|``; ``t = tan(theta)`` is the root of smaller modulus of
     ``t^2 + 2 tau t - 1 = 0``, ``tau = (a_qq - a_pp) / (2 beta)``).
 
+    The sweeps run on ``a / 2^e`` (:func:`_binary_normalised`) and the
+    eigenvalues are scaled back by ``2^e`` at the end, so the norms behind
+    the stopping rule neither underflow nor overflow at any scale, and
+    ``hermitian_eigen(2^j a)`` is ``2^j`` times ``hermitian_eigen(a)`` bit for
+    bit, vectors unchanged, while ``2^j a`` and its eigenvalues stay normal.
+
     Parameters
     ----------
     a
@@ -210,7 +229,7 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
         Jacobi converges quadratically once sweeps start annihilating
         off-diagonal mass).
     """
-    m = as_matrix(a, square=True)
+    m, e = _binary_normalised(as_matrix(a, square=True))
     m = _require_hermitian(m, tol)
     n = m.shape[0]
     complex_input = np.iscomplexobj(m)
@@ -272,7 +291,7 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
             if _off_norm() > stop:
                 raise ConvergenceError("Jacobi iteration did not converge")
 
-    values = np.real(np.diagonal(m)).copy()
+    values = np.real(np.diagonal(m)) * math.ldexp(1.0, e)
     order = np.argsort(values, kind="stable")
     values = values[order]
     vecs = vecs[:, order]
@@ -281,21 +300,6 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     if complex_input:
         vecs = vecs.astype(np.complex128)
     return EigenDecomposition(values=values, vectors=vecs)
-
-
-def identity_multiple(a) -> float | None:
-    """The real ``c`` when the square matrix ``a`` is exactly ``c * I``, else
-    ``None``.
-
-    Entries are compared exactly, with no tolerance: the answer picks which
-    algebra a caller uses, never a verdict, and a matrix that is ``c * I``
-    only up to round-off simply takes the general path.
-    """
-    m = np.asarray(a)
-    c = m[0, 0]
-    if c.imag != 0 or not np.array_equal(m, c * np.eye(m.shape[0])):
-        return None
-    return float(c.real)
 
 
 def min_eigenpair(a, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
@@ -417,45 +421,41 @@ def max_psd_shift(s, k, tol: float = DEFAULT_TOL, *,
     many rows; ``k k*`` is PSD by construction.  Semidefiniteness of ``s`` is
     tested at tolerance (:meth:`EigenDecomposition.is_psd`).
 
-    Once ``s`` is PSD the pencil has a closed form (the symmetric-definite
-    problem of Golub & Van Loan, *Matrix Computations*, section 8.7), read
-    off the SVD ``k = U Sigma V*``: ``k k* = U Sigma^2 U*`` is never formed
-    into an eigenproblem.  Split the space into ``range(k)`` (left singular
-    vectors ``Q1`` with ``Lambda = sigma^2 > tol * sigma_max^2``, the PSD
-    cutoff of ``k k*``) and the rest (``Q2``).  ``s - a*k k*`` is PSD iff the
-    Schur complement ``C = s11 - s12 s22^+ s21`` dominates ``a*Lambda`` (``s``
-    PSD makes ``s22`` PSD with ``range(s21)`` inside ``range(s22)``), so the
-    supremum is ``lambda_min(Lambda^{-1/2} C Lambda^{-1/2})``.  Its bottom
-    eigenvector ``y`` lifts to the tight direction
-    ``Q1 x1 - Q2 s22^+ s21 x1`` with ``x1 = Lambda^{-1/2} y``.
+    Once ``s`` is PSD the answer is the quotient constant
+    ``1 / ||[k* / s^{1/2}]||^2`` (see :mod:`biframekit.quotient`), read off
+    the spectrum ``s = V Lambda V*`` through ``W = V* k``:
 
-    ``s22^+`` inverts the eigenvalues of ``s22`` floored at the cutoff of
-    ``s``, so ``C`` is the exact Schur complement of a matrix within
-    tolerance of ``s``.  A zero eigenvalue cannot simply be dropped: an ``s``
-    that is PSD only at tolerance may couple ``range(k)`` to it by
-    ``sqrt(tol)``, and dropping that coupling reports a shift that
-    ``s - a*k k*`` violates by as much.  A shift counts as zero when
-    ``amount * sigma_max^2`` is within the cutoff of ``s``.
+    * *Range test.*  If the rows of ``W`` whose eigenvalue is at most the
+      cutoff of ``s`` have ``sigma_max^2 > tol * sigma_max(W)^2``, ``k*`` sees
+      the null space of ``s`` and no positive shift exists; the witness is
+      that null space's basis times their top left singular vector.
+    * *Otherwise* floor the spectrum to ``Lambda_f = (lambda + max(lambda,
+      cutoff)) / 2`` and return ``1 / sigma_max(Lambda_f^{-1/2} W)^2``,
+      witnessed by ``V Lambda_f^{-1/2} u`` for the top left singular vector
+      ``u``.  Each eigenvalue rises by at most ``(cutoff - lambda) / 2 <=
+      cutoff``, so ``s - a*k k* >= -cutoff * I``: PSD at tolerance.  An
+      eigenvalue of exactly ``-cutoff`` floors to 0: if its row of ``W`` is
+      zero it constrains nothing and is dropped, otherwise no positive shift
+      exists and its eigenvector is the witness.
 
-    When ``k k*`` is exactly ``c * I`` (:func:`identity_multiple`; ``c > 0``
-    unless ``k k* = 0``), ``s - a*c*I`` has the eigenvectors of ``s``: the
-    shift is ``max(lambda_min(s), 0) / c``, witnessed by the bottom
-    eigenvector of ``s``, and neither ``k`` nor a pencil is decomposed.
+    The floor is what keeps the answer feasible.  An ``s`` that is PSD only
+    at tolerance may couple ``range(k)`` by ``sqrt(tol)`` to a direction at
+    which it nearly vanishes; dropping that direction reports a shift that
+    ``s - a*k k*`` violates by about the coupling, and flooring at the
+    cutoff itself lifts an eigenvalue of ``-0.9 * cutoff`` by ``1.9 *
+    cutoff``.  A shift counts as zero when ``amount * sigma_max(k)^2`` is
+    within the cutoff of ``s``.
 
-    All of the above runs on ``k / 2^e``, where ``2^e`` is the largest power
-    of two at most the largest real or imaginary part of ``k``: ``k k*``,
-    ``sigma^2``, the rank split, the whitening and the zero-shift test stay
-    in range at any target scale, and the amount is divided by ``2^e`` twice
-    at the end.  Scaling by
-    a power of two is exact, so wherever the unscaled arithmetic stays in
+    All of the above runs on ``k / 2^e`` (:func:`_binary_normalised`): ``W``,
+    its singular values and both zero tests stay in range at any target
+    scale, and the amount is divided by ``2^e`` twice at the end.  Scaling
+    by a power of two is exact, so wherever the unscaled arithmetic stays in
     range the result is bit for bit the unscaled one.  ``degenerate`` is set
     only for a ``k`` that is exactly zero.
 
-    Eigensolves per call, counting the decomposition of ``s``: 1 when ``s``
-    fails its PSD gate, ``k k*`` vanishes or is ``c * I``; otherwise 2, plus 1
-    when ``k*`` has a null space (the Schur block ``s22``; none if ``s = 0``).
-    ``k``'s SVD runs past the gate only.  ``_spectrum``, when given, is
-    ``hermitian_eigen(s, tol)`` already computed, and saves that one.
+    Eigensolves per call: 1, the decomposition of ``s``, whatever ``k`` is;
+    none when ``_spectrum``, ``hermitian_eigen(s, tol)`` already computed,
+    is given.
 
     Returns
     -------
@@ -478,30 +478,34 @@ def max_psd_shift(s, k, tol: float = DEFAULT_TOL, *,
     s_m = _require_hermitian(s_m, tol, "shift target")
 
     s_eig = hermitian_eigen(s_m, tol=tol) if _spectrum is None else _spectrum
-    # k = 2^e * k_unit (see above); the parts, not the moduli, which may
-    # overflow
-    top = max(float(np.max(np.abs(k_m.real))), float(np.max(np.abs(k_m.imag))))
-    e = math.frexp(top)[1] - 1
+    k_unit, e = _binary_normalised(k_m)
     scale = math.ldexp(1.0, e)
-    k_unit = k_m / scale
-    gram = k_unit @ adjoint(k_unit)
-    # k k* vanishes: the shift is unconstrained whenever s itself is PSD.
-    degenerate = not gram.any()
+    # k vanishes: the shift is unconstrained whenever s itself is PSD.
+    degenerate = not k_unit.any()
     if not s_eig.is_psd(tol):
         # Even a = 0 fails; the bottom eigenvector certifies it.
         return ShiftResult(None, s_eig.vectors[:, 0].copy(), degenerate)
     if degenerate:
         return ShiftResult(math.inf, None, degenerate)
 
-    scalar = identity_multiple(gram)
-    if scalar is not None:
-        # s - a*c*I has the eigenvectors of s: the pencil is s's own spectrum
-        p_max, amount, witness = scalar, max(s_eig.min, 0.0) / scalar, s_eig.vectors[:, 0].copy()
-    else:
-        u, sigma, _ = np.linalg.svd(k_unit)
-        p_max = sigma[0] ** 2
-        amount, witness = _schur_pencil(s_m, s_eig, u, sigma, tol)
-    if amount * p_max <= s_eig.cutoff(tol):
+    lam, v = s_eig.values, s_eig.vectors
+    cutoff = s_eig.cutoff(tol)
+    w = adjoint(v) @ k_unit
+    p_max = np.linalg.norm(w, 2) ** 2
+    null = lam <= cutoff
+    if null.any():  # the range test
+        u, sigma, _ = np.linalg.svd(w[null], full_matrices=False)
+        if sigma[0] ** 2 > tol * p_max:
+            return ShiftResult(None, unit_vector(v[:, null] @ u[:, 0]))
+    floored = (lam + np.maximum(lam, cutoff)) / 2.0
+    live = floored > 0.0  # false only at lambda = -cutoff
+    blocked = ~live & w.any(axis=1)
+    if blocked.any():
+        return ShiftResult(None, v[:, np.argmax(blocked)].copy())
+    root = np.sqrt(floored[live])
+    u, sigma, _ = np.linalg.svd(w[live] / root[:, None], full_matrices=False)
+    amount, witness = 1.0 / float(sigma[0]) ** 2, unit_vector(v[:, live] @ (u[:, 0] / root))
+    if amount * p_max <= cutoff:
         return ShiftResult(None, witness)
     # s - a*k k* = s - (a * scale^2) * k_unit k_unit*
     shift = amount / scale / scale
@@ -511,26 +515,3 @@ def max_psd_shift(s, k, tol: float = DEFAULT_TOL, *,
             f"outside the float64 range: {amount:.6e} / {scale:.3e}^2"
         )
     return ShiftResult(shift, witness)
-
-
-def _schur_pencil(s_m: np.ndarray, s_eig: EigenDecomposition, u: np.ndarray,
-                  sigma: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
-    """Bottom of the pencil ``s - a*k k*`` for a PSD ``s`` and a nonzero ``k``
-    of SVD ``U diag(sigma) V*``: the amount (clamped at 0) and the unit tight direction."""
-    rank = int(np.count_nonzero(sigma**2 > tol * sigma[0] ** 2))
-    q1, q2 = u[:, :rank], u[:, rank:]
-    inv_root = 1.0 / sigma[:rank]
-    s_cutoff = s_eig.cutoff(tol)
-    s21 = adjoint(q2) @ s_m @ q1
-    coupling = np.zeros_like(s21)  # s22^+ s21
-    if q2.shape[1] and s_cutoff > 0.0:  # s = 0 leaves nothing to couple
-        # blocks of s are Hermitian by construction, but may be round-off
-        s22_eig = hermitian_eigen(hermitian_part(adjoint(q2) @ s_m @ q2), tol=tol)
-        floored = np.maximum(s22_eig.values, s_cutoff)
-        w = s22_eig.vectors
-        coupling = (w / floored) @ (adjoint(w) @ s21)
-    schur = adjoint(q1) @ s_m @ q1 - adjoint(s21) @ coupling
-    pencil = hermitian_eigen(hermitian_part(inv_root[:, None] * schur * inv_root), tol=tol)
-    x1 = inv_root * pencil.vectors[:, 0]
-    # s passed the PSD gate, so a negative bottom is round-off of an exact zero
-    return max(pencil.min, 0.0), unit_vector(q1 @ x1 - q2 @ (coupling @ x1))

@@ -13,6 +13,12 @@ rounding when a system sits numerically on the boundary.  The cross-check
 below therefore never asserts agreement; it reports a shared verdict when
 the two predicates agree and ``None`` (indeterminate at tolerance) when they
 do not.
+
+:func:`~biframekit.biframe.optimal_bounds` itself computes the lower bound
+by this theorem (:func:`~biframekit.linalg.max_psd_shift` whitens ``K`` by
+the floored spectrum of ``H``), so :func:`validity_cross_check` compares two
+implementations of one theorem, a pseudo-inverse against floored whitening,
+not two independent decisions.
 """
 
 from __future__ import annotations
@@ -93,7 +99,8 @@ def _top_singular(a: np.ndarray) -> tuple[float, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class ValidityCrossCheck:
-    """Two independent answers to "is this system valid against its target?".
+    """Two answers to "is this system valid against its target?", by two
+    implementations of the quotient theorem (see the module docstring).
 
     ``pencil_valid`` comes from the eigenvalue pencil
     (:func:`~biframekit.biframe.optimal_bounds`); ``quotient_bounded`` from

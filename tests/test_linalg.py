@@ -124,6 +124,27 @@ def test_eigen_rejects_non_hermitian():
         linalg.hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e155, 1e300])
+def test_eigen_is_right_where_the_frobenius_norm_under_or_overflows(c):
+    eig = linalg.hermitian_eigen(np.ones((2, 2)) * c)
+    assert eig.values / c == pytest.approx([0.0, 2.0], abs=1e-14)
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_eigen_rejects_non_hermitian_at_any_scale(c):
+    with pytest.raises(errors.NotHermitianError):
+        linalg.hermitian_eigen(np.array([[1.0, 5.0], [0.0, 1.0]]) * c)
+
+
+@pytest.mark.parametrize("j", [-900, -500, 500, 900])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_eigen_commutes_with_powers_of_two(j, complex_):
+    h = _hermitian(7, complex_, seed=abs(j) + complex_)
+    eig, scaled = linalg.hermitian_eigen(h), linalg.hermitian_eigen(h * 2.0 ** j)
+    assert np.array_equal(scaled.values, eig.values * 2.0 ** j)
+    assert np.array_equal(scaled.vectors, eig.vectors)
+
+
 def test_eigen_rejects_non_square():
     with pytest.raises(errors.DimensionMismatchError):
         linalg.hermitian_eigen(np.ones((2, 3)))
@@ -253,7 +274,7 @@ def test_canonical_sign_fixes_phase():
         (np.diag([2.0, 1.0]), np.diag([1.0, 0.0]), 2.0),
         # s vanishes only on null(k*)
         (np.diag([2.0, 0.0]), np.diag([1.0, 0.0]), 2.0),
-        # the Schur complement 2 - 1*1/1 couples range(k) to null(k*)
+        # s couples range(k) to null(k*): the constant is 2 - 1*1/1
         (np.array([[2.0, 1.0], [1.0, 1.0]]), np.diag([1.0, 0.0]), 1.0),
         (np.array([[2.0, 1j], [-1j, 1.0]]), np.diag([1.0, 0.0]), 1.0),
     ],
@@ -379,21 +400,6 @@ def test_max_psd_shift_matches_bisection_oracle():
         assert abs(residual) <= 1e-9 * np.linalg.norm(s, 2)
 
 
-@pytest.mark.parametrize("a, expected", [
-    (np.eye(3), 1.0),
-    (2.5 * np.eye(2, dtype=complex), 2.5),
-    (np.zeros((2, 2)), 0.0),
-    (-np.eye(2), -1.0),
-    (np.array([[7.0]]), 7.0),
-    # exact comparison: round-off away from c*I takes the general path
-    (np.eye(2) + np.diag([0.0, 1e-15]), None),
-    (np.array([[1.0, 1e-300], [0.0, 1.0]]), None),
-    (1j * np.eye(2), None),
-])
-def test_identity_multiple(a, expected):
-    assert linalg.identity_multiple(a) == expected
-
-
 @pytest.mark.parametrize("b, mu", [(3e-5, 0.0), (3e-5, 9e-10), (1e-5, 1e-10), (1e-7, 0.0)])
 def test_max_psd_shift_is_feasible_on_near_boundary_pencils(b, mu):
     # s is PSD at tolerance and couples range(k) by ~sqrt(tol) to a direction
@@ -405,6 +411,57 @@ def test_max_psd_shift_is_feasible_on_near_boundary_pencils(b, mu):
     res = linalg.max_psd_shift(s, k)
     assert res.amount is not None
     assert np.linalg.eigvalsh(s - res.amount * k @ k.T).min() >= -1e-9
+
+
+def test_max_psd_shift_drops_an_unseen_direction_floored_to_zero():
+    # lambda_min = -cutoff floors to exactly 0; k* does not see that direction
+    res = linalg.max_psd_shift(np.diag([1.0, -1e-9]), np.diag([1.0, 0.0]))
+    assert res.amount == 1.0
+    assert np.array_equal(res.witness, [1.0, 0.0])
+
+
+def test_max_psd_shift_has_no_shift_on_a_seen_direction_floored_to_zero():
+    # k* sees e2 by 1e-6, inside the range test's band, but any a > 0 takes
+    # s - a*k k* below -cutoff along e2
+    res = linalg.max_psd_shift(np.diag([1.0, -1e-9]), np.array([[1.0, 0.0], [1e-6, 0.0]]))
+    assert res.amount is None
+    assert np.array_equal(res.witness, [0.0, 1.0])
+
+
+def _near_boundary_pencil(n: int, r: int, complex_: bool, seed: int):
+    """A PSD-at-tolerance ``s`` with eigenvalues in ``[-cutoff, cutoff]`` on
+    some directions, and a factor ``k`` coupled to those by 1e-8 to 1e-3."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(random_matrix(rng, n, n, complex_))[0]
+    lam = np.r_[1.0, rng.uniform(0.1, 1.0, size=n - 1)]  # max|lambda| = 1
+    near = np.r_[False, rng.random(n - 1) < 0.5]
+    lam[near] = rng.uniform(-1.0, 1.0, size=int(near.sum())) * linalg.DEFAULT_TOL
+    s = (q * lam) @ q.conj().T
+    w = random_matrix(rng, n, r, complex_)
+    w[near] *= 10.0 ** rng.uniform(-8.0, -3.0, size=(int(near.sum()), 1))
+    return (s + s.conj().T) / 2.0, q @ w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(_near_boundary_pencil, n=st.integers(1, 8), r=st.integers(1, 8),
+                 complex_=st.booleans(), seed=st.integers(0, 2**32 - 1)))
+def test_max_psd_shift_keeps_the_pencil_psd_at_tolerance(pencil):
+    # the floor lifts each eigenvalue of s by at most the cutoff, so the
+    # shift it reports leaves s - a*k k* >= -cutoff * I, up to round-off
+    s, k = pencil
+    res = linalg.max_psd_shift(s, k)
+    if res.amount is None:
+        return
+    spectrum = np.linalg.eigvalsh(s)
+    norm = float(np.abs(spectrum).max())
+    bottom = np.linalg.eigvalsh(s - res.amount * k @ k.conj().T).min()
+    assert bottom >= -linalg.DEFAULT_TOL * norm - 8 * s.shape[0] * np.finfo(float).eps * norm
+
+
+@pytest.mark.parametrize("a", [np.eye(3), np.eye(3, dtype=complex)])
+def test_as_matrix_shares_no_memory_with_its_input(a):
+    assert not np.shares_memory(linalg.as_matrix(a), a)
+    assert not np.shares_memory(linalg.as_vector(a[0]), a)
 
 
 def test_as_matrix_rejects_non_finite():

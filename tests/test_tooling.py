@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from biframekit import BiframeSystem, DiscreteMeasure, biframe
 
@@ -106,3 +107,19 @@ def test_a_parent_reads_the_spectrum_its_retargeted_child_traced():
     names = _traced(run)
     assert names.count("biframe.optimal_bounds") == 2
     assert names.count("linalg.hermitian_eigen") == 1
+
+
+@pytest.mark.parametrize("target", ["identity", "dense", "rank-deficient"])
+def test_traced_bounds_cost_one_eigensolve_for_every_target(target):
+    # the lower constant is read off the spectrum of Herm(S), whatever the target
+    rng = np.random.default_rng(8)
+    k = {"identity": np.eye(4), "dense": rng.normal(size=(4, 4)),
+         "rank-deficient": rng.normal(size=(4, 2)) @ rng.normal(size=(2, 4))}[target]
+    system = _system().with_target(k)
+
+    def run():
+        assert biframe.optimal_bounds(system).valid
+
+    assert _traced(run).count("linalg.hermitian_eigen") == 1
+    # the spectrum is cached now
+    assert _traced(run).count("linalg.hermitian_eigen") == 0
