@@ -271,8 +271,8 @@ def optimal_bounds(system: BiframeSystem, tol: float = DEFAULT_TOL) -> BoundsRep
     upper constant is ``lambda_max(Herm(S))``.  Validity means a strictly
     positive lower constant exists.  ``Herm(S)`` is decomposed once per set
     of samples: its spectrum is cached on the system, handed to
-    ``max_psd_shift``, and read for both constants and the negative-form
-    witness; ``K K*`` is never decomposed.
+    ``max_psd_shift`` (which takes no matrix), and read for both constants
+    and the negative-form witness; ``K K*`` is never decomposed.
 
     Eigensolves per call: 1 on a system whose spectrum is not yet cached,
     whatever the target; 0 once it is.
@@ -282,8 +282,7 @@ def optimal_bounds(system: BiframeSystem, tol: float = DEFAULT_TOL) -> BoundsRep
     """
     s = frame_operator(system)
     eig = _herm_spectrum(system)
-    shift = linalg.max_psd_shift(linalg.hermitian_part(s), system.target, tol=tol,
-                                 _spectrum=eig)
+    shift = linalg.max_psd_shift(eig, system.target, tol=tol)
     return BoundsReport(
         lower_opt=shift.amount,
         upper_opt=eig.max,

@@ -8,12 +8,12 @@ but its loop is pure Python and dominates the package's run time.  One
 :func:`hermitian_eigen` of a dense real matrix takes about 18 / 85 / 230 ms
 at dim 16 / 32 / 64, where ``numpy.linalg.eigh`` takes 0.05 / 0.11 / 0.37 ms
 (one BLAS thread, best of a few runs on a shared 2-core x86 box).  So
-eigensolves are not spent twice: :func:`max_psd_shift` needs only the
-spectrum of ``s``, whatever the factor ``k``, and one cache per set of
-samples holds the spectrum of ``Herm(S)``, which its systems hand to
-:func:`max_psd_shift` and :func:`sqrt_psd` (their private ``_spectrum``
-argument).  ``Herm(S)`` is decomposed once, however many bounds, checks and
-quotients read it, under however many targets.
+eigensolves are not spent twice.  :func:`hermitian_eigen` is the one door
+from a matrix to a spectrum: :func:`max_psd_shift` and :func:`sqrt_psd` take
+the :class:`EigenDecomposition` itself, never the matrix, and one cache per
+set of samples holds the spectrum of ``Herm(S)`` that its systems hand them.
+``Herm(S)`` is decomposed once, however many bounds, checks and quotients
+read it, under however many targets.
 Singular-value based helpers (pseudo-inverse, spectral norm, range/null
 bases) sit on ``numpy.linalg.svd`` with explicit rank thresholding.
 
@@ -95,9 +95,10 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(a) -> np.ndarray:
-    """Hermitian part ``(a + a*) / 2`` of a square matrix."""
+    """Hermitian part ``(a + a*) / 2`` of a square matrix, halved before the
+    sum so that it stays finite wherever ``a`` is."""
     m = as_matrix(a, square=True)
-    return (m + adjoint(m)) / 2.0
+    return m / 2.0 + adjoint(m) / 2.0
 
 
 def asymmetry(a) -> float:
@@ -152,17 +153,6 @@ def _binary_normalised(a: np.ndarray) -> tuple[np.ndarray, int]:
     return a / math.ldexp(1.0, e), e
 
 
-def _require_hermitian(a: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
-    # both norms of a / 2^e: those of a may underflow or overflow together
-    unit, _ = _binary_normalised(a)
-    defect, norm = np.linalg.norm(unit - adjoint(unit)), np.linalg.norm(unit)
-    if defect > tol * norm:
-        raise NotHermitianError(
-            f"{what} is not Hermitian: ||a - a*|| / ||a|| = {defect / norm:.3e} exceeds {tol:.1e}"
-        )
-    return (a + adjoint(a)) / 2.0
-
-
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
@@ -201,11 +191,13 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     (``beta = |a_pq|``; ``t = tan(theta)`` is the root of smaller modulus of
     ``t^2 + 2 tau t - 1 = 0``, ``tau = (a_qq - a_pp) / (2 beta)``).
 
-    The sweeps run on ``a / 2^e`` (:func:`_binary_normalised`) and the
+    The Hermitian check and the sweeps run on ``a / 2^e``
+    (:func:`_binary_normalised`), symmetrised once the check passes, and the
     eigenvalues are scaled back by ``2^e`` at the end, so the norms behind
-    the stopping rule neither underflow nor overflow at any scale, and
-    ``hermitian_eigen(2^j a)`` is ``2^j`` times ``hermitian_eigen(a)`` bit for
-    bit, vectors unchanged, while ``2^j a`` and its eigenvalues stay normal.
+    the check and the stopping rule neither underflow nor overflow at any
+    scale, and ``hermitian_eigen(2^j a)`` is ``2^j`` times
+    ``hermitian_eigen(a)`` bit for bit, vectors unchanged, while ``2^j a``
+    and its eigenvalues stay normal.
 
     Parameters
     ----------
@@ -230,7 +222,12 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
         off-diagonal mass).
     """
     m, e = _binary_normalised(as_matrix(a, square=True))
-    m = _require_hermitian(m, tol)
+    defect, norm = np.linalg.norm(m - adjoint(m)), np.linalg.norm(m)
+    if defect > tol * norm:
+        raise NotHermitianError(
+            f"matrix is not Hermitian: ||a - a*|| / ||a|| = {defect / norm:.3e} exceeds {tol:.1e}"
+        )
+    m = (m + adjoint(m)) / 2.0
     n = m.shape[0]
     complex_input = np.iscomplexobj(m)
     vecs = np.eye(n, dtype=m.dtype)
@@ -311,22 +308,20 @@ def min_eigenpair(a, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
 def is_psd(a, tol: float = DEFAULT_TOL) -> bool:
     """Whether a Hermitian matrix is positive semidefinite at tolerance.
 
-    True iff ``lambda_min(a) >= -tol * max|lambda(a)|``.  Use
-    :func:`min_eigenpair` when the failing direction is needed.
+    True iff ``lambda_min(a) >= -tol * max|lambda(a)|``.  When the failing
+    direction is needed, read it as ``hermitian_eigen(a, tol).vectors[:, 0]``.
     """
     return hermitian_eigen(a, tol=tol).is_psd(tol)
 
 
-def sqrt_psd(a, tol: float = DEFAULT_TOL, *,
-             _spectrum: EigenDecomposition | None = None) -> np.ndarray:
-    """Positive-semidefinite square root of a PSD matrix.
+def sqrt_psd(eig: EigenDecomposition, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Positive-semidefinite square root of a PSD matrix, given as its
+    spectrum ``eig = hermitian_eigen(a)``: no eigensolve of its own.
 
     Eigenvalues below the PSD tolerance are clamped to zero, so mild
     round-off on the input does not leak into the result.  Raises
-    :class:`NotPSDError` for genuinely indefinite input.  ``_spectrum``, when
-    given, is ``hermitian_eigen(a, tol)`` already computed.
+    :class:`NotPSDError` for genuinely indefinite input.
     """
-    eig = hermitian_eigen(a, tol=tol) if _spectrum is None else _spectrum
     cutoff = eig.cutoff(tol)
     if not eig.is_psd(tol):
         raise NotPSDError(f"matrix has eigenvalue {eig.min:.6e} < -{cutoff:.3e}")
@@ -413,13 +408,13 @@ class ShiftResult:
     degenerate: bool = False
 
 
-def max_psd_shift(s, k, tol: float = DEFAULT_TOL, *,
-                  _spectrum: EigenDecomposition | None = None) -> ShiftResult:
+def max_psd_shift(s_eig: EigenDecomposition, k, tol: float = DEFAULT_TOL) -> ShiftResult:
     """Largest ``a >= 0`` such that ``s - a*k k*`` stays positive semidefinite.
 
-    ``s`` must be Hermitian and the factor ``k`` (any column count) have as
-    many rows; ``k k*`` is PSD by construction.  Semidefiniteness of ``s`` is
-    tested at tolerance (:meth:`EigenDecomposition.is_psd`).
+    ``s`` is given as its spectrum ``s_eig = hermitian_eigen(s)``, and the
+    factor ``k`` (any column count) must have as many rows as ``s``; ``k k*``
+    is PSD by construction.  Semidefiniteness of ``s`` is tested at
+    tolerance (:meth:`EigenDecomposition.is_psd`).
 
     Once ``s`` is PSD the answer is the quotient constant
     ``1 / ||[k* / s^{1/2}]||^2`` (see :mod:`biframekit.quotient`), read off
@@ -453,9 +448,8 @@ def max_psd_shift(s, k, tol: float = DEFAULT_TOL, *,
     range the result is bit for bit the unscaled one.  ``degenerate`` is set
     only for a ``k`` that is exactly zero.
 
-    Eigensolves per call: 1, the decomposition of ``s``, whatever ``k`` is;
-    none when ``_spectrum``, ``hermitian_eigen(s, tol)`` already computed,
-    is given.
+    Eigensolves per call: 0, whatever ``k`` is; the spectrum of ``s`` is
+    read, not computed.
 
     Returns
     -------
@@ -471,13 +465,11 @@ def max_psd_shift(s, k, tol: float = DEFAULT_TOL, *,
         When a positive shift exists but ``amount / 4^e`` overflows or
         underflows to zero in float64; the message names the target scale.
     """
-    s_m = as_matrix(s, square=True)
     k_m = as_matrix(k)
-    if s_m.shape[0] != k_m.shape[0]:
-        raise DimensionMismatchError(f"shape mismatch: {s_m.shape} vs factor {k_m.shape}")
-    s_m = _require_hermitian(s_m, tol, "shift target")
-
-    s_eig = hermitian_eigen(s_m, tol=tol) if _spectrum is None else _spectrum
+    n = s_eig.values.shape[0]
+    if n != k_m.shape[0]:
+        raise DimensionMismatchError(
+            f"shape mismatch: spectrum of dimension {n} vs factor {k_m.shape}")
     k_unit, e = _binary_normalised(k_m)
     scale = math.ldexp(1.0, e)
     # k vanishes: the shift is unconstrained whenever s itself is PSD.
@@ -497,7 +489,7 @@ def max_psd_shift(s, k, tol: float = DEFAULT_TOL, *,
         u, sigma, _ = np.linalg.svd(w[null], full_matrices=False)
         if sigma[0] ** 2 > tol * p_max:
             return ShiftResult(None, unit_vector(v[:, null] @ u[:, 0]))
-    floored = (lam + np.maximum(lam, cutoff)) / 2.0
+    floored = lam / 2.0 + np.maximum(lam, cutoff) / 2.0  # halved first: stays finite
     live = floored > 0.0  # false only at lambda = -cutoff
     blocked = ~live & w.any(axis=1)
     if blocked.any():

@@ -381,7 +381,8 @@ def max_transfer_ratio(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) ->
         raise RangeNotContainedError(
             "operator range is not contained in the target range"
         )
-    shift = linalg.max_psd_shift(mat @ linalg.adjoint(mat), k, tol=tol)
+    shift = linalg.max_psd_shift(linalg.hermitian_eigen(mat @ linalg.adjoint(mat), tol=tol),
+                                 k, tol=tol)
     if shift.amount is None:
         return 0.0
     return float(np.sqrt(shift.amount))
@@ -427,11 +428,12 @@ def perturb_positive(system: BiframeSystem, t, power: int = 1, *,
         raise ValueError(f"power must be a positive integer, got {power!r}")
     mat = _as_operator(t, system.dim, "perturbation")
     try:
-        herm = linalg._require_hermitian(mat, tol, "perturbation")
+        psd = linalg.is_psd(mat, tol=tol)
     except NotHermitianError as exc:
         raise NotPSDError("perturbation must be self-adjoint to be PSD") from exc
-    if not linalg.is_psd(herm, tol=tol):
+    if not psd:
         raise NotPSDError("perturbation has a negative eigenvalue beyond tolerance")
+    herm = linalg.hermitian_part(mat)
     lower, upper = _valid_bounds(system, tol, "perturbation input")
     bump = np.eye(system.dim, dtype=herm.dtype) + np.linalg.matrix_power(herm, power)
     bump_norm = linalg.spectral_norm(bump)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .biframe import BiframeSystem, _herm_spectrum, frame_operator, optimal_bounds
+from .biframe import BiframeSystem, _herm_spectrum, optimal_bounds
 from .errors import DimensionMismatchError
 from .linalg import DEFAULT_TOL
 from .opcalc import _map_samples
@@ -129,8 +129,7 @@ def validity_cross_check(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> 
     :func:`~biframekit.linalg.sqrt_psd` raises
     :class:`~biframekit.errors.NotPSDError` otherwise.
     """
-    root = linalg.sqrt_psd(linalg.hermitian_part(frame_operator(system)), tol=tol,
-                           _spectrum=_herm_spectrum(system))
+    root = linalg.sqrt_psd(_herm_spectrum(system), tol=tol)
     report = optimal_bounds(system, tol=tol)
     quot = quotient_norm(linalg.adjoint(system.target), root)
     agree = bool(report.valid) == bool(quot.exists)
@@ -173,9 +172,8 @@ def transform_equivalences(system: BiframeSystem, t, *,
         raise DimensionMismatchError(
             f"transform is {t_mat.shape[0]}x{t_mat.shape[1]}, system dimension is {system.dim}"
         )
-    herm = linalg.hermitian_part(frame_operator(system))
-    # NotPSDError unless herm is PSD
-    root = linalg.sqrt_psd(herm, tol=tol, _spectrum=_herm_spectrum(system))
+    # NotPSDError unless Herm(S) is PSD
+    root = linalg.sqrt_psd(_herm_spectrum(system), tol=tol)
 
     pushed = _map_samples(system, t_mat, t_mat @ system.target)
     pushed_report = optimal_bounds(pushed, tol=tol)
@@ -183,8 +181,7 @@ def transform_equivalences(system: BiframeSystem, t, *,
     numerator = linalg.adjoint(pushed.target)
     plain = quotient_norm(numerator, root @ linalg.adjoint(t_mat))
     # Herm(S_pushed) = T H T*, already decomposed by optimal_bounds(pushed)
-    pushed_root = linalg.sqrt_psd(linalg.hermitian_part(frame_operator(pushed)), tol=tol,
-                                  _spectrum=_herm_spectrum(pushed))
+    pushed_root = linalg.sqrt_psd(_herm_spectrum(pushed), tol=tol)
     through = quotient_norm(numerator, pushed_root)
 
     target_scale = linalg.spectral_norm(system.target) * linalg.spectral_norm(t_mat)

@@ -176,12 +176,12 @@ def bisection_shift(s: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> float | 
 
 def reference_optimal_bounds(system: BiframeSystem, tol: float = linalg.DEFAULT_TOL) -> BoundsReport:
     """Independent reference for ``optimal_bounds``'s assembly: decomposes
-    ``Herm(S)`` itself for the upper constant and the negative-form witness,
-    beside the decomposition inside ``max_psd_shift``."""
+    ``Herm(S)`` itself, apart from the system's cached spectrum, and reads
+    the upper constant, the negative-form witness and (through
+    ``max_psd_shift``) the lower constant from that decomposition."""
     s = frame_operator(system)
-    herm = linalg.hermitian_part(s)
-    eig = linalg.hermitian_eigen(herm, tol=tol)
-    shift = linalg.max_psd_shift(herm, system.target, tol=tol)
+    eig = linalg.hermitian_eigen(linalg.hermitian_part(s), tol=tol)
+    shift = linalg.max_psd_shift(eig, system.target, tol=tol)
     return BoundsReport(
         lower_opt=shift.amount,
         upper_opt=eig.max,

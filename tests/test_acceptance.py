@@ -212,7 +212,7 @@ def test_criterion_08_pencil_vs_quotient_agreement():
                 # target is the PSD root of the planted Hermitian part, so
                 # the form's kernel matches range(K) and both routes agree
                 # on validity
-                target = linalg.sqrt_psd(herm)
+                target = linalg.sqrt_psd(linalg.hermitian_eigen(herm))
             sys_ = _planted_form_system(rng, herm, complex_, target)
         out = quotient.validity_cross_check(sys_)
         indeterminate += out.indeterminate
@@ -400,7 +400,7 @@ def test_criterion_12_construction_dominance():
         grow = np.eye(dim, dtype=bump.dtype) + np.linalg.matrix_power(bump, power)
         gram = gram_target(general)
         shift = linalg.max_psd_shift(
-            linalg.hermitian_part(grow @ gram @ linalg.adjoint(grow)), general.target)
+            linalg.hermitian_eigen(grow @ gram @ linalg.adjoint(grow)), general.target)
         provable = (None if shift.amount is None
                     else perturbed.guaranteed_lower * shift.amount)
         good, why = _dominates(dataclasses.replace(perturbed, guaranteed_lower=provable),

@@ -165,6 +165,18 @@ def test_zero_target_is_degenerate():
     assert report.valid
 
 
+def test_bounds_near_the_top_of_the_float64_range():
+    # Herm(S) = diag(1.5e308, 1e308): symmetrising and flooring halve before
+    # they add, so no sum overflows (warnings are errors in this suite)
+    m = bk.DiscreteMeasure(("a", "b"), np.array([1.5e308, 1e308]))
+    sys_ = bk.BiframeSystem.from_samples(m, np.eye(2), np.eye(2), np.eye(2))
+    report = bk.optimal_bounds(sys_)
+    assert report.valid
+    assert report.upper_opt == pytest.approx(1.5e308, rel=1e-14)
+    assert report.lower_opt == pytest.approx(1e308, rel=1e-14)
+    assert bk.check_bounds(sys_, 0.5e308, 1.6e308).ok
+
+
 # ---------------------------------------------------------------------------
 # claimed-bound verification
 

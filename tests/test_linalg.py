@@ -171,14 +171,14 @@ def test_is_psd_basic():
 @given(general_matrices)
 def test_sqrt_psd_squares_back(a):
     gram = a @ a.conj().T
-    root = linalg.sqrt_psd(gram)
+    root = linalg.sqrt_psd(linalg.hermitian_eigen(gram))
     assert np.allclose(root, root.conj().T, atol=1e-12 * max(1, np.linalg.norm(gram)))
     assert np.allclose(root @ root, gram, atol=1e-8 * max(1.0, float(np.linalg.norm(gram))))
 
 
 def test_sqrt_psd_rejects_indefinite():
     with pytest.raises(errors.NotPSDError):
-        linalg.sqrt_psd(np.diag([1.0, -1.0]))
+        linalg.sqrt_psd(linalg.hermitian_eigen(np.diag([1.0, -1.0])))
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +255,11 @@ def test_hermitian_part_and_asymmetry_decompose():
     assert skew == pytest.approx(np.linalg.norm(a - a.T, 2) / np.linalg.norm(a, 2))
 
 
+def test_hermitian_part_stays_finite_near_the_top_of_the_range():
+    h = np.diag([1.5e308, 1e308])
+    assert np.array_equal(linalg.hermitian_part(h), h)
+
+
 def test_canonical_sign_fixes_phase():
     v = linalg.canonical_sign(np.array([-0.6, 0.8]))
     assert v[0] > 0
@@ -280,39 +285,40 @@ def test_canonical_sign_fixes_phase():
     ],
 )
 def test_max_psd_shift_golden(s, k, expected):
-    res = linalg.max_psd_shift(s, k)
+    res = linalg.max_psd_shift(linalg.hermitian_eigen(s), k)
     assert res.amount == pytest.approx(expected, abs=1e-9)
     assert not res.degenerate
 
 
 def test_max_psd_shift_witness_is_tight_direction():
-    res = linalg.max_psd_shift(np.diag([5.0, 7.0, 11.0]), 2.0 * np.eye(3))
+    res = linalg.max_psd_shift(linalg.hermitian_eigen(np.diag([5.0, 7.0, 11.0])), 2.0 * np.eye(3))
     assert np.abs(res.witness) == pytest.approx([1.0, 0.0, 0.0], abs=1e-8)
 
 
 def test_max_psd_shift_indefinite_s_has_no_shift():
-    res = linalg.max_psd_shift(np.diag([1.0, -1.0]), np.eye(2))
+    res = linalg.max_psd_shift(linalg.hermitian_eigen(np.diag([1.0, -1.0])), np.eye(2))
     assert res.amount is None
     assert np.abs(res.witness) == pytest.approx([0.0, 1.0], abs=1e-10)
 
 
 def test_max_psd_shift_zero_reference_is_degenerate():
-    res = linalg.max_psd_shift(np.eye(2), np.zeros((2, 2)))
+    res = linalg.max_psd_shift(linalg.hermitian_eigen(np.eye(2)), np.zeros((2, 2)))
     assert res.degenerate
     assert res.amount == math.inf
     # ... unless s itself fails PSD
-    res2 = linalg.max_psd_shift(np.diag([1.0, -1.0]), np.zeros((2, 2)))
+    res2 = linalg.max_psd_shift(linalg.hermitian_eigen(np.diag([1.0, -1.0])), np.zeros((2, 2)))
     assert res2.degenerate and res2.amount is None
 
 
 def test_max_psd_shift_reads_a_column_major_complex_factor():
     # as_matrix keeps the memory order of a transposed input
     k = (np.diag([2.0, 4.0, 8.0]) + 0j).T
-    assert linalg.max_psd_shift(np.eye(3), k).amount == pytest.approx(1.0 / 64.0)
+    res = linalg.max_psd_shift(linalg.hermitian_eigen(np.eye(3)), k)
+    assert res.amount == pytest.approx(1.0 / 64.0)
 
 
 def test_max_psd_shift_zero_s_gives_none():
-    res = linalg.max_psd_shift(np.zeros((2, 2)), np.eye(2))
+    res = linalg.max_psd_shift(linalg.hermitian_eigen(np.zeros((2, 2))), np.eye(2))
     assert res.amount is None
 
 
@@ -327,20 +333,22 @@ def test_max_psd_shift_non_square_factor_matches_its_zero_padded_square_form(n, 
     square = np.hstack([square, np.zeros((n, n - square.shape[1]), dtype=square.dtype)])
     factor = square[:, :r] if r < n else np.hstack(
         [square, np.zeros((n, r - n), dtype=square.dtype)])
-    got, want = linalg.max_psd_shift(s, factor), linalg.max_psd_shift(s, square)
+    eig = linalg.hermitian_eigen(s)
+    got, want = linalg.max_psd_shift(eig, factor), linalg.max_psd_shift(eig, square)
     assert got.amount == pytest.approx(want.amount, rel=1e-9)
     assert got.witness == pytest.approx(want.witness, abs=1e-9)
 
 
 def test_max_psd_shift_shape_mismatch():
+    # a spectrum of dimension 2 against a factor with 3 rows
     with pytest.raises(errors.DimensionMismatchError):
-        linalg.max_psd_shift(np.eye(2), np.eye(3))
+        linalg.max_psd_shift(linalg.hermitian_eigen(np.eye(2)), np.eye(3))
 
 
 @pytest.mark.parametrize("k", [np.ones((2, 3)), np.ones((2, 5)), np.ones((4, 1))])
 def test_max_psd_shift_factor_rows_must_match_s(k):
     with pytest.raises(errors.DimensionMismatchError):
-        linalg.max_psd_shift(np.eye(3), k)
+        linalg.max_psd_shift(linalg.hermitian_eigen(np.eye(3)), k)
 
 
 def test_max_psd_shift_is_maximal():
@@ -360,7 +368,7 @@ def test_max_psd_shift_is_maximal():
         rank = int(rng.integers(1, n + 1))
         b = draw(rank)
         p = (b @ b.conj().T + (b @ b.conj().T).conj().T) / 2.0
-        res = linalg.max_psd_shift(s, b)
+        res = linalg.max_psd_shift(linalg.hermitian_eigen(s), b)
         assert res.amount is not None and res.amount > 0
         scale = max(1.0, np.linalg.norm(s, 2))
         feasible = np.linalg.eigvalsh(s - res.amount * p).min()
@@ -389,7 +397,7 @@ def test_max_psd_shift_matches_bisection_oracle():
             s = 10.0 ** int(rng.integers(-6, 7)) * s
             k = 10.0 ** int(rng.integers(-6, 7)) * k
         p = k @ k.conj().T
-        res = linalg.max_psd_shift(s, k)
+        res = linalg.max_psd_shift(linalg.hermitian_eigen(s), k)
         expected = bisection_shift(s, p)
         assert (res.amount is None) == (expected is None)
         if expected is not None:
@@ -408,14 +416,14 @@ def test_max_psd_shift_is_feasible_on_near_boundary_pencils(b, mu):
     # which s - a*p violates by ~b)
     s = np.array([[1.0, b], [b, mu]])
     k = np.diag([1.0, 0.0])
-    res = linalg.max_psd_shift(s, k)
+    res = linalg.max_psd_shift(linalg.hermitian_eigen(s), k)
     assert res.amount is not None
     assert np.linalg.eigvalsh(s - res.amount * k @ k.T).min() >= -1e-9
 
 
 def test_max_psd_shift_drops_an_unseen_direction_floored_to_zero():
     # lambda_min = -cutoff floors to exactly 0; k* does not see that direction
-    res = linalg.max_psd_shift(np.diag([1.0, -1e-9]), np.diag([1.0, 0.0]))
+    res = linalg.max_psd_shift(linalg.hermitian_eigen(np.diag([1.0, -1e-9])), np.diag([1.0, 0.0]))
     assert res.amount == 1.0
     assert np.array_equal(res.witness, [1.0, 0.0])
 
@@ -423,7 +431,8 @@ def test_max_psd_shift_drops_an_unseen_direction_floored_to_zero():
 def test_max_psd_shift_has_no_shift_on_a_seen_direction_floored_to_zero():
     # k* sees e2 by 1e-6, inside the range test's band, but any a > 0 takes
     # s - a*k k* below -cutoff along e2
-    res = linalg.max_psd_shift(np.diag([1.0, -1e-9]), np.array([[1.0, 0.0], [1e-6, 0.0]]))
+    res = linalg.max_psd_shift(linalg.hermitian_eigen(np.diag([1.0, -1e-9])),
+                               np.array([[1.0, 0.0], [1e-6, 0.0]]))
     assert res.amount is None
     assert np.array_equal(res.witness, [0.0, 1.0])
 
@@ -449,7 +458,7 @@ def test_max_psd_shift_keeps_the_pencil_psd_at_tolerance(pencil):
     # the floor lifts each eigenvalue of s by at most the cutoff, so the
     # shift it reports leaves s - a*k k* >= -cutoff * I, up to round-off
     s, k = pencil
-    res = linalg.max_psd_shift(s, k)
+    res = linalg.max_psd_shift(linalg.hermitian_eigen(s), k)
     if res.amount is None:
         return
     spectrum = np.linalg.eigvalsh(s)

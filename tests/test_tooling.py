@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biframekit import BiframeSystem, DiscreteMeasure, biframe
+from biframekit import BiframeSystem, DiscreteMeasure, biframe, opcalc, quotient
 
 PAIR = '''
 from hypothesis import given, strategies as st
@@ -123,3 +123,31 @@ def test_traced_bounds_cost_one_eigensolve_for_every_target(target):
     assert _traced(run).count("linalg.hermitian_eigen") == 1
     # the spectrum is cached now
     assert _traced(run).count("linalg.hermitian_eigen") == 0
+
+
+def test_traced_quotient_checks_read_the_cached_spectrum():
+    # sqrt_psd and max_psd_shift take a spectrum, so a quotient check on a
+    # warm system shows its root as a sqrt_psd span and no eigensolve
+    system = _system()
+    assert biframe.optimal_bounds(system).valid
+
+    names = _traced(lambda: quotient.validity_cross_check(system))
+    assert names.count("linalg.sqrt_psd") == 1
+    assert names.count("linalg.hermitian_eigen") == 0
+
+    t = np.diag([1.0, 2.0, 3.0, 4.0]) + np.triu(np.ones((4, 4)), 1)
+    names = _traced(lambda: quotient.transform_equivalences(system, t))
+    # the pushed system's Herm(S) is new: one eigensolve, whose spectrum
+    # both its bounds and its root read; the other root is the cached one's
+    assert names.count("linalg.hermitian_eigen") == 1
+    assert names.count("linalg.sqrt_psd") == 2
+
+
+@pytest.mark.parametrize("rule", ["max_transfer_ratio", "perturb_positive"])
+def test_traced_operator_rules_decompose_their_operator_once(rule):
+    system = _system()
+    assert biframe.optimal_bounds(system).valid
+    u = np.diag([1.0, 0.5, 0.25, 2.0])
+
+    names = _traced(lambda: getattr(opcalc, rule)(system, u))
+    assert names.count("linalg.hermitian_eigen") == 1
