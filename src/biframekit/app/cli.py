@@ -354,9 +354,7 @@ def tensor(ctx: click.Context, left: str, right: str, output: str) -> None:
     s_left = frame_operator(ts.left)
     s_right = frame_operator(ts.right)
     s_comb = frame_operator(ts.combined)
-    kron_gap = float(np.linalg.norm(s_comb - kron(s_left, s_right)))
-    if kron_gap:
-        kron_gap /= float(np.linalg.norm(s_comb))
+    kron_gap = linalg.relative_gap(s_comb, kron(s_left, s_right))
 
     try:
         lb, rb, cb = (optimal_bounds(s, tol=tol) for s in (ts.left, ts.right, ts.combined))

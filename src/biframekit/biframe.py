@@ -242,6 +242,13 @@ def gram_target(system: BiframeSystem) -> np.ndarray:
     return k @ linalg.adjoint(k)
 
 
+def _scaled_gram(system: BiframeSystem, c: float) -> np.ndarray:
+    """``c K K*`` for ``c >= 0``, formed as ``(sqrt(c) K)(sqrt(c) K)*``: it
+    stays finite wherever the product does, even where ``K K*`` would not."""
+    k = math.sqrt(c) * system.target
+    return k @ linalg.adjoint(k)
+
+
 @dataclass(frozen=True, eq=False)
 class BoundsReport:
     """Outcome of :func:`optimal_bounds`.
@@ -402,37 +409,25 @@ class Classification:
 
 
 def classify(system: BiframeSystem, tol: float = DEFAULT_TOL) -> Classification:
-    """Structural classification.
+    """Structural classification; each equality is ``linalg.relative_gap``.
 
     * ``families_equal`` -- analysis and synthesis samples coincide;
-    * ``tight`` -- ``Herm(S) = c * K K*`` for some ``c > 0`` (least-squares
-      fit of ``c``, then a residual check);
-    * ``parseval`` -- tight with constant 1;
+    * ``tight`` -- valid, with a nonzero target and ``Herm(S) = A K K*`` for
+      ``A = lower_opt``, the only constant that can fit; ``tight_constant``;
+    * ``parseval`` -- tight with constant 1, ``|A - 1| <= tol``;
     * ``bessel_only`` -- the upper bound is finite (always, here) but no
       positive lower bound exists.
     """
-    fa = system.analysis.samples
-    fs = system.synthesis.samples
-    families_equal = bool(np.linalg.norm(fa - fs) <= tol * np.linalg.norm(fa))
-
-    herm = linalg.hermitian_part(frame_operator(system))
-    gram = gram_target(system)
-    herm_scale = float(np.linalg.norm(herm))
-    gram_sq = float(np.real(np.vdot(gram, gram)))
-    tight = False
-    constant: float | None = None
-    if gram_sq > 0.0:
-        fit = float(np.real(np.vdot(gram, herm))) / gram_sq
-        if fit > 0.0 and float(np.linalg.norm(herm - fit * gram)) <= tol * herm_scale:
-            tight = True
-            constant = fit
-    parseval = bool(float(np.linalg.norm(herm - gram)) <= tol * herm_scale)
-
+    families_equal = linalg.relative_gap(system.analysis.samples,
+                                         system.synthesis.samples) <= tol
     report = optimal_bounds(system, tol=tol)
+    a = report.lower_opt
+    tight = report.valid and not report.degenerate and linalg.relative_gap(
+        linalg.hermitian_part(frame_operator(system)), _scaled_gram(system, a)) <= tol
     return Classification(
         families_equal=families_equal,
         tight=tight,
-        tight_constant=constant,
-        parseval=parseval,
+        tight_constant=a if tight else None,
+        parseval=tight and abs(a - 1.0) <= tol,
         bessel_only=not report.valid,
     )

@@ -21,9 +21,10 @@ Every verdict in the package has one tolerance rule: a quantity counts as
 zero when it is at most ``tol`` times a norm of the problem the verdict is
 about, with no absolute floor, so scaling a problem leaves its verdicts
 unchanged.  PSD tests use ``max|lambda|`` (:meth:`EigenDecomposition.cutoff`),
-Hermitian tests ``||a||_F``, rank decisions ``sigma_max`` (at
-:data:`DEFAULT_TOL`), and bound claims the optimal bound they are compared
-with: a claimed pair holds iff ``lower <= lower_opt + tol * lower_opt`` and
+rank decisions ``sigma_max`` (at :data:`DEFAULT_TOL`), every equality verdict
+``||a||_F``, as ``relative_gap(a, b) <= tol`` (:func:`relative_gap`), and
+bound claims the optimal bound they are compared with: a claimed pair holds
+iff ``lower <= lower_opt + tol * lower_opt`` and
 ``upper >= upper_opt - tol * |upper_opt|`` (``check_bounds``, the CLI's
 ``construct`` dominance and the tensor product law all decide by it).
 
@@ -153,6 +154,16 @@ def _binary_normalised(a: np.ndarray) -> tuple[np.ndarray, int]:
     return a / math.ldexp(1.0, e), e
 
 
+def relative_gap(a, b) -> float:
+    """``||a - b||_F / ||a||_F`` (0 when both vanish, ``inf`` when only ``a``
+    does): every equality verdict is ``relative_gap(a, b) <= tol``.  Both
+    norms are taken on the pair divided by one power of two, so neither
+    over- nor underflows, and in range the ratio is the plain one bit for bit."""
+    pair, _ = _binary_normalised(np.stack([np.asarray(a), np.asarray(b)]))
+    top, gap = np.linalg.norm(pair[0]), np.linalg.norm(pair[0] - pair[1])
+    return float(gap / top) if top else (math.inf if gap else 0.0)
+
+
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
@@ -202,7 +213,7 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     Parameters
     ----------
     a
-        Square matrix with ``||a - a*||_F <= tol * ||a||_F``.
+        Square matrix with ``relative_gap(a, a*) <= tol``.
     tol
         Hermitian-defect tolerance; defaults to :data:`DEFAULT_TOL`.
 
@@ -222,10 +233,10 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
         off-diagonal mass).
     """
     m, e = _binary_normalised(as_matrix(a, square=True))
-    defect, norm = np.linalg.norm(m - adjoint(m)), np.linalg.norm(m)
-    if defect > tol * norm:
+    defect = relative_gap(m, adjoint(m))
+    if defect > tol:
         raise NotHermitianError(
-            f"matrix is not Hermitian: ||a - a*|| / ||a|| = {defect / norm:.3e} exceeds {tol:.1e}"
+            f"matrix is not Hermitian: ||a - a*|| / ||a|| = {defect:.3e} exceeds {tol:.1e}"
         )
     m = (m + adjoint(m)) / 2.0
     n = m.shape[0]

@@ -27,6 +27,7 @@ from . import linalg
 from .biframe import (
     BiframeSystem,
     BoundsReport,
+    _scaled_gram,
     frame_operator,
     gram_target,
     optimal_bounds,
@@ -104,12 +105,11 @@ def _valid_bounds(system: BiframeSystem, tol: float, what: str) -> tuple[float, 
 
 
 def _require_identity_target(system: BiframeSystem, tol: float, what: str) -> None:
-    eye = np.eye(system.dim)
-    gap = float(np.linalg.norm(system.target - eye))
-    if gap > tol * np.linalg.norm(system.target):
+    gap = linalg.relative_gap(system.target, np.eye(system.dim))
+    if gap > tol:
         raise NotABiframeError(
             f"{what} expects a plain system (identity target); "
-            f"the target differs from the identity by {gap:.3e}"
+            f"the target differs from the identity by {gap:.3e} relative to its norm"
         )
 
 
@@ -453,27 +453,23 @@ def tight_scaling_check(system: BiframeSystem, tight_constant: float,
     The input must be tight against its target with constant
     ``tight_constant`` (``Herm(S) = A_1 K K*``, verified).  Tightness as a
     plain system with constant ``A_2`` is then equivalent to
-    ``(A_1/A_2) K K* = I``, which is what this checks.
+    ``(A_1/A_2) K K* = I``, which is what this checks (Frobenius, by
+    ``linalg.relative_gap``, as is the tightness check).
     """
     if not (tight_constant > 0.0 and plain_constant > 0.0):
         raise MalformedBoundsError("tightness constants must be positive")
     herm = linalg.hermitian_part(frame_operator(system))
-    gram = gram_target(system)
-    defect = float(np.linalg.norm(herm - tight_constant * gram))
-    if defect > tol * np.linalg.norm(herm):
+    defect = linalg.relative_gap(herm, _scaled_gram(system, tight_constant))
+    if defect > tol:
         raise NotTightError(
-            f"system is not tight with constant {tight_constant!r} (defect {defect:.3e})"
+            f"system is not tight with constant {tight_constant!r} (relative defect {defect:.3e})"
         )
     ratio = tight_constant / plain_constant
-    gap = linalg.spectral_norm(ratio * gram - np.eye(system.dim))
-    return bool(gap <= tol * ratio * linalg.spectral_norm(gram))
+    return linalg.relative_gap(_scaled_gram(system, ratio), np.eye(system.dim)) <= tol
 
 
 def parseval_check(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> bool:
     """True when the system is Parseval: ``Herm(S) = K K* = I`` at tolerance."""
-    herm = linalg.hermitian_part(frame_operator(system))
-    gram = gram_target(system)
     eye = np.eye(system.dim)
-    herm_ok = np.linalg.norm(herm - eye) <= tol * np.linalg.norm(herm)
-    gram_ok = np.linalg.norm(gram - eye) <= tol * np.linalg.norm(gram)
-    return bool(herm_ok and gram_ok)
+    return (linalg.relative_gap(linalg.hermitian_part(frame_operator(system)), eye) <= tol
+            and linalg.relative_gap(gram_target(system), eye) <= tol)

@@ -151,7 +151,8 @@ class TransformEquivalences:
     * ``quotient_plain`` -- ``[(T K)* / H^{1/2} T*]`` exists;
     * ``quotient_pushed`` -- ``[(T K)* / (T H T*)^{1/2}]`` exists.
 
-    ``degenerate`` flags ``T K = 0``, where all three hold vacuously.
+    ``degenerate`` flags an exactly zero ``T K``, where all three hold
+    vacuously.
     """
 
     pushed_valid: bool
@@ -183,12 +184,9 @@ def transform_equivalences(system: BiframeSystem, t, *,
     # Herm(S_pushed) = T H T*, already decomposed by optimal_bounds(pushed)
     pushed_root = linalg.sqrt_psd(_herm_spectrum(pushed), tol=tol)
     through = quotient_norm(numerator, pushed_root)
-
-    target_scale = linalg.spectral_norm(system.target) * linalg.spectral_norm(t_mat)
-    degenerate = linalg.spectral_norm(pushed.target) <= tol * target_scale
     return TransformEquivalences(
         pushed_valid=bool(pushed_report.valid),
         quotient_plain=bool(plain.exists),
         quotient_pushed=bool(through.exists),
-        degenerate=bool(degenerate),
+        degenerate=pushed_report.degenerate,
     )

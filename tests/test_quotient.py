@@ -136,6 +136,14 @@ class TestTransformEquivalences:
         assert out.degenerate
         assert out.all_agree  # everything collapses to the zero system
 
+    def test_a_small_nonzero_pushed_target_is_not_degenerate(self):
+        # T K = diag(1e-11, 0, 0) is small beside ||T|| ||K|| = 1 but not
+        # zero, and the pushed system is valid against it
+        sys_ = fixture("example-3-11").with_target(np.diag([1e-11, 1.0, 1.0]))
+        out = quotient.transform_equivalences(sys_, np.diag([1.0, 0.0, 0.0]))
+        assert not out.degenerate
+        assert out.pushed_valid and out.all_agree
+
     def test_transform_may_be_indefinite(self):
         # the transform is arbitrary; only the system's form must be PSD
         out = quotient.transform_equivalences(fixture("example-3-11"), -np.eye(3))

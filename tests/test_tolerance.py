@@ -9,6 +9,7 @@ the two families.  Every verdict must follow, which holds only when each
 threshold is relative to the problem it is about.
 """
 
+import ast
 import math
 import re
 from pathlib import Path
@@ -23,13 +24,27 @@ from biframekit import (
     DiscreteMeasure,
     biframe_form,
     check_bounds,
+    classify,
+    linalg,
+    opcalc,
     optimal_bounds,
     swap,
 )
+from biframekit.errors import NotTightError
 from biframekit.app.fixtures import fixture
 from helpers import random_matrix, random_system, random_target, random_valid_system
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "biframekit"
+
+
+def _weighted(system: BiframeSystem, c: float) -> BiframeSystem:
+    """The system with every weight multiplied by ``c``."""
+    return BiframeSystem(
+        measure=DiscreteMeasure(system.measure.ids, c * system.measure.weights),
+        analysis=system.analysis,
+        synthesis=system.synthesis,
+        target=system.target,
+    )
 
 
 def _two_by_two(weight: float) -> BiframeSystem:
@@ -130,12 +145,7 @@ def _baseline(system: BiframeSystem):
 def test_scaling_the_weights_scales_the_bounds_and_keeps_every_verdict(system, exponent):
     c = 10.0 ** exponent
     report, claims, verdicts = _baseline(system)
-    scaled = BiframeSystem(
-        measure=DiscreteMeasure(system.measure.ids, c * system.measure.weights),
-        analysis=system.analysis,
-        synthesis=system.synthesis,
-        target=system.target,
-    )
+    scaled = _weighted(system, c)
     moved = optimal_bounds(scaled)
     want_lower = None if report.lower_opt is None else c * report.lower_opt
     assert _same_bound(moved.lower_opt, want_lower)
@@ -233,18 +243,85 @@ def test_unitary_change_of_basis_and_swap_keep_bounds_and_verdicts(system, seed)
 
 
 # ---------------------------------------------------------------------------
+# equality verdicts at the ends of the float range
+
+
+_EXTREME_WEIGHTS = [1e200, 1e-200, 2.0**600, 2.0**-600]
+
+
+def _tight_system() -> BiframeSystem:
+    """``F = G = sqrt(3) I`` with unit weights and ``K = I``: ``Herm(S) = 3 I``."""
+    f = np.sqrt(3.0) * np.eye(2)
+    return BiframeSystem.from_samples(DiscreteMeasure(("a", "b"), np.ones(2)), f, f, np.eye(2))
+
+
+@pytest.mark.parametrize("c", _EXTREME_WEIGHTS)
+def test_extreme_weights_keep_the_equality_verdicts_of_a_system_that_is_not_tight(c):
+    base = fixture("example-3-3").with_target(np.eye(3))  # Herm(S) = diag(4, 3, 2)
+    scaled = _weighted(base, c)
+    assert classify(scaled) == classify(base)
+    assert opcalc.parseval_check(scaled) is False
+    with pytest.raises(NotTightError):
+        opcalc.tight_scaling_check(scaled, c, c)
+
+
+@pytest.mark.parametrize("c", [1.0] + _EXTREME_WEIGHTS)
+def test_extreme_weights_keep_a_tight_system_tight(c):
+    flags = classify(_weighted(_tight_system(), c))
+    assert flags.tight and not flags.parseval
+    assert flags.tight_constant == pytest.approx(3.0 * c, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [1e100, 1e-100])
+def test_an_extreme_target_scale_keeps_a_tight_system_tight(c):
+    flags = classify(_tight_system().with_target(c * np.eye(2)))
+    assert flags.tight and not flags.parseval
+    assert flags.tight_constant == pytest.approx(3.0 / c / c, rel=1e-12, abs=0.0)
+
+
+def test_relative_gap_is_the_plain_ratio_and_scale_free():
+    zero = np.zeros((2, 2))
+    assert linalg.relative_gap(zero, zero) == 0.0
+    assert linalg.relative_gap(zero, np.eye(2)) == math.inf
+    rng = np.random.default_rng(5)
+    a = random_matrix(rng, 3, 3, True)
+    b = a + 1e-3 * random_matrix(rng, 3, 3, True)
+    gap = linalg.relative_gap(a, b)
+    assert gap == float(np.linalg.norm(a - b)) / float(np.linalg.norm(a))
+    for j in (900, -900):
+        two_j = math.ldexp(1.0, j)
+        assert linalg.relative_gap(two_j * a, two_j * b) == gap
+
+
+# ---------------------------------------------------------------------------
 # tooling guard
+
+
+def _relative_gap_lines() -> range:
+    tree = ast.parse((SRC / "linalg.py").read_text(encoding="utf-8"))
+    node = next(n for n in tree.body
+                if isinstance(n, ast.FunctionDef) and n.name == "relative_gap")
+    return range(node.lineno, node.end_lineno + 1)
 
 
 def test_no_second_tolerance_rule_in_the_package():
     """Each verdict compares against ``tol`` times a norm of its problem; a
     ``max(1, ...)`` floor, a second tolerance constant or an absolute slack
-    would bring back a cutoff that does not scale with the problem."""
+    would bring back a cutoff that does not scale with the problem.  Every
+    equality verdict reads ``linalg.relative_gap``: a hand-written Frobenius
+    comparison ``np.linalg.norm(x - y)`` anywhere else squares its entries
+    on a scale of its own, and over- or underflows at the ends of the range."""
     banned = re.compile(r"max\(1|RANK_TOL|rank_tol|_DOMINANCE_SLACK")
-    found = [
-        f"{path.relative_to(SRC)}:{number}: {line.strip()}"
-        for path in sorted(SRC.rglob("*.py"))
-        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if banned.search(line)
-    ]
+    frobenius = re.compile(r"np\.linalg\.norm\([^)]*\s-\s")
+    allowed = {("linalg.py", number) for number in _relative_gap_lines()}
+    found, seen = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            hand_written = frobenius.search(line)
+            if hand_written and (name, number) in allowed:
+                seen.append(number)
+            elif banned.search(line) or hand_written:
+                found.append(f"{name}:{number}: {line.strip()}")
+    assert seen, "the Frobenius pattern no longer matches linalg.relative_gap itself"
     assert not found, "\n".join(found)
