@@ -28,6 +28,7 @@ import numpy as np
 
 from .. import linalg
 from ..biframe import (
+    _check_claim,
     _claim_holds,
     biframe_form,
     check_bounds,
@@ -401,8 +402,8 @@ def demo(ctx: click.Context, name: str) -> None:
         system, claim = record.system, record.claimed_bounds
         description = record.description
 
-    outcome = check_bounds(system, *claim, tol=tol)
     report = optimal_bounds(system, tol=tol)
+    outcome = _check_claim(system, report, *claim, tol)
     rows = [
         ("name", name, f"{name}: {description}"),
         ("description", description, None),

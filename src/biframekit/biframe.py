@@ -92,8 +92,9 @@ class BiframeSystem:
     analysis: SampledField
     synthesis: SampledField
     target: np.ndarray
-    # every entry depends only on the measure and the two families, so
-    # systems that differ only in the target share one dict
+    # what the samples alone determine: S, Herm(S), its spectrum, ||S|| and
+    # the asymmetry, each made once by _cached; nothing here depends on the
+    # target, so with_target shares the dict
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -136,8 +137,9 @@ class BiframeSystem:
     def with_target(self, target) -> "BiframeSystem":
         """Same samples and weights, different target operator.
 
-        The new system shares this one's cache: its frame operator, norm
-        and spectrum of ``Herm(S)``, computed on either system, serve both."""
+        The new system shares this one's cache: ``S``, ``Herm(S)``, its
+        spectrum, ``||S||`` and the asymmetry, computed on either system,
+        serve both."""
         return BiframeSystem(
             measure=self.measure,
             analysis=self.analysis,
@@ -165,18 +167,30 @@ def synthesis(field_: SampledField, measure: DiscreteMeasure, coeffs) -> np.ndar
     return (measure.weights * c) @ field_.samples
 
 
+def _cached(system: BiframeSystem, key: str, make):
+    """``system._cache[key]``, made by ``make()`` on first use: the one door
+    to the cache.  A stored array, or the arrays of a stored spectrum, are
+    made read-only, so what one caller reads no other can change."""
+    if key not in system._cache:
+        value = make()
+        arrays = vars(value).values() if isinstance(value, linalg.EigenDecomposition) else [value]
+        for arr in arrays:
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        system._cache[key] = value
+    return system._cache[key]
+
+
 def frame_operator(system: BiframeSystem) -> np.ndarray:
     """Accumulated operator ``S = sum_i w_i G_i F_i*`` (so ``<S f, f>`` equals
     the system's quadratic form).  Cached on the system."""
-    cached = system._cache.get("frame_operator")
-    if cached is None:
-        w = system.measure.weights
-        f_mat = system.analysis.samples
-        g_mat = system.synthesis.samples
-        cached = g_mat.T @ (w[:, None] * np.conj(f_mat))
-        cached.flags.writeable = False
-        system._cache["frame_operator"] = cached
-    return cached
+    return _cached(system, "frame_operator", lambda: system.synthesis.samples.T @ (
+        system.measure.weights[:, None] * np.conj(system.analysis.samples)))
+
+
+def _herm_part(system: BiframeSystem) -> np.ndarray:
+    """``Herm(S)``, read-only and cached on the system."""
+    return _cached(system, "herm_part", lambda: linalg.hermitian_part(frame_operator(system)))
 
 
 def _herm_spectrum(system: BiframeSystem) -> linalg.EigenDecomposition:
@@ -184,13 +198,7 @@ def _herm_spectrum(system: BiframeSystem) -> linalg.EigenDecomposition:
 
     ``hermitian_part`` is exactly Hermitian, so no tolerance enters it: one
     entry serves every ``tol``."""
-    cached = system._cache.get("herm_spectrum")
-    if cached is None:
-        cached = linalg.hermitian_eigen(linalg.hermitian_part(frame_operator(system)))
-        cached.values.flags.writeable = False
-        cached.vectors.flags.writeable = False
-        system._cache["herm_spectrum"] = cached
-    return cached
+    return _cached(system, "herm_spectrum", lambda: linalg.hermitian_eigen(_herm_part(system)))
 
 
 def biframe_form(system: BiframeSystem, f, tol: float = DEFAULT_TOL) -> float:
@@ -204,10 +212,7 @@ def biframe_form(system: BiframeSystem, f, tol: float = DEFAULT_TOL) -> float:
     coeff = np.conj(system.analysis.samples) @ vec
     recon = system.synthesis.samples @ np.conj(vec)
     value = complex(system.measure.weights @ (coeff * recon))
-    op_norm = system._cache.get("frame_norm")
-    if op_norm is None:
-        op_norm = linalg.spectral_norm(frame_operator(system))
-        system._cache["frame_norm"] = op_norm
+    op_norm = _cached(system, "frame_norm", lambda: linalg.spectral_norm(frame_operator(system)))
     scale = float(np.real(np.vdot(vec, vec))) * op_norm
     if scale > 0.0 and abs(value.imag) > tol * scale:
         warnings.warn(
@@ -279,15 +284,16 @@ def optimal_bounds(system: BiframeSystem, tol: float = DEFAULT_TOL) -> BoundsRep
     positive lower constant exists.  ``Herm(S)`` is decomposed once per set
     of samples: its spectrum is cached on the system, handed to
     ``max_psd_shift`` (which takes no matrix), and read for both constants
-    and the negative-form witness; ``K K*`` is never decomposed.
+    and the negative-form witness; ``K K*`` is never decomposed.  The
+    asymmetry is cached beside it.
 
     Eigensolves per call: 1 on a system whose spectrum is not yet cached,
-    whatever the target; 0 once it is.
+    whatever the target; 0 once it is.  SVDs outside ``max_psd_shift``:
+    the two of :func:`linalg.asymmetry` on a cold system, none on a warm one.
 
     A positive lower constant outside the float64 range (a target of
     extreme scale) raises ``OverflowError`` (:func:`linalg.max_psd_shift`).
     """
-    s = frame_operator(system)
     eig = _herm_spectrum(system)
     shift = linalg.max_psd_shift(eig, system.target, tol=tol)
     return BoundsReport(
@@ -296,7 +302,8 @@ def optimal_bounds(system: BiframeSystem, tol: float = DEFAULT_TOL) -> BoundsRep
         valid=shift.amount is not None and shift.amount > 0.0,
         witness_lower=shift.witness,
         witness_negative_form=None if eig.is_psd(tol) else eig.vectors[:, 0].copy(),
-        asymmetry=linalg.asymmetry(s),
+        asymmetry=_cached(system, "asymmetry",
+                          lambda: linalg.asymmetry(frame_operator(system))),
         degenerate=shift.degenerate,
     )
 
@@ -363,7 +370,14 @@ def check_bounds(system: BiframeSystem, lower: float, upper: float,
         raise MalformedBoundsError(
             f"need 0 < lower <= upper, got lower={lower!r} upper={upper!r}"
         )
-    report = optimal_bounds(system, tol=tol)
+    return _check_claim(system, optimal_bounds(system, tol=tol), lower, upper, tol)
+
+
+def _check_claim(system: BiframeSystem, report: BoundsReport, lower: float, upper: float,
+                 tol: float) -> BoundsVerification:
+    """:func:`check_bounds` on a well-formed claim, decided against ``report =
+    optimal_bounds(system, tol=tol)``: a caller that holds the report (the
+    CLI's ``demo``, which prints it) pays for no second one."""
     lower_ok, upper_ok = _claim_holds(report, lower, upper, tol)
     witness = None
     if not lower_ok:
@@ -371,8 +385,7 @@ def check_bounds(system: BiframeSystem, lower: float, upper: float,
         if report.lower_opt is None and report.witness_negative_form is None:
             # a PSD form with its lower constant within tolerance of zero:
             # the tight direction is evidence only where it breaks the claim
-            h = linalg.hermitian_part(frame_operator(system))
-            form = np.real(np.vdot(witness, h @ witness))
+            form = np.real(np.vdot(witness, _herm_part(system) @ witness))
             if not form < lower * np.linalg.norm(linalg.adjoint(system.target) @ witness) ** 2:
                 witness = None
     elif not upper_ok:
@@ -423,7 +436,7 @@ def classify(system: BiframeSystem, tol: float = DEFAULT_TOL) -> Classification:
     report = optimal_bounds(system, tol=tol)
     a = report.lower_opt
     tight = report.valid and not report.degenerate and linalg.relative_gap(
-        linalg.hermitian_part(frame_operator(system)), _scaled_gram(system, a)) <= tol
+        _herm_part(system), _scaled_gram(system, a)) <= tol
     return Classification(
         families_equal=families_equal,
         tight=tight,

@@ -124,8 +124,6 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
         return v.copy()
     idx = int(np.argmax(np.abs(v) > 1e-12 * scale))
     pivot = v[idx]
-    if pivot == 0:  # pragma: no cover - argmax guarantees a nonzero pivot
-        return v.copy()
     factor = np.conj(pivot) / abs(pivot)
     out = v * factor + 0.0  # + 0.0 turns the -0.0 a negative factor leaves into 0.0
     if not np.iscomplexobj(v):
@@ -386,16 +384,19 @@ def orthonormal_nullspace(a) -> np.ndarray:
     return adjoint(vh)[:, _rank(sigma):]
 
 
-def invert(a) -> np.ndarray:
-    """Inverse of a square matrix; :class:`SingularOperatorError` when the
-    smallest singular value sits at or below the rank cutoff."""
+def invert(a) -> tuple[np.ndarray, np.ndarray]:
+    """``(inverse, sigma)`` of a square matrix: ``sigma`` holds its singular
+    values (descending), which decide invertibility, so ``||a|| = sigma[0]``
+    and ``||a^-1|| = 1 / sigma[-1]`` cost no further SVD.
+    :class:`SingularOperatorError` when the smallest singular value sits at
+    or below the rank cutoff."""
     m = as_matrix(a, square=True)
     sigma = np.linalg.svd(m, compute_uv=False)
     if _rank(sigma) < m.shape[0]:
         raise SingularOperatorError(
             f"matrix is singular at rank tolerance {DEFAULT_TOL:.1e} (sigma_min={sigma[-1]:.3e})"
         )
-    return np.linalg.inv(m)
+    return np.linalg.inv(m), sigma
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,8 @@ and the tests track how often the claim survives instead of asserting it.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,9 +29,9 @@ from . import linalg
 from .biframe import (
     BiframeSystem,
     BoundsReport,
+    _herm_part,
     _scaled_gram,
     frame_operator,
-    gram_target,
     optimal_bounds,
 )
 from .errors import (
@@ -304,14 +306,13 @@ def canonical_dual(system: BiframeSystem, new_target, *, tol: float = DEFAULT_TO
     _require_identity_target(system, tol, "canonical_dual")
     lower, upper = _valid_bounds(system, tol, "dual input")
     k = _as_operator(new_target, system.dim, "new target")
-    s = frame_operator(system)
     try:
-        s_inv = linalg.invert(s)
+        s_inv, sigma = linalg.invert(frame_operator(system))
     except SingularOperatorError as exc:
         raise SingularFrameOperatorError(
             "frame operator is numerically singular; no canonical dual exists"
         ) from exc
-    s_norm, inv_norm, k_norm = (linalg.spectral_norm(m) for m in (s, s_inv, k))
+    s_norm, inv_norm, k_norm = float(sigma[0]), 1.0 / float(sigma[-1]), linalg.spectral_norm(k)
     mapped = _map_samples(system, k @ s_inv, k)
     return ConstructionResult(
         system=mapped,
@@ -349,10 +350,10 @@ def inverse_conjugate(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) -> 
     B ||U^{-1}||^2)``.  ``U`` must be invertible.
     """
     mat = _as_operator(u, system.dim)
-    inv = linalg.invert(mat)  # SingularOperatorError for defective u
+    inv, sigma = linalg.invert(mat)  # SingularOperatorError for defective u
     lower, upper = _valid_bounds(system, tol, "inverse_conjugate input")
     target = inv @ system.target @ mat
-    u_norm, inv_norm = linalg.spectral_norm(mat), linalg.spectral_norm(inv)
+    u_norm, inv_norm = float(sigma[0]), 1.0 / float(sigma[-1])
     return ConstructionResult(
         system=_map_samples(system, inv, target),
         guaranteed_lower=lower / u_norm / u_norm,
@@ -396,15 +397,15 @@ def commuting_transform(system: BiframeSystem, t, *, tol: float = DEFAULT_TOL) -
     ``(A / ||T^{-1}||^2, B ||T||^2)``.
     """
     mat = _as_operator(t, system.dim)
-    inv = linalg.invert(mat)
+    _, sigma = linalg.invert(mat)
+    t_norm, inv_norm = float(sigma[0]), 1.0 / float(sigma[-1])
     k = system.target
     gap = linalg.spectral_norm(mat @ k - k @ mat)
-    if gap > tol * linalg.spectral_norm(mat) * linalg.spectral_norm(k):
+    if gap > tol * t_norm * linalg.spectral_norm(k):
         raise NotCommutingError(
             f"operator does not commute with the target (defect {gap:.3e})"
         )
     lower, upper = _valid_bounds(system, tol, "commuting input")
-    t_norm, inv_norm = linalg.spectral_norm(mat), linalg.spectral_norm(inv)
     return ConstructionResult(
         system=_map_samples(system, mat, k),
         guaranteed_lower=lower / inv_norm / inv_norm,
@@ -458,8 +459,7 @@ def tight_scaling_check(system: BiframeSystem, tight_constant: float,
     """
     if not (tight_constant > 0.0 and plain_constant > 0.0):
         raise MalformedBoundsError("tightness constants must be positive")
-    herm = linalg.hermitian_part(frame_operator(system))
-    defect = linalg.relative_gap(herm, _scaled_gram(system, tight_constant))
+    defect = linalg.relative_gap(_herm_part(system), _scaled_gram(system, tight_constant))
     if defect > tol:
         raise NotTightError(
             f"system is not tight with constant {tight_constant!r} (relative defect {defect:.3e})"
@@ -469,7 +469,15 @@ def tight_scaling_check(system: BiframeSystem, tight_constant: float,
 
 
 def parseval_check(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> bool:
-    """True when the system is Parseval: ``Herm(S) = K K* = I`` at tolerance."""
+    """True when the system is Parseval: ``Herm(S) = K K* = I`` at tolerance.
+
+    ``K K* = I`` is decided as ``(K/2^e)(K/2^e)* = 2^-2e I``
+    (:func:`linalg._binary_normalised`): bit for bit the plain comparison
+    wherever ``K K*`` is in range, and no overflow beyond it.  A ``K`` whose
+    entries all lie below ``2^-511``, where ``2^-2e`` is no float, is
+    nowhere near unitary."""
     eye = np.eye(system.dim)
-    return (linalg.relative_gap(linalg.hermitian_part(frame_operator(system)), eye) <= tol
-            and linalg.relative_gap(gram_target(system), eye) <= tol)
+    k, e = linalg._binary_normalised(system.target)
+    return (linalg.relative_gap(_herm_part(system), eye) <= tol
+            and -2 * e < sys.float_info.max_exp
+            and linalg.relative_gap(k @ linalg.adjoint(k), eye * math.ldexp(1.0, -2 * e)) <= tol)

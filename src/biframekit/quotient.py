@@ -31,7 +31,7 @@ from . import linalg
 from .biframe import BiframeSystem, _herm_spectrum, optimal_bounds
 from .errors import DimensionMismatchError
 from .linalg import DEFAULT_TOL
-from .opcalc import _map_samples
+from .opcalc import _as_operator, _map_samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,11 +168,7 @@ class TransformEquivalences:
 def transform_equivalences(system: BiframeSystem, t, *,
                            tol: float = DEFAULT_TOL) -> TransformEquivalences:
     """Evaluate the three equivalent validity predicates for a push by ``T``."""
-    t_mat = linalg.as_matrix(t, square=True)
-    if t_mat.shape[0] != system.dim:
-        raise DimensionMismatchError(
-            f"transform is {t_mat.shape[0]}x{t_mat.shape[1]}, system dimension is {system.dim}"
-        )
+    t_mat = _as_operator(t, system.dim, "transform")
     # NotPSDError unless Herm(S) is PSD
     root = linalg.sqrt_psd(_herm_spectrum(system), tol=tol)
 

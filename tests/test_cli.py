@@ -352,7 +352,7 @@ class TestDemo:
         refuted = biframekit.BoundsVerification(ok=False, lower_ok=False, upper_ok=True,
                                                 lower_margin=-1.0, upper_margin=1.0,
                                                 witness=None)
-        monkeypatch.setattr(cli, "check_bounds", lambda *args, **kwargs: refuted)
+        monkeypatch.setattr(cli, "_check_claim", lambda *args, **kwargs: refuted)
         result = runner.invoke(main, ["demo", "example-3-3"])
         assert result.exit_code == 1
         assert result.output.splitlines()[-1] == "verdict: FAIL"

@@ -238,8 +238,9 @@ def test_spectral_norm_golden_ratio():
 def test_invert_rejects_singular():
     with pytest.raises(errors.SingularOperatorError):
         linalg.invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    inv = linalg.invert(np.array([[2.0, 0.0], [0.0, 4.0]]))
+    inv, sigma = linalg.invert(np.array([[2.0, 0.0], [0.0, 4.0]]))
     assert np.allclose(inv, np.diag([0.5, 0.25]))
+    assert sigma.tolist() == [4.0, 2.0]  # descending: ||a|| = 4, ||a^-1|| = 1/2
 
 
 # ---------------------------------------------------------------------------

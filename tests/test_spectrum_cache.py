@@ -1,8 +1,8 @@
 """One decomposition of ``Herm(S)`` per system.
 
-A system caches the spectrum of ``Herm(S)`` on first use; ``with_target``
-shares that cache, since nothing in it depends on the target, so a
-decomposition made on either system serves both.  The cache must be
+A system caches ``S``, ``Herm(S)``, its spectrum and the asymmetry on first
+use; ``with_target`` shares that cache, since nothing in it depends on the
+target, so a decomposition made on either system serves both.  The cache must be
 invisible: a warm system (cache filled, or shared) gives bit-for-bit the
 reports, verdicts and witnesses of a freshly built one.  The cached arrays
 are read-only, and every witness handed out is a writable copy.
@@ -21,7 +21,7 @@ from biframekit import (
     optimal_bounds,
     quotient,
 )
-from biframekit.biframe import frame_operator
+from biframekit.biframe import _herm_part, frame_operator
 from helpers import random_matrix, random_psd, random_target, random_valid_system
 
 _TARGETS = {
@@ -111,7 +111,7 @@ def test_a_retargeted_system_reports_what_a_fresh_one_does(dim, complex_, target
     report = optimal_bounds(fresh)
     for call in _calls(dim, complex_, report):
         warm = base.with_target(fresh.target)
-        assert warm._cache.keys() >= {"frame_operator", "herm_spectrum"}
+        assert warm._cache.keys() >= {"frame_operator", "herm_part", "herm_spectrum", "asymmetry"}
         assert _agree(call, warm, _build(dim, complex_, target, valid))
 
 
@@ -123,6 +123,7 @@ def test_cached_arrays_are_read_only_and_witnesses_are_copies(complex_, valid):
     spectrum = system._cache["herm_spectrum"]
     assert not spectrum.values.flags.writeable and not spectrum.vectors.flags.writeable
     assert not frame_operator(system).flags.writeable
+    assert not _herm_part(system).flags.writeable
     claim = _claims(report)[0 if not valid else 2]
     verdict = check_bounds(system, *claim)
     witnesses = [report.witness_lower, report.witness_negative_form, verdict.witness]

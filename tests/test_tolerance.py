@@ -279,6 +279,15 @@ def test_an_extreme_target_scale_keeps_a_tight_system_tight(c):
     assert flags.tight_constant == pytest.approx(3.0 / c / c, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("c", [1e155, 1e300, 1e-155, 1e-300])
+def test_parseval_check_decides_an_extreme_target_without_overflow(c):
+    # K K* leaves the float range; it is compared as (K/2^e)(K/2^e)* = 2^-2e I
+    plain = BiframeSystem.from_samples(DiscreteMeasure(("a", "b", "c"), np.ones(3)),
+                                       np.eye(3), np.eye(3), np.eye(3))
+    assert opcalc.parseval_check(plain)
+    assert opcalc.parseval_check(plain.with_target(c * np.eye(3))) is False
+
+
 def test_relative_gap_is_the_plain_ratio_and_scale_free():
     zero = np.zeros((2, 2))
     assert linalg.relative_gap(zero, zero) == 0.0

@@ -1,17 +1,23 @@
 """The test configuration and tooling: a failing test must not hide the
 others, the benchmark's tracer must find every name it wraps, and it must
-see a cached spectrum as no eigensolve."""
+see a cached spectrum, norm or asymmetry as no eigensolve or SVD."""
 
+import ast
 import importlib
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from biframekit import BiframeSystem, DiscreteMeasure, biframe, opcalc, quotient
+from biframekit.app.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "biframekit"
 
 PAIR = '''
 from hypothesis import given, strategies as st
@@ -151,3 +157,66 @@ def test_traced_operator_rules_decompose_their_operator_once(rule):
 
     names = _traced(lambda: getattr(opcalc, rule)(system, u))
     assert names.count("linalg.hermitian_eigen") == 1
+
+
+def test_traced_bounds_on_a_warm_system_run_no_svd_helper():
+    # the asymmetry's two spectral norms are cached with the spectrum, so a
+    # warm system, or a retargeted copy sharing its cache, spends none
+    system = _system()
+    assert biframe.optimal_bounds(system).valid
+    dense = np.diag([1.0, 2.0, 3.0, 4.0]) + np.triu(np.ones((4, 4)), 1)
+    for warm in (system, system.with_target(dense)):
+        names = _traced(lambda: biframe.optimal_bounds(warm))
+        assert names.count("biframe.optimal_bounds") == 1
+        assert names.count("linalg.svd") == 0
+        assert names.count("linalg.asymmetry") == 0
+
+
+@pytest.mark.parametrize("rule, svds", [
+    # invert(S), and ||K|| of the new target
+    ("canonical_dual", 2),
+    # invert(U), whose singular values give ||U|| and ||U^-1||
+    ("inverse_conjugate", 1),
+    # invert(T) for ||T|| and ||T^-1||, then the commutator and ||K||
+    ("commuting_transform", 3),
+])
+def test_traced_invert_rules_decompose_their_operator_once(rule, svds):
+    system = _system()
+    assert biframe.optimal_bounds(system).valid
+    u = np.diag([1.0, 0.5, 0.25, 2.0])
+
+    names = _traced(lambda: getattr(opcalc, rule)(system, u))
+    assert names.count("linalg.svd") == svds
+
+
+def test_traced_demo_computes_one_bound_report():
+    # demo prints the optimal pair and decides the claim against the same report
+    runner = CliRunner()
+    for name in ("example-3-4", "example-5-3"):
+        names = _traced(lambda: runner.invoke(main, ["demo", name], catch_exceptions=False))
+        assert names.count("app.cli.command") == 1
+        assert names.count("biframe.optimal_bounds") == 1
+
+
+def _function_lines(tree: ast.AST, name: str) -> range:
+    node = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
+    return range(node.lineno, node.end_lineno + 1)
+
+
+def test_only_the_cache_door_touches_the_cache():
+    """Every cached quantity goes through ``biframe._cached``; ``with_target``
+    hands its dict on.  Any other read or write of ``._cache`` in the package
+    would be a second cache protocol."""
+    tree = ast.parse((SRC / "biframe.py").read_text(encoding="utf-8"))
+    allowed = {("biframe.py", number) for name in ("_cached", "with_target")
+               for number in _function_lines(tree, name)}
+    cache = re.compile(r"\._cache\b")
+    found, seen = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if cache.search(line):
+                hit = f"{name}:{number}: {line.strip()}"
+                (seen if (name, number) in allowed else found).append(hit)
+    assert seen, "the pattern no longer matches biframe._cached itself"
+    assert not found, "\n".join(found)
