@@ -240,16 +240,12 @@ def swap(system: BiframeSystem) -> BiframeSystem:
     )
 
 
-def gram_target(system: BiframeSystem) -> np.ndarray:
-    """``K K*`` for the system's target ``K`` (the reference PSD matrix the
-    lower bound is measured against)."""
-    k = system.target
-    return k @ linalg.adjoint(k)
-
-
-def _scaled_gram(system: BiframeSystem, c: float) -> np.ndarray:
-    """``c K K*`` for ``c >= 0``, formed as ``(sqrt(c) K)(sqrt(c) K)*``: it
-    stays finite wherever the product does, even where ``K K*`` would not."""
+def gram_target(system: BiframeSystem, c: float = 1.0) -> np.ndarray:
+    """``c K K*`` for the system's target ``K`` and ``c >= 0`` (``K K*``, the
+    reference PSD matrix the lower bound is measured against, by default).
+    It is formed as ``(sqrt(c) K)(sqrt(c) K)*``, so it stays finite wherever
+    the product does, even where ``K K*`` would not; at ``c = 1`` that is
+    ``K K*`` bit for bit."""
     k = math.sqrt(c) * system.target
     return k @ linalg.adjoint(k)
 
@@ -436,7 +432,7 @@ def classify(system: BiframeSystem, tol: float = DEFAULT_TOL) -> Classification:
     report = optimal_bounds(system, tol=tol)
     a = report.lower_opt
     tight = report.valid and not report.degenerate and linalg.relative_gap(
-        _herm_part(system), _scaled_gram(system, a)) <= tol
+        _herm_part(system), gram_target(system, a)) <= tol
     return Classification(
         families_equal=families_equal,
         tight=tight,

@@ -15,7 +15,9 @@ set of samples holds the spectrum of ``Herm(S)`` that its systems hand them.
 ``Herm(S)`` is decomposed once, however many bounds, checks and quotients
 read it, under however many targets.
 Singular-value based helpers (pseudo-inverse, spectral norm, range/null
-bases) sit on ``numpy.linalg.svd`` with explicit rank thresholding.
+bases) sit on ``numpy.linalg.svd`` with explicit rank thresholding; the
+basis helpers and :func:`invert` hand back the singular values they decide
+by, so a caller needs no second SVD for a norm.
 
 Every verdict in the package has one tolerance rule: a quantity counts as
 zero when it is at most ``tol`` times a norm of the problem the verdict is
@@ -132,11 +134,15 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
 
 
 def unit_vector(v: np.ndarray) -> np.ndarray:
-    """Scale ``v`` to unit norm and canonical sign."""
-    nrm = float(np.linalg.norm(v))
+    """Scale ``v`` to unit norm and canonical sign.  The norm is taken on
+    ``v / 2^e`` (:func:`_binary_normalised`), so it neither over- nor
+    underflows at any scale, and in range the result is the plain one bit
+    for bit."""
+    unit, _ = _binary_normalised(np.asarray(v))
+    nrm = float(np.linalg.norm(unit))
     if nrm == 0.0:
         raise ValueError("cannot normalise the zero vector")
-    return canonical_sign(v / nrm)
+    return canonical_sign(unit / nrm)
 
 
 def _binary_normalised(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -238,7 +244,6 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
         )
     m = (m + adjoint(m)) / 2.0
     n = m.shape[0]
-    complex_input = np.iscomplexobj(m)
     vecs = np.eye(n, dtype=m.dtype)
 
     if n > 1:
@@ -303,8 +308,6 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     vecs = vecs[:, order]
     for j in range(n):
         vecs[:, j] = canonical_sign(vecs[:, j])
-    if complex_input:
-        vecs = vecs.astype(np.complex128)
     return EigenDecomposition(values=values, vectors=vecs)
 
 
@@ -369,19 +372,20 @@ def operator_rank(a) -> int:
     return _rank(np.linalg.svd(as_matrix(a), compute_uv=False))
 
 
-def orthonormal_range(a) -> np.ndarray:
-    """Orthonormal basis of the column space, as matrix columns.
-
-    Rank-0 input yields a ``(m, 0)`` matrix.
-    """
+def orthonormal_range(a) -> tuple[np.ndarray, np.ndarray]:
+    """``(basis, sigma)``: an orthonormal basis of the column space, as matrix
+    columns (``(m, 0)`` for rank-0 input), and the singular values
+    (descending) it was cut by, so ``||a|| = sigma[0]`` and, at rank ``r``,
+    ``||a^+|| = 1 / sigma[r - 1]`` cost no further SVD."""
     u, sigma, _ = np.linalg.svd(as_matrix(a), full_matrices=False)
-    return u[:, :_rank(sigma)]
+    return u[:, :_rank(sigma)], sigma
 
 
-def orthonormal_nullspace(a) -> np.ndarray:
-    """Orthonormal basis of the kernel, as matrix columns."""
+def orthonormal_nullspace(a) -> tuple[np.ndarray, np.ndarray]:
+    """``(basis, sigma)``: an orthonormal basis of the kernel, as matrix
+    columns, and the singular values (descending) it was cut by."""
     _, sigma, vh = np.linalg.svd(as_matrix(a), full_matrices=True)
-    return adjoint(vh)[:, _rank(sigma):]
+    return adjoint(vh)[:, _rank(sigma):], sigma
 
 
 def invert(a) -> tuple[np.ndarray, np.ndarray]:

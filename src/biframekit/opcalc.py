@@ -30,8 +30,8 @@ from .biframe import (
     BiframeSystem,
     BoundsReport,
     _herm_part,
-    _scaled_gram,
     frame_operator,
+    gram_target,
     optimal_bounds,
 )
 from .errors import (
@@ -97,9 +97,11 @@ def _map_samples(system: BiframeSystem, u: np.ndarray, target) -> BiframeSystem:
 
 
 def _valid_bounds(system: BiframeSystem, tol: float, what: str) -> tuple[float, float]:
-    """Optimal bounds of a system that must be valid, else :class:`NotABiframeError`."""
+    """Optimal bounds of a system that must be valid against a nonzero target,
+    else :class:`NotABiframeError`: ``optimal_bounds`` decides both, the
+    zero target as ``report.degenerate``."""
     report = optimal_bounds(system, tol=tol)
-    if not report.valid or report.lower_opt is None or not np.isfinite(report.lower_opt):
+    if not report.valid or report.degenerate:
         raise NotABiframeError(
             f"{what} admits no positive lower bound against its target"
         )
@@ -146,12 +148,9 @@ def restrict_to_range(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> Con
     guaranteed bounds ``(A / ||K^+||^2, B)``.
     """
     lower, upper = _valid_bounds(system, tol, "restriction input")
-    k = system.target
-    basis = linalg.orthonormal_range(k)
+    basis, sigma = linalg.orthonormal_range(system.target)
     rank = basis.shape[1]
-    if rank == 0:
-        raise ZeroOperatorError("target range is trivial; nothing to restrict to")
-    pinv_norm = linalg.spectral_norm(linalg.pseudo_inverse(k))
+    sigma_r = float(sigma[rank - 1])  # ||K^+|| = 1 / sigma_r
     eye = np.eye(rank, dtype=basis.dtype)
     if np.array_equal(basis, eye):
         # the basis is the standard one: same samples, and the same cache
@@ -165,7 +164,7 @@ def restrict_to_range(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> Con
         )
     return ConstructionResult(
         system=compressed,
-        guaranteed_lower=lower / pinv_norm / pinv_norm,
+        guaranteed_lower=lower * sigma_r * sigma_r,
         guaranteed_upper=upper,
         rule="restrict",
     )
@@ -259,8 +258,6 @@ def product_chain(system: BiframeSystem, targets: Sequence[np.ndarray], *,
     lower = min(lo for lo, _ in pairs)
     for k in mats[:-1]:
         nrm = linalg.spectral_norm(k)
-        if nrm == 0.0:
-            raise ZeroOperatorError("chain contains a zero factor")
         lower = lower / nrm / nrm
     composed = mats[0]
     for k in mats[1:]:
@@ -371,22 +368,26 @@ def max_transfer_ratio(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) ->
     root of the maximal PSD shift of ``U U*`` along ``K K*``; it is strictly
     positive exactly when pushing the system through ``U``
     (:func:`apply_operator`, but keeping the *original* target ``K``) again
-    yields a valid system.
+    yields a valid system.  ``U U*`` is formed from ``U / 2^e``
+    (:func:`linalg._binary_normalised`) and the root scaled back by ``2^e``,
+    so the ratio stays right at any scale of ``U`` and, in range, is the
+    plain one bit for bit.
     """
     mat = _as_operator(u, system.dim)
     k = system.target
-    basis = linalg.orthonormal_range(k)
+    basis, sigma = linalg.orthonormal_range(k)
     residual = mat - basis @ (linalg.adjoint(basis) @ mat)
-    scale = linalg.spectral_norm(mat) + linalg.spectral_norm(k)
+    scale = linalg.spectral_norm(mat) + float(sigma[0])
     if linalg.spectral_norm(residual) > tol * scale:
         raise RangeNotContainedError(
             "operator range is not contained in the target range"
         )
-    shift = linalg.max_psd_shift(linalg.hermitian_eigen(mat @ linalg.adjoint(mat), tol=tol),
+    unit, e = linalg._binary_normalised(mat)
+    shift = linalg.max_psd_shift(linalg.hermitian_eigen(unit @ linalg.adjoint(unit), tol=tol),
                                  k, tol=tol)
     if shift.amount is None:
         return 0.0
-    return float(np.sqrt(shift.amount))
+    return math.ldexp(math.sqrt(shift.amount), e)
 
 
 def commuting_transform(system: BiframeSystem, t, *, tol: float = DEFAULT_TOL) -> ConstructionResult:
@@ -459,13 +460,13 @@ def tight_scaling_check(system: BiframeSystem, tight_constant: float,
     """
     if not (tight_constant > 0.0 and plain_constant > 0.0):
         raise MalformedBoundsError("tightness constants must be positive")
-    defect = linalg.relative_gap(_herm_part(system), _scaled_gram(system, tight_constant))
+    defect = linalg.relative_gap(_herm_part(system), gram_target(system, tight_constant))
     if defect > tol:
         raise NotTightError(
             f"system is not tight with constant {tight_constant!r} (relative defect {defect:.3e})"
         )
     ratio = tight_constant / plain_constant
-    return linalg.relative_gap(_scaled_gram(system, ratio), np.eye(system.dim)) <= tol
+    return linalg.relative_gap(gram_target(system, ratio), np.eye(system.dim)) <= tol
 
 
 def parseval_check(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> bool:

@@ -23,6 +23,7 @@ not two independent decisions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,15 +67,15 @@ def quotient_norm(u, v) -> QuotientResult:
             f"quotient needs operators of equal shape, got {u_mat.shape} and {v_mat.shape}"
         )
 
-    null_basis = linalg.orthonormal_nullspace(v_mat)
+    null_basis, v_sigma = linalg.orthonormal_nullspace(v_mat)
     u_scale = linalg.spectral_norm(u_mat)
     if null_basis.shape[1]:
         _, top, vh = np.linalg.svd(u_mat @ null_basis)
-        if top.size and top[0] > DEFAULT_TOL * u_scale:
+        if top[0] > DEFAULT_TOL * u_scale:
             witness = linalg.canonical_sign(null_basis @ np.conj(vh[0]))
             return QuotientResult(False, None, witness, None)
 
-    v_scale = linalg.spectral_norm(v_mat)
+    v_scale = float(v_sigma[0])  # ||V||
     if v_scale == 0.0:
         # V = 0 forces U = 0 (containment already checked); the quotient is
         # the zero map on a trivial range.
@@ -87,6 +88,8 @@ def quotient_norm(u, v) -> QuotientResult:
         _, direction = _top_singular(v_mat)
         return QuotientResult(True, 0.0, None, direction)
     achiever = v_pinv @ achieved
+    # not a no-op: on complex input unit_vector's sign pass leaves the pivot
+    # a rounding imaginary part (~1e-18) that a second pass shrinks (~1e-34)
     return QuotientResult(True, float(sigma), None,
                           linalg.canonical_sign(linalg.unit_vector(achiever)))
 
@@ -167,22 +170,21 @@ class TransformEquivalences:
 
 def transform_equivalences(system: BiframeSystem, t, *,
                            tol: float = DEFAULT_TOL) -> TransformEquivalences:
-    """Evaluate the three equivalent validity predicates for a push by ``T``."""
+    """Evaluate the three equivalent validity predicates for a push by ``T``:
+    the pencil and the pushed quotient are :func:`validity_cross_check` of
+    the pushed system."""
     t_mat = _as_operator(t, system.dim, "transform")
     # NotPSDError unless Herm(S) is PSD
     root = linalg.sqrt_psd(_herm_spectrum(system), tol=tol)
 
     pushed = _map_samples(system, t_mat, t_mat @ system.target)
-    pushed_report = optimal_bounds(pushed, tol=tol)
-
-    numerator = linalg.adjoint(pushed.target)
-    plain = quotient_norm(numerator, root @ linalg.adjoint(t_mat))
-    # Herm(S_pushed) = T H T*, already decomposed by optimal_bounds(pushed)
-    pushed_root = linalg.sqrt_psd(_herm_spectrum(pushed), tol=tol)
-    through = quotient_norm(numerator, pushed_root)
+    # the pencil and [(T K)* / (T H T*)^{1/2}], on the pushed system
+    check = validity_cross_check(pushed, tol=tol)
+    plain = quotient_norm(linalg.adjoint(pushed.target), root @ linalg.adjoint(t_mat))
     return TransformEquivalences(
-        pushed_valid=bool(pushed_report.valid),
+        pushed_valid=check.pencil_valid,
         quotient_plain=bool(plain.exists),
-        quotient_pushed=bool(through.exists),
-        degenerate=pushed_report.degenerate,
+        quotient_pushed=check.quotient_bounded,
+        # T H T* is PSD here, so an infinite lower constant means T K = 0
+        degenerate=check.lower_opt == math.inf,
     )

@@ -241,7 +241,7 @@ def test_criterion_09_transfer_ratio_characterizes_validity():
         if trial % 2 == 0:
             m = _conditioned(rng, dim, complex_)  # range(KM) = range(K)
         else:
-            basis = linalg.orthonormal_range(linalg.adjoint(k))
+            basis, _ = linalg.orthonormal_range(linalg.adjoint(k))
             v = basis @ random_matrix(rng, basis.shape[1], 1, complex_)[:, 0]
             v = linalg.unit_vector(v)
             m = (np.eye(dim, dtype=k.dtype) - np.outer(v, np.conj(v))) \

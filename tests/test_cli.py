@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -372,6 +373,58 @@ class TestDemo:
         np.testing.assert_allclose(np.abs(scaled), [1.0, 1.0, 0.0], atol=1e-9)
 
 
+class TestComplexReports:
+    """A complex manifest: ``F = G`` with rows ``e1``, ``e2`` and ``(e1 + i e2)
+    / sqrt 2``, unit weights and target ``I``, so ``Herm(S) = I + v v*`` has
+    bounds (1, 2), and the lower witness is ``(1, -i) / sqrt 2``."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        f = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1j]]) / np.array([[1.0], [1.0], [np.sqrt(2.0)]])
+        system = biframekit.BiframeSystem.from_samples(
+            biframekit.DiscreteMeasure(("a", "b", "c"), np.ones(3)), f, f,
+            np.eye(2, dtype=complex))
+        path = tmp_path / "complex.json"
+        save(system, path)
+        return str(path)
+
+    def test_bounds_text_and_json_print_the_same_complex_witness(self, runner, path):
+        text = runner.invoke(main, ["bounds", path])
+        payload = json.loads(runner.invoke(main, ["--format", "json", "bounds", path]).output)
+        assert text.exit_code == 0
+        assert "optimal lower: 1\n" in text.output and "optimal upper: 2\n" in text.output
+        # JSON writes each entry as [re, im]
+        pairs = np.array(payload["witness"])
+        assert pairs.shape == (2, 2)
+        assert np.allclose(pairs, [[np.sqrt(0.5), 0.0], [0.0, -np.sqrt(0.5)]], atol=1e-12)
+        # the text report as a+bi / a-bi, the same numbers at 12 digits
+        line = next(ln for ln in text.output.splitlines() if ln.startswith("lower witness: "))
+        entries = line.removeprefix("lower witness: [").removesuffix("]").split(", ")
+        assert all(re.fullmatch(r"\S+[+-][0-9.e+-]+i", e) for e in entries)
+        assert entries[1].endswith("-0.707106781187i")
+        parsed = [complex(e.replace("i", "j")) for e in entries]
+        assert np.allclose(parsed, pairs[:, 0] + 1j * pairs[:, 1], rtol=1e-11, atol=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("op", ["sandwich", "apply"])
+    def test_construct_reads_a_complex_operator(self, runner, path, tmp_path, fmt, op):
+        # U = diag(i, 1) is unitary: both rules keep the bounds (1, 2)
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, ["--format", fmt, "construct", path, "--op", op,
+                                      "--operator", "[[[0, 1], 0], [0, 1]]", "-o", str(out)])
+        assert result.exit_code == 0
+        if fmt == "json":
+            payload = json.loads(result.output)
+            assert payload["dominated"] is True
+            assert payload["optimal_lower"] == pytest.approx(1.0, rel=1e-12)
+        else:
+            assert "dominance: ok" in result.output
+        target = load(out).system.target
+        # apply retargets to U K, sandwich to U K U* = I
+        expected = np.diag([1j, 1.0]) if op == "apply" else np.eye(2)
+        assert np.allclose(target, expected, atol=1e-15)
+
+
 class TestTolerance:
     @pytest.mark.parametrize("value", ["-1", "0", "1", "2", "nan", "inf", "-inf"])
     def test_tolerance_outside_the_open_unit_interval_is_usage_error(self, runner, value):
@@ -402,8 +455,11 @@ _EYE = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
                 "--term", f'{{"coeff": 1e400, "target": {json.dumps(_EYE)}}}']),
     ("--term", ["construct", "M", "--op", "sum",
                 "--term", '{"coeff": 1, "target": [[Infinity,0,0],[0,1,0],[0,0,1]]}']),
+    ("--term", ["construct", "M", "--op", "sum", "--term", "[1, 2]"]),
+    ("--term", ["construct", "M", "--op", "sum", "--term", '{"coeff": 1}']),
 ], ids=["quad-nodes-0", "power-0", "power-negative", "operator-overflow", "operator-nan",
-        "term-coeff-overflow", "term-target-infinity"])
+        "term-coeff-overflow", "term-target-infinity", "term-not-an-object",
+        "term-without-target"])
 def test_invalid_argument_is_usage_error(runner, manifests, option, args):
     args = [manifests["example-3-11"] if a == "M" else a for a in args]
     result = runner.invoke(main, args)

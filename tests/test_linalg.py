@@ -219,8 +219,11 @@ def test_operator_rank():
 
 def test_orthonormal_range_and_nullspace():
     a = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
-    basis = linalg.orthonormal_range(a)
-    null = linalg.orthonormal_nullspace(a)
+    basis, sigma = linalg.orthonormal_range(a)
+    null, null_sigma = linalg.orthonormal_nullspace(a)
+    # both hand back the singular values they cut by: ||a|| = sigma[0] = 5
+    assert sigma[0] == pytest.approx(5.0, rel=1e-15)
+    assert null_sigma[0] == pytest.approx(5.0, rel=1e-15)
     assert basis.shape == (3, 1)
     assert null.shape == (3, 2)
     assert np.allclose(basis.conj().T @ basis, np.eye(1), atol=1e-12)
@@ -228,6 +231,22 @@ def test_orthonormal_range_and_nullspace():
     # range basis reproduces the columns, nullspace is annihilated
     assert np.allclose(basis @ (basis.conj().T @ a), a, atol=1e-12)
     assert np.allclose(a @ null, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("j", [-1074, -900, -500, 0, 500, 900, 1021])
+def test_unit_vector_at_any_scale(j):
+    # 2^j (3, -4, 0) is exact down to the smallest subnormal, and so is its
+    # direction: the norm is taken on v / 2^e, whose squares stay in range
+    v = np.array([3.0, -4.0, 0.0])
+    with np.errstate(over="raise", invalid="raise"):
+        got = linalg.unit_vector(math.ldexp(1.0, j) * v)
+    assert np.array_equal(got, linalg.unit_vector(v))
+    assert np.array_equal(got, [0.6, -0.8, 0.0])
+
+
+def test_unit_vector_rejects_the_zero_vector():
+    with pytest.raises(ValueError, match="zero vector"):
+        linalg.unit_vector(np.zeros(3))
 
 
 def test_spectral_norm_golden_ratio():
@@ -316,6 +335,24 @@ def test_max_psd_shift_reads_a_column_major_complex_factor():
     k = (np.diag([2.0, 4.0, 8.0]) + 0j).T
     res = linalg.max_psd_shift(linalg.hermitian_eigen(np.eye(3)), k)
     assert res.amount == pytest.approx(1.0 / 64.0)
+
+
+@pytest.mark.parametrize("gap, amount", [(1e-13, None), (1e-10, 4.99999636e-8)])
+def test_max_psd_shift_zero_shift_branch(gap, amount):
+    # s = diag(1, -1e-9 (1 - gap)) is PSD at tolerance and k* misses its null
+    # space by the range test, so the whitened shift is computed; near
+    # gap = 1e-13 it is so small that amount * sigma_max(k)^2 lies within the
+    # cutoff of s, which reports no shift, while gap = 1e-10 clears it
+    s = np.diag([1.0, -1e-9 * (1.0 - gap)])
+    k = np.array([[1.0, 0.0], [1e-6, 0.0]])
+    res = linalg.max_psd_shift(linalg.hermitian_eigen(s), k)
+    assert not res.degenerate
+    if amount is None:
+        assert res.amount is None
+    else:
+        assert res.amount == pytest.approx(amount, rel=1e-8, abs=0.0)
+    # the tight direction of the whitened pencil witnesses either side
+    assert abs(res.witness[1]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_max_psd_shift_zero_s_gives_none():

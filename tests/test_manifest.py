@@ -142,6 +142,11 @@ class TestValidation:
         doc["measure"][1]["id"] = "a"
         self._expect(doc, "unique")
 
+    def test_non_string_node_id(self):
+        doc = _doc()
+        doc["measure"][0]["id"] = 3
+        self._expect(doc, "measure\\[0\\]\\.id")
+
     def test_extra_node_key(self):
         doc = _doc()
         doc["measure"][0]["note"] = "hi"

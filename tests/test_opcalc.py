@@ -103,6 +103,11 @@ class TestRestrictToRange:
         with pytest.raises(errors.NotABiframeError):
             opcalc.restrict_to_range(fixture("example-3-4"))
 
+    def test_rejects_a_zero_target_as_no_biframe(self, promoted_diagonal):
+        # optimal_bounds decides the zero target (degenerate); nothing else does
+        with pytest.raises(errors.NotABiframeError):
+            opcalc.restrict_to_range(promoted_diagonal.with_target(np.zeros((3, 3))))
+
     def test_identity_target_keeps_the_cached_spectrum(self, monkeypatch):
         # onto range(I) the basis is exactly I: the result is the input
         # retargeted, and shares its decomposition of Herm(S)
@@ -176,6 +181,11 @@ class TestCombineSum:
         with pytest.raises(errors.ZeroOperatorError):
             opcalc.combine_sum(promoted_diagonal, [(0.0, promoted_diagonal.target)])
 
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, complex(1.0, -math.inf)])
+    def test_rejects_a_non_finite_coefficient(self, promoted_diagonal, coeff):
+        with pytest.raises(ValueError, match="must be finite"):
+            opcalc.combine_sum(promoted_diagonal, [(coeff, promoted_diagonal.target)])
+
 
 class TestCombineProduct:
     def test_scaled_identity_right_factor(self, promoted_diagonal):
@@ -214,6 +224,14 @@ class TestProductChain:
     def test_needs_at_least_two_factors(self, promoted_diagonal):
         with pytest.raises(ValueError):
             opcalc.product_chain(promoted_diagonal, [promoted_diagonal.target])
+
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_a_zero_factor_is_no_biframe(self, promoted_diagonal, where):
+        # the zero factor fails the validity every factor needs, first or last
+        factors = [promoted_diagonal.target, np.eye(3)]
+        factors[where] = np.zeros((3, 3))
+        with pytest.raises(errors.NotABiframeError, match=f"chain term #{where}"):
+            opcalc.product_chain(promoted_diagonal, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +439,23 @@ class TestMaxTransferRatio:
         sys_ = bk.BiframeSystem.from_samples(m, np.eye(2), np.eye(2), np.diag([1.0, 0.0]))
         with pytest.raises(errors.RangeNotContainedError):
             opcalc.max_transfer_ratio(sys_, np.diag([0.0, 1.0]))
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-160, 1e160, 1e300])
+    def test_ratio_at_any_operator_scale(self, c):
+        # U U* under- or overflows at these scales; it is formed from U / 2^e
+        m = bk.DiscreteMeasure(tuple("abcd"), np.ones(4))
+        sys_ = bk.BiframeSystem.from_samples(m, np.eye(4), np.eye(4), np.eye(4))
+        with np.errstate(over="raise", invalid="raise"):
+            ratio = opcalc.max_transfer_ratio(sys_, c * np.diag([1.0, 0.5, 0.25, 2.0]))
+        assert ratio == pytest.approx(0.25 * c, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("j", [-900, -500, 500, 900])
+    def test_ratio_scales_exactly_with_a_power_of_two(self, promoted_diagonal, j):
+        u = promoted_diagonal.target @ np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.3], [0.1, 0.0, 2.0]])
+        base = opcalc.max_transfer_ratio(promoted_diagonal, u)
+        assert base > 0.0
+        assert opcalc.max_transfer_ratio(promoted_diagonal, math.ldexp(1.0, j) * u) \
+            == math.ldexp(base, j)
 
 
 # ---------------------------------------------------------------------------

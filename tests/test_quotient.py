@@ -51,6 +51,14 @@ class TestQuotientNorm:
             ratio = np.linalg.norm(u @ f) / np.linalg.norm(v @ f)
             assert ratio == pytest.approx(res.norm, rel=1e-8)
 
+    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e200, 1e300])
+    def test_achiever_at_any_scale(self, c):
+        # the achiever is normalised on v / 2^e: its squares never leave range
+        with np.errstate(over="raise", invalid="raise"):
+            res = quotient.quotient_norm(np.eye(3), c * np.diag([1.0, 2.0, 3.0]))
+        assert res.norm == pytest.approx(1.0 / c, rel=1e-12, abs=0.0)
+        assert np.array_equal(res.achiever, [1.0, 0.0, 0.0])
+
     def test_zero_numerator(self):
         res = quotient.quotient_norm(np.zeros((3, 3)), np.eye(3))
         assert res.exists

@@ -149,6 +149,41 @@ def test_traced_quotient_checks_read_the_cached_spectrum():
     assert names.count("linalg.sqrt_psd") == 2
 
 
+def test_traced_transform_equivalences_cross_checks_the_pushed_system_once():
+    # the pencil and the pushed quotient are validity_cross_check(pushed):
+    # one bound report and one root of the pushed system, no second decider
+    system = _system()
+    assert biframe.optimal_bounds(system).valid
+    t = np.diag([1.0, 2.0, 3.0, 4.0]) + np.triu(np.ones((4, 4)), 1)
+
+    names = _traced(lambda: quotient.transform_equivalences(system, t))
+    assert names.count("quotient.validity_cross_check") == 1
+    assert names.count("biframe.optimal_bounds") == 1
+
+
+@pytest.mark.parametrize("rule, svds", [
+    # one SVD of K: its range basis and ||K^+|| = 1 / sigma_r
+    ("restrict_to_range", 1),
+    # range(K) with ||K|| = sigma_0, then ||U|| and the residual's norm
+    ("max_transfer_ratio", 3),
+    # V's null basis with ||V|| = sigma_0, then ||U|| and V^+
+    ("quotient_norm", 3),
+])
+def test_traced_rules_decompose_each_operator_once(rule, svds):
+    rng = np.random.default_rng(8)
+    k = rng.normal(size=(4, 2)) @ rng.normal(size=(2, 4))
+    system = _system().with_target(k)
+    assert biframe.optimal_bounds(system).valid
+    call = {
+        "restrict_to_range": lambda: opcalc.restrict_to_range(system),
+        "max_transfer_ratio": lambda: opcalc.max_transfer_ratio(system, 2.0 * k),
+        "quotient_norm": lambda: quotient.quotient_norm(2.0 * k, k),
+    }[rule]
+
+    names = _traced(call)
+    assert names.count("linalg.svd") == svds
+
+
 @pytest.mark.parametrize("rule", ["max_transfer_ratio", "perturb_positive"])
 def test_traced_operator_rules_decompose_their_operator_once(rule):
     system = _system()
