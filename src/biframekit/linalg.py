@@ -17,7 +17,8 @@ read it, under however many targets.
 Singular-value based helpers (pseudo-inverse, spectral norm, range/null
 bases) sit on ``numpy.linalg.svd`` with explicit rank thresholding; the
 basis helpers and :func:`invert` hand back the singular values they decide
-by, so a caller needs no second SVD for a norm.
+by, and :func:`orthonormal_nullspace` the kernel's complement too, so a
+caller needs no second SVD for a norm or a pseudo-inverse.
 
 Every verdict in the package has one tolerance rule: a quantity counts as
 zero when it is at most ``tol`` times a norm of the problem the verdict is
@@ -118,19 +119,24 @@ def asymmetry(a) -> float:
 
 
 def canonical_sign(v: np.ndarray) -> np.ndarray:
-    """Normalise the phase of ``v``: the first nonzero entry is made real
-    and positive.  Deterministic tie-breaking for witness vectors."""
+    """Normalise the phase of a vector, or of each column of a matrix: the
+    first entry above ``1e-12`` times the largest modulus is set to its
+    modulus, exactly, and the rest are turned by the same unit factor.  So a
+    second pass changes nothing, and a real result is the one a sign flip
+    gives.  Deterministic tie-breaking for witnesses and eigenvectors."""
     v = np.asarray(v)
-    scale = np.max(np.abs(v)) if v.size else 0.0
-    if scale == 0.0:
+    if not v.size:
         return v.copy()
-    idx = int(np.argmax(np.abs(v) > 1e-12 * scale))
-    pivot = v[idx]
-    factor = np.conj(pivot) / abs(pivot)
-    out = v * factor + 0.0  # + 0.0 turns the -0.0 a negative factor leaves into 0.0
-    if not np.iscomplexobj(v):
-        out = out.real
-    return out
+    cols = v.reshape(v.shape[0], -1)
+    mags = np.abs(cols)
+    pick = (np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0), np.arange(cols.shape[1]))
+    pivot, size = cols[pick], mags[pick]
+    # exactly 1 where the pivot is its modulus already (a zero column too):
+    # numpy's complex p / |p| may miss 1 by an ulp
+    factor = np.where(pivot == size, 1.0, np.conj(pivot) / np.where(size, size, 1.0))
+    out = cols * factor + 0.0  # + 0.0 turns the -0.0 a negative factor leaves into 0.0
+    out[pick] = size
+    return out.reshape(v.shape)
 
 
 def unit_vector(v: np.ndarray) -> np.ndarray:
@@ -305,10 +311,7 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     values = np.real(np.diagonal(m)) * math.ldexp(1.0, e)
     order = np.argsort(values, kind="stable")
     values = values[order]
-    vecs = vecs[:, order]
-    for j in range(n):
-        vecs[:, j] = canonical_sign(vecs[:, j])
-    return EigenDecomposition(values=values, vectors=vecs)
+    return EigenDecomposition(values=values, vectors=canonical_sign(vecs[:, order]))
 
 
 def min_eigenpair(a, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
@@ -381,11 +384,16 @@ def orthonormal_range(a) -> tuple[np.ndarray, np.ndarray]:
     return u[:, :_rank(sigma)], sigma
 
 
-def orthonormal_nullspace(a) -> tuple[np.ndarray, np.ndarray]:
-    """``(basis, sigma)``: an orthonormal basis of the kernel, as matrix
-    columns, and the singular values (descending) it was cut by."""
+def orthonormal_nullspace(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(basis, sigma, coimage)``: an orthonormal basis of the kernel, as
+    matrix columns, the singular values (descending) it was cut by, and the
+    right singular vectors of the ``r`` kept ones, an orthonormal basis of
+    ``range(a*)``: ``a^+ = coimage diag(1 / sigma[:r]) u_r*`` for the left
+    singular vectors ``u_r``, so the pseudo-inverse's action costs no second
+    SVD."""
     _, sigma, vh = np.linalg.svd(as_matrix(a), full_matrices=True)
-    return adjoint(vh)[:, _rank(sigma):], sigma
+    right, rank = adjoint(vh), _rank(sigma)
+    return right[:, rank:], sigma, right[:, :rank]
 
 
 def invert(a) -> tuple[np.ndarray, np.ndarray]:

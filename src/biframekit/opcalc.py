@@ -371,20 +371,21 @@ def max_transfer_ratio(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) ->
     yields a valid system.  ``U U*`` is formed from ``U / 2^e``
     (:func:`linalg._binary_normalised`) and the root scaled back by ``2^e``,
     so the ratio stays right at any scale of ``U`` and, in range, is the
-    plain one bit for bit.
+    plain one bit for bit.  Its one eigensolve gives ``||U||`` as well, as
+    ``2^e sqrt(lambda_max)``.
     """
     mat = _as_operator(u, system.dim)
     k = system.target
+    unit, e = linalg._binary_normalised(mat)
+    gram = linalg.hermitian_eigen(unit @ linalg.adjoint(unit), tol=tol)
     basis, sigma = linalg.orthonormal_range(k)
     residual = mat - basis @ (linalg.adjoint(basis) @ mat)
-    scale = linalg.spectral_norm(mat) + float(sigma[0])
+    scale = math.ldexp(math.sqrt(gram.max), e) + float(sigma[0])
     if linalg.spectral_norm(residual) > tol * scale:
         raise RangeNotContainedError(
             "operator range is not contained in the target range"
         )
-    unit, e = linalg._binary_normalised(mat)
-    shift = linalg.max_psd_shift(linalg.hermitian_eigen(unit @ linalg.adjoint(unit), tol=tol),
-                                 k, tol=tol)
+    shift = linalg.max_psd_shift(gram, k, tol=tol)
     if shift.amount is None:
         return 0.0
     return math.ldexp(math.sqrt(shift.amount), e)
@@ -395,16 +396,19 @@ def commuting_transform(system: BiframeSystem, t, *, tol: float = DEFAULT_TOL) -
 
     Commutation makes ``||K* T* f|| = ||T* K* f|| >= ||K* f|| / ||T^{-1}||``,
     so the target survives unchanged with guaranteed bounds
-    ``(A / ||T^{-1}||^2, B ||T||^2)``.
+    ``(A / ||T^{-1}||^2, B ||T||^2)``.  Commutation is decided as
+    ``relative_gap(T K, K T) <= tol`` on ``T / 2^e`` and ``K / 2^f``
+    (:func:`linalg._binary_normalised`), so neither product overflows.
     """
     mat = _as_operator(t, system.dim)
     _, sigma = linalg.invert(mat)
     t_norm, inv_norm = float(sigma[0]), 1.0 / float(sigma[-1])
     k = system.target
-    gap = linalg.spectral_norm(mat @ k - k @ mat)
-    if gap > tol * t_norm * linalg.spectral_norm(k):
+    t_unit, k_unit = linalg._binary_normalised(mat)[0], linalg._binary_normalised(k)[0]
+    defect = linalg.relative_gap(t_unit @ k_unit, k_unit @ t_unit)
+    if defect > tol:
         raise NotCommutingError(
-            f"operator does not commute with the target (defect {gap:.3e})"
+            f"operator does not commute with the target (relative defect {defect:.3e})"
         )
     lower, upper = _valid_bounds(system, tol, "commuting input")
     return ConstructionResult(
@@ -424,21 +428,23 @@ def perturb_positive(system: BiframeSystem, t, power: int = 1, *,
     the grounds that ``I + T^n >= I``; that implication does not hold for
     non-commuting ``S`` and ``T`` (conjugation is not monotone), so the
     lower constant is reported with ``certified=False``.  The upper constant
-    ``B ||I + T^n||^2`` is sound.
+    ``B ||I + T^n||^2`` is sound.  One eigensolve ``T = V Lambda V*`` decides
+    that ``T`` is PSD and gives ``I + T^n = V (1 + Lambda^n) V*``, with norm
+    ``max |1 + lambda^n|``.
     """
     if power < 1:
         raise ValueError(f"power must be a positive integer, got {power!r}")
     mat = _as_operator(t, system.dim, "perturbation")
     try:
-        psd = linalg.is_psd(mat, tol=tol)
+        eig = linalg.hermitian_eigen(mat, tol=tol)
     except NotHermitianError as exc:
         raise NotPSDError("perturbation must be self-adjoint to be PSD") from exc
-    if not psd:
+    if not eig.is_psd(tol):
         raise NotPSDError("perturbation has a negative eigenvalue beyond tolerance")
-    herm = linalg.hermitian_part(mat)
     lower, upper = _valid_bounds(system, tol, "perturbation input")
-    bump = np.eye(system.dim, dtype=herm.dtype) + np.linalg.matrix_power(herm, power)
-    bump_norm = linalg.spectral_norm(bump)
+    grow = 1.0 + eig.values ** power
+    bump = (eig.vectors * grow) @ linalg.adjoint(eig.vectors)
+    bump_norm = float(np.max(np.abs(grow)))
     return ConstructionResult(
         system=_map_samples(system, bump, system.target),
         guaranteed_lower=lower,

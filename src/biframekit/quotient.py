@@ -17,8 +17,9 @@ do not.
 :func:`~biframekit.biframe.optimal_bounds` itself computes the lower bound
 by this theorem (:func:`~biframekit.linalg.max_psd_shift` whitens ``K`` by
 the floored spectrum of ``H``), so :func:`validity_cross_check` compares two
-implementations of one theorem, a pseudo-inverse against floored whitening,
-not two independent decisions.
+implementations of one theorem, whitening by the singular values of
+``H^{1/2}`` against whitening by the floored eigenvalues of ``H``, not two
+independent decisions.
 """
 
 from __future__ import annotations
@@ -54,11 +55,12 @@ class QuotientResult:
 def quotient_norm(u, v) -> QuotientResult:
     """Decide whether ``[U/V]`` exists and compute its norm if so.
 
-    Null-space containment is tested through an orthonormal null basis of
-    ``V``: the quotient exists iff ``U`` annihilates that basis to within
-    ``DEFAULT_TOL * ||U||``.  The norm is the spectral norm of ``U V^+``,
-    whose kernel already contains ``range(V)``-orthogonal directions, so no
-    explicit restriction is needed.
+    One SVD of ``V = U_r Sigma_r V_r*`` gives its null basis, ``||V||`` and
+    the action of ``V^+ = V_r Sigma_r^-1 U_r*``.  The quotient exists iff
+    ``U`` annihilates the null basis to within ``DEFAULT_TOL * ||U||``.  Its
+    norm is ``||U V^+|| = ||U V_r Sigma_r^-1||``, since ``U_r*`` has
+    orthonormal rows, and it is attained at ``V_r Sigma_r^-1 y`` for the top
+    right singular vector ``y`` of ``U V_r Sigma_r^-1``.
     """
     u_mat = linalg.as_matrix(u)
     v_mat = linalg.as_matrix(v)
@@ -67,7 +69,7 @@ def quotient_norm(u, v) -> QuotientResult:
             f"quotient needs operators of equal shape, got {u_mat.shape} and {v_mat.shape}"
         )
 
-    null_basis, v_sigma = linalg.orthonormal_nullspace(v_mat)
+    null_basis, v_sigma, coimage = linalg.orthonormal_nullspace(v_mat)
     u_scale = linalg.spectral_norm(u_mat)
     if null_basis.shape[1]:
         _, top, vh = np.linalg.svd(u_mat @ null_basis)
@@ -75,29 +77,20 @@ def quotient_norm(u, v) -> QuotientResult:
             witness = linalg.canonical_sign(null_basis @ np.conj(vh[0]))
             return QuotientResult(False, None, witness, None)
 
-    v_scale = float(v_sigma[0])  # ||V||
-    if v_scale == 0.0:
+    rank = coimage.shape[1]
+    if rank == 0:
         # V = 0 forces U = 0 (containment already checked); the quotient is
         # the zero map on a trivial range.
         return QuotientResult(True, 0.0, None, None)
 
-    v_pinv = linalg.pseudo_inverse(v_mat)
-    sigma, achieved = _top_singular(u_mat @ v_pinv)
-    if sigma * v_scale <= DEFAULT_TOL * u_scale:
-        # U vanishes on range(V*): the ratio is 0 along any non-null input.
-        _, direction = _top_singular(v_mat)
-        return QuotientResult(True, 0.0, None, direction)
-    achiever = v_pinv @ achieved
-    # not a no-op: on complex input unit_vector's sign pass leaves the pivot
-    # a rounding imaginary part (~1e-18) that a second pass shrinks (~1e-34)
-    return QuotientResult(True, float(sigma), None,
-                          linalg.canonical_sign(linalg.unit_vector(achiever)))
-
-
-def _top_singular(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest singular value and the corresponding right-singular vector."""
-    _, sigma, vh = np.linalg.svd(a)
-    return float(sigma[0]), linalg.canonical_sign(np.conj(vh[0]))
+    whitened = coimage / v_sigma[:rank]  # V_r Sigma_r^-1
+    _, sigma, vh = np.linalg.svd(u_mat @ whitened)
+    if sigma[0] * v_sigma[0] <= DEFAULT_TOL * u_scale:
+        # U vanishes on range(V*): the ratio is 0 along any non-null input,
+        # reported at V's top right singular vector.
+        return QuotientResult(True, 0.0, None, linalg.canonical_sign(coimage[:, 0]))
+    return QuotientResult(True, float(sigma[0]), None,
+                          linalg.unit_vector(whitened @ np.conj(vh[0])))
 
 
 @dataclass(frozen=True, eq=False)

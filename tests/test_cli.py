@@ -405,6 +405,21 @@ class TestComplexReports:
         parsed = [complex(e.replace("i", "j")) for e in entries]
         assert np.allclose(parsed, pairs[:, 0] + 1j * pairs[:, 1], rtol=1e-11, atol=1e-12)
 
+    def test_bounds_prints_a_real_witness_pivot(self, runner, tmp_path):
+        # the witness's first nonzero entry is set to its modulus exactly, so
+        # the text report shows no rounding imaginary part at the pivot
+        rng = np.random.default_rng(2)
+        f = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        k = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        system = biframekit.BiframeSystem.from_samples(
+            biframekit.DiscreteMeasure(tuple("abcde"), np.ones(5)), f, f, k)
+        path = tmp_path / "dense.json"
+        save(system, path)
+        result = runner.invoke(main, ["bounds", str(path)])
+        assert result.exit_code == 0
+        line = next(ln for ln in result.output.splitlines() if ln.startswith("lower witness: "))
+        assert re.match(r"lower witness: \[[0-9.]+\+0i, ", line), line
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("op", ["sandwich", "apply"])
     def test_construct_reads_a_complex_operator(self, runner, path, tmp_path, fmt, op):

@@ -220,17 +220,24 @@ def test_operator_rank():
 def test_orthonormal_range_and_nullspace():
     a = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
     basis, sigma = linalg.orthonormal_range(a)
-    null, null_sigma = linalg.orthonormal_nullspace(a)
+    null, null_sigma, coimage = linalg.orthonormal_nullspace(a)
     # both hand back the singular values they cut by: ||a|| = sigma[0] = 5
     assert sigma[0] == pytest.approx(5.0, rel=1e-15)
     assert null_sigma[0] == pytest.approx(5.0, rel=1e-15)
     assert basis.shape == (3, 1)
     assert null.shape == (3, 2)
+    assert coimage.shape == (3, 1)
     assert np.allclose(basis.conj().T @ basis, np.eye(1), atol=1e-12)
     assert np.allclose(null.conj().T @ null, np.eye(2), atol=1e-12)
     # range basis reproduces the columns, nullspace is annihilated
     assert np.allclose(basis @ (basis.conj().T @ a), a, atol=1e-12)
     assert np.allclose(a @ null, 0.0, atol=1e-12)
+    # the coimage completes the kernel to an orthonormal basis: range(a*),
+    # on which a stretches by sigma
+    both = np.hstack([coimage, null])
+    assert np.allclose(both.conj().T @ both, np.eye(3), atol=1e-12)
+    assert np.allclose(coimage @ coimage.conj().T, linalg.pseudo_inverse(a) @ a, atol=1e-12)
+    assert np.allclose(np.linalg.norm(a @ coimage, axis=0), sigma[:1], rtol=1e-15)
 
 
 @pytest.mark.parametrize("j", [-1074, -900, -500, 0, 500, 900, 1021])
@@ -285,6 +292,22 @@ def test_canonical_sign_fixes_phase():
     assert v[0] > 0
     w = linalg.canonical_sign(np.array([1j, 0.0], dtype=complex))
     assert w[0].real > 0 and abs(w[0].imag) < 1e-15
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_canonical_sign_is_idempotent_and_column_wise(seed):
+    # the pivot is set to its modulus exactly, so a second pass is a no-op,
+    # and a matrix is the columns normalised one by one
+    rng = np.random.default_rng(seed)
+    for complex_ in (False, True):
+        m = random_matrix(rng, 4, 3, complex_)
+        once = linalg.canonical_sign(m)
+        assert np.array_equal(linalg.canonical_sign(once), once)
+        for j in range(3):
+            column = linalg.canonical_sign(m[:, j])
+            assert np.array_equal(column, once[:, j])
+            assert np.array_equal(linalg.canonical_sign(column), column)
+            assert column[0].imag == 0.0 and column[0].real > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,18 @@ class TestCommutingTransform:
         with pytest.raises(errors.SingularOperatorError):
             opcalc.commuting_transform(promoted_diagonal, np.zeros((3, 3)))
 
+    def test_commutation_is_decided_at_any_operator_scale(self):
+        # T K and K T are formed from T / 2^e and K / 2^f: at 1e160 and 1e150
+        # the plain commutator would overflow
+        system = bk.BiframeSystem.from_samples(
+            bk.DiscreteMeasure(("a", "b", "c"), np.ones(3)),
+            np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+            np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), 1e150 * np.diag([1.0, 2.0]))
+        with pytest.raises(errors.NotCommutingError, match="relative defect"):
+            opcalc.commuting_transform(system, 1e160 * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        res = opcalc.commuting_transform(system, 1e160 * np.diag([1.0, 3.0]))
+        assert np.array_equal(res.system.target, system.target)
+
 
 class TestPerturbPositive:
     def test_zero_perturbation_is_identity(self, promoted_diagonal):

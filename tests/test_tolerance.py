@@ -306,10 +306,9 @@ def test_relative_gap_is_the_plain_ratio_and_scale_free():
 # tooling guard
 
 
-def _relative_gap_lines() -> range:
+def _linalg_lines(name: str) -> range:
     tree = ast.parse((SRC / "linalg.py").read_text(encoding="utf-8"))
-    node = next(n for n in tree.body
-                if isinstance(n, ast.FunctionDef) and n.name == "relative_gap")
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
     return range(node.lineno, node.end_lineno + 1)
 
 
@@ -319,18 +318,22 @@ def test_no_second_tolerance_rule_in_the_package():
     would bring back a cutoff that does not scale with the problem.  Every
     equality verdict reads ``linalg.relative_gap``: a hand-written Frobenius
     comparison ``np.linalg.norm(x - y)`` anywhere else squares its entries
-    on a scale of its own, and over- or underflows at the ends of the range."""
+    on a scale of its own, and over- or underflows at the ends of the range.
+    A spectral norm of a difference, ``spectral_norm(x - y)``, is the same
+    verdict by a second norm; only ``linalg.asymmetry``, a diagnostic that
+    decides nothing, takes one."""
     banned = re.compile(r"max\(1|RANK_TOL|rank_tol|_DOMINANCE_SLACK")
-    frobenius = re.compile(r"np\.linalg\.norm\([^)]*\s-\s")
-    allowed = {("linalg.py", number) for number in _relative_gap_lines()}
-    found, seen = [], []
+    patterns = {"relative_gap": re.compile(r"np\.linalg\.norm\([^)]*\s-\s"),
+                "asymmetry": re.compile(r"spectral_norm\([^)]*\s-\s")}
+    allowed = {name: {("linalg.py", number) for number in _linalg_lines(name)}
+               for name in patterns}
+    found, seen = [], set()
     for path in sorted(SRC.rglob("*.py")):
         name = str(path.relative_to(SRC))
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            hand_written = frobenius.search(line)
-            if hand_written and (name, number) in allowed:
-                seen.append(number)
-            elif banned.search(line) or hand_written:
+            hits = [owner for owner, pattern in patterns.items() if pattern.search(line)]
+            seen.update(owner for owner in hits if (name, number) in allowed[owner])
+            if banned.search(line) or any((name, number) not in allowed[o] for o in hits):
                 found.append(f"{name}:{number}: {line.strip()}")
-    assert seen, "the Frobenius pattern no longer matches linalg.relative_gap itself"
+    assert seen == set(patterns), "a pattern no longer matches the one function it allows"
     assert not found, "\n".join(found)

@@ -1,6 +1,7 @@
 """The test configuration and tooling: a failing test must not hide the
 others, the benchmark's tracer must find every name it wraps, and it must
-see a cached spectrum, norm or asymmetry as no eigensolve or SVD."""
+see a cached spectrum, norm or asymmetry as no eigensolve or SVD.  The
+LAPACK SVDs a rule runs are counted too, traced or not."""
 
 import ast
 import importlib
@@ -164,10 +165,11 @@ def test_traced_transform_equivalences_cross_checks_the_pushed_system_once():
 @pytest.mark.parametrize("rule, svds", [
     # one SVD of K: its range basis and ||K^+|| = 1 / sigma_r
     ("restrict_to_range", 1),
-    # range(K) with ||K|| = sigma_0, then ||U|| and the residual's norm
-    ("max_transfer_ratio", 3),
-    # V's null basis with ||V|| = sigma_0, then ||U|| and V^+
-    ("quotient_norm", 3),
+    # range(K) with ||K|| = sigma_0, then the residual's norm; ||U|| comes
+    # from the eigensolve of U U*
+    ("max_transfer_ratio", 2),
+    # V's null basis, ||V|| = sigma_0 and V^+ from one SVD, then ||U||
+    ("quotient_norm", 2),
 ])
 def test_traced_rules_decompose_each_operator_once(rule, svds):
     rng = np.random.default_rng(8)
@@ -212,8 +214,8 @@ def test_traced_bounds_on_a_warm_system_run_no_svd_helper():
     ("canonical_dual", 2),
     # invert(U), whose singular values give ||U|| and ||U^-1||
     ("inverse_conjugate", 1),
-    # invert(T) for ||T|| and ||T^-1||, then the commutator and ||K||
-    ("commuting_transform", 3),
+    # invert(T) for ||T|| and ||T^-1||; commutation is a relative_gap
+    ("commuting_transform", 1),
 ])
 def test_traced_invert_rules_decompose_their_operator_once(rule, svds):
     system = _system()
@@ -222,6 +224,63 @@ def test_traced_invert_rules_decompose_their_operator_once(rule, svds):
 
     names = _traced(lambda: getattr(opcalc, rule)(system, u))
     assert names.count("linalg.svd") == svds
+
+
+def _lapack_svds(monkeypatch, call) -> int:
+    """LAPACK SVDs run while ``call`` runs, inside a traced helper or not:
+    every ``np.linalg.svd``, and every ``np.linalg.norm(x, 2)`` of a matrix,
+    which takes its singular values."""
+    svd, norm, count = np.linalg.svd, np.linalg.norm, 0
+
+    def counted_svd(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return svd(*args, **kwargs)
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        nonlocal count
+        count += ord == 2 and np.ndim(x) == 2
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    call()
+    return count
+
+
+@pytest.mark.parametrize("rule, svds", [
+    # V's SVD, ||U||, U on null(V), and U V_r Sigma_r^-1
+    ("quotient_norm", 4),
+    # range(K), the residual's norm, and max_psd_shift's three: sigma_max(W),
+    # the range test on the null directions of U U*, the whitened pencil
+    ("max_transfer_ratio", 5),
+    # the same without null directions
+    ("max_transfer_ratio-identity", 4),
+    # invert(T), and max_psd_shift's two
+    ("commuting_transform", 3),
+    # max_psd_shift's two: the perturbation is an eigensolve
+    ("perturb_positive", 2),
+    # V's SVD, ||K*||, U V_r Sigma_r^-1, and max_psd_shift's two
+    ("validity_cross_check", 5),
+])
+def test_every_lapack_svd_of_a_rule_is_counted(monkeypatch, rule, svds):
+    # the bench's linalg.svd counts only the traced helpers; this counts the
+    # raw calls too, so an SVD moved out of a helper cannot hide
+    rng = np.random.default_rng(8)
+    k = rng.normal(size=(4, 2)) @ rng.normal(size=(2, 4))
+    system, u = _system(), np.diag([1.0, 0.5, 0.25, 2.0])
+    rank_two = system.with_target(k)
+    for warm in (system, rank_two):
+        assert biframe.optimal_bounds(warm).valid
+    call = {
+        "quotient_norm": lambda: quotient.quotient_norm(2.0 * k, k),
+        "max_transfer_ratio": lambda: opcalc.max_transfer_ratio(rank_two, 2.0 * k),
+        "max_transfer_ratio-identity": lambda: opcalc.max_transfer_ratio(system, u),
+        "commuting_transform": lambda: opcalc.commuting_transform(system, u),
+        "perturb_positive": lambda: opcalc.perturb_positive(system, u),
+        "validity_cross_check": lambda: quotient.validity_cross_check(system),
+    }[rule]
+    assert _lapack_svds(monkeypatch, call) == svds
 
 
 def test_traced_demo_computes_one_bound_report():
