@@ -8,13 +8,14 @@ and certify the result), ``tensor`` (combine two manifests), and ``demo``
 Exit codes follow one contract everywhere: 0 when the requested property
 verified, 1 when verification failed (a witness is printed where one
 exists), 2 for every invalid argument and every usage, parse, or validation
-problem, including an input whose optimal lower constant lies outside the
-float64 range (``construct`` reports a result out of that range in its
-``certification_error`` row and exits 1).  Each command builds its report
-as one ordered list of rows ``(key, value, line)``, and :func:`_emit`
-renders it: ``--format json`` emits every key with its value at full
-precision, the text report prints every line that is not ``None`` (numbers
-with 12 significant digits).
+problem, including an input whose optimal lower constant or frame
+operator lies outside the float64 range, and a construction whose
+guaranteed constant, or whose system, does (``construct`` reports a result
+whose bounds leave that range in its ``certification_error`` row and
+exits 1).  Each command builds its report as one ordered list of rows
+``(key, value, line)``, and :func:`_emit` renders it: ``--format json``
+emits every key with its value at full precision, the text report prints
+every line that is not ``None`` (numbers with 12 significant digits).
 """
 
 from __future__ import annotations
@@ -148,9 +149,10 @@ def _read_matrix(value: str, dim: int, complex_field: bool) -> np.ndarray:
 
 
 class _Group(click.Group):
-    """Reports a bound outside the float64 range (``OverflowError``, as
-    :func:`linalg.max_psd_shift` raises it) as an invalid input, exit 2,
-    instead of a traceback."""
+    """Reports a bound, a guaranteed constant or a system outside the
+    float64 range (``OverflowError``, as :func:`linalg.max_psd_shift`, the
+    construction rules and ``frame_operator`` raise it) as an invalid input,
+    exit 2, instead of a traceback."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -270,8 +272,8 @@ def construct(ctx: click.Context, file: str, op_name: str, operator_text: str | 
 
     Exits 0 when the recomputed optimal bounds dominate the rule's
     guaranteed bounds (the claim rule of `verify`), 1 when they do not (or a
-    precondition fails, or the result's lower constant lies outside the
-    float64 range).
+    precondition fails, or the result's bounds lie outside the float64
+    range); 2 when a guaranteed constant or the result's samples do.
     """
     record = _load(file)
     system = record.system

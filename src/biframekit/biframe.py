@@ -183,9 +183,16 @@ def _cached(system: BiframeSystem, key: str, make):
 
 def frame_operator(system: BiframeSystem) -> np.ndarray:
     """Accumulated operator ``S = sum_i w_i G_i F_i*`` (so ``<S f, f>`` equals
-    the system's quadratic form).  Cached on the system."""
-    return _cached(system, "frame_operator", lambda: system.synthesis.samples.T @ (
-        system.measure.weights[:, None] * np.conj(system.analysis.samples)))
+    the system's quadratic form).  Cached on the system.  An ``S`` whose sums
+    leave float64 raises ``OverflowError``."""
+    def make() -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = system.synthesis.samples.T @ (
+                system.measure.weights[:, None] * np.conj(system.analysis.samples))
+        if not np.isfinite(s).all():
+            raise OverflowError("the frame operator's sums lie outside the float64 range")
+        return s
+    return _cached(system, "frame_operator", make)
 
 
 def _herm_part(system: BiframeSystem) -> np.ndarray:

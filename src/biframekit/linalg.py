@@ -42,6 +42,7 @@ vector) is spelled out in detail below.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +163,28 @@ def _binary_normalised(a: np.ndarray) -> tuple[np.ndarray, int]:
     top = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
     e = math.frexp(top)[1] - 1
     return a / math.ldexp(1.0, e), e
+
+
+def _rescaled(value: float, up=(), down=(), what: str = "a guaranteed constant") -> float:
+    """``value * prod(up)^2 / prod(down)^2``: the one way a constant is scaled
+    by squared norms.  Every factor is split by ``frexp``; the mantissas are
+    multiplied, then divided, in order, and one ``ldexp`` applies the summed
+    exponent.  Scaling by a power of two is exact, so wherever the plain
+    product stays in range the result is the plain product bit for bit.  A
+    subnormal result ships; a nonzero one that float64 cannot hold raises
+    ``OverflowError`` naming ``what``, never a false 0 or ``inf``."""
+    mant, exp = math.frexp(value)
+    for x in up:
+        m, e = math.frexp(x)
+        mant, exp = mant * m * m, exp + 2 * e
+    for x in down:
+        m, e = math.frexp(x)
+        mant, exp = mant / m / m, exp - 2 * e
+    fits = exp + math.frexp(mant)[1] <= sys.float_info.max_exp  # else ldexp raises
+    out = math.ldexp(mant, exp) if fits else math.inf
+    if mant and out in (0.0, math.inf):
+        raise OverflowError(f"{what} lies outside the float64 range: {mant!r} x 2^{exp}")
+    return out
 
 
 def relative_gap(a, b) -> float:
@@ -467,10 +490,11 @@ def max_psd_shift(s_eig: EigenDecomposition, k, tol: float = DEFAULT_TOL) -> Shi
 
     All of the above runs on ``k / 2^e`` (:func:`_binary_normalised`): ``W``,
     its singular values and both zero tests stay in range at any target
-    scale, and the amount is divided by ``2^e`` twice at the end.  Scaling
-    by a power of two is exact, so wherever the unscaled arithmetic stays in
-    range the result is bit for bit the unscaled one.  ``degenerate`` is set
-    only for a ``k`` that is exactly zero.
+    scale, and the amount is divided by ``4^e`` once at the end, by
+    :func:`_rescaled`.  Scaling by a power of two is exact, so wherever the
+    unscaled arithmetic stays in range the result is bit for bit the
+    unscaled one.  ``degenerate`` is set only for a ``k`` that is exactly
+    zero.
 
     Eigensolves per call: 0, whatever ``k`` is; the spectrum of ``s`` is
     read, not computed.
@@ -495,7 +519,6 @@ def max_psd_shift(s_eig: EigenDecomposition, k, tol: float = DEFAULT_TOL) -> Shi
         raise DimensionMismatchError(
             f"shape mismatch: spectrum of dimension {n} vs factor {k_m.shape}")
     k_unit, e = _binary_normalised(k_m)
-    scale = math.ldexp(1.0, e)
     # k vanishes: the shift is unconstrained whenever s itself is PSD.
     degenerate = not k_unit.any()
     if not s_eig.is_psd(tol):
@@ -523,11 +546,7 @@ def max_psd_shift(s_eig: EigenDecomposition, k, tol: float = DEFAULT_TOL) -> Shi
     amount, witness = 1.0 / float(sigma[0]) ** 2, unit_vector(v[:, live] @ (u[:, 0] / root))
     if amount * p_max <= cutoff:
         return ShiftResult(None, witness)
-    # s - a*k k* = s - (a * scale^2) * k_unit k_unit*
-    shift = amount / scale / scale
-    if shift == 0.0 or shift == math.inf:
-        raise OverflowError(
-            f"the shift for a target of scale 2^{e} (~{scale:.3e}) lies "
-            f"outside the float64 range: {amount:.6e} / {scale:.3e}^2"
-        )
+    # s - a*k k* = s - (a * 4^e) * k_unit k_unit*
+    shift = _rescaled(amount, down=(math.ldexp(1.0, e),),
+                      what=f"the shift for a target of scale 2^{e}")
     return ShiftResult(shift, witness)

@@ -8,6 +8,14 @@ so even where they are conservative -- recomputing :func:`~biframekit.biframe.op
 on the result and comparing is precisely how the test-suite turns each rule
 into an executable claim.
 
+Every constant a squared norm scales is formed by :func:`linalg._rescaled`,
+exactly: an operator scaled by ``2^j`` scales it by ``2^{+-2j}``, and in
+range it is the plain product bit for bit.  A rule forms its constants
+before any product that grows with its operator (the result's keywords are
+evaluated in the order written), so a constant that float64 cannot hold
+raises ``OverflowError`` first, never a false ``0`` or ``inf``; so do
+mapped samples or a target that leave float64 (:func:`_map_samples`).
+
 ``certified`` records whether the guaranteed lower constant actually follows
 from the construction.  Most rules are certified; the additive combinations
 (:func:`combine_sum`), the n-ary product chain and the positive perturbation
@@ -18,6 +26,7 @@ and the tests track how often the claim survives instead of asserting it.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -86,14 +95,17 @@ def _as_operator(a, dim: int, name: str = "operator") -> np.ndarray:
     return mat
 
 
-def _map_samples(system: BiframeSystem, u: np.ndarray, target) -> BiframeSystem:
-    """Apply ``u`` to every sampled vector of both families (same measure)."""
-    return BiframeSystem.from_samples(
-        system.measure,
-        system.analysis.samples @ u.T,
-        system.synthesis.samples @ u.T,
-        target,
-    )
+def _map_samples(system: BiframeSystem, u: np.ndarray,
+                 target: Sequence[np.ndarray]) -> BiframeSystem:
+    """Apply ``u`` to every sampled vector of both families (same measure);
+    the new target is the product of ``target``, left to right.  Samples or
+    a target that leave float64 raise ``OverflowError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mapped = (system.analysis.samples @ u.T, system.synthesis.samples @ u.T,
+                  functools.reduce(np.matmul, target))
+    if not all(np.isfinite(m).all() for m in mapped):
+        raise OverflowError("the constructed samples or target lie outside the float64 range")
+    return BiframeSystem.from_samples(system.measure, *mapped)
 
 
 def _valid_bounds(system: BiframeSystem, tol: float, what: str) -> tuple[float, float]:
@@ -132,9 +144,9 @@ def promote(system: BiframeSystem, new_target, *, tol: float = DEFAULT_TOL) -> C
     if k_norm == 0.0:
         raise ZeroOperatorError("cannot promote to a zero target")
     return ConstructionResult(
-        system=system.with_target(k),
-        guaranteed_lower=lower / k_norm / k_norm,
+        guaranteed_lower=linalg._rescaled(lower, down=(k_norm,)),
         guaranteed_upper=upper,
+        system=system.with_target(k),
         rule="promote",
     )
 
@@ -150,7 +162,6 @@ def restrict_to_range(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> Con
     lower, upper = _valid_bounds(system, tol, "restriction input")
     basis, sigma = linalg.orthonormal_range(system.target)
     rank = basis.shape[1]
-    sigma_r = float(sigma[rank - 1])  # ||K^+|| = 1 / sigma_r
     eye = np.eye(rank, dtype=basis.dtype)
     if np.array_equal(basis, eye):
         # the basis is the standard one: same samples, and the same cache
@@ -163,9 +174,9 @@ def restrict_to_range(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> Con
             eye,
         )
     return ConstructionResult(
-        system=compressed,
-        guaranteed_lower=lower * sigma_r * sigma_r,
+        guaranteed_lower=linalg._rescaled(lower, up=(sigma[rank - 1],)),  # ||K^+|| = 1 / sigma_r
         guaranteed_upper=upper,
+        system=compressed,
         rule="restrict",
     )
 
@@ -191,29 +202,28 @@ def combine_sum(system: BiframeSystem, terms: Sequence[tuple[complex, np.ndarray
     targets = [_as_operator(k, system.dim, f"target #{j}") for j, (_, k) in enumerate(terms)]
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("combination coefficients must be finite")
-    peak = float(np.max(np.abs(coeffs)))  # divided by twice, never squared
+    peak = float(np.max(np.abs(coeffs)))
     if peak == 0.0:
         raise ZeroOperatorError("all combination coefficients vanish")
 
     pairs = [_valid_bounds(system.with_target(k), tol, f"term #{j}")
              for j, k in enumerate(targets)]
+    if len(terms) == 2:
+        (a1, b1), (a2, b2) = pairs
+        lower = linalg._rescaled(1.0 / (1.0 / a1 + 1.0 / a2), down=(peak,))
+        upper = (b1 + b2) / 2.0
+    else:
+        lower = linalg._rescaled(min(lo for lo, _ in pairs) / len(terms), down=(peak,))
+        upper = min(hi for _, hi in pairs)
 
     combined = sum(a * k for a, k in zip(coeffs, targets))
     if not np.iscomplexobj(system.target):
         if np.iscomplexobj(combined) and np.max(np.abs(combined.imag)) == 0.0:
             combined = combined.real
-
-    if len(terms) == 2:
-        (a1, b1), (a2, b2) = pairs
-        lower = 1.0 / (1.0 / a1 + 1.0 / a2) / peak / peak
-        upper = (b1 + b2) / 2.0
-    else:
-        lower = min(lo for lo, _ in pairs) / len(terms) / peak / peak
-        upper = min(hi for _, hi in pairs)
     return ConstructionResult(
-        system=system.with_target(combined),
         guaranteed_lower=lower,
         guaranteed_upper=upper,
+        system=system.with_target(combined),
         rule="sum",
         certified=False,
     )
@@ -233,9 +243,9 @@ def combine_product(system: BiframeSystem, right_target, *,
         raise ZeroOperatorError("right target is zero; composed target would vanish")
     lower, upper = _valid_bounds(system, tol, "product input")
     return ConstructionResult(
-        system=system.with_target(system.target @ k2),
-        guaranteed_lower=lower / nrm / nrm,
+        guaranteed_lower=linalg._rescaled(lower, down=(nrm,)),
         guaranteed_upper=upper,
+        system=system.with_target(system.target @ k2),
         rule="product",
     )
 
@@ -255,17 +265,15 @@ def product_chain(system: BiframeSystem, targets: Sequence[np.ndarray], *,
     mats = [_as_operator(k, system.dim, f"target #{j}") for j, k in enumerate(targets)]
     pairs = [_valid_bounds(system.with_target(k), tol, f"chain term #{j}")
              for j, k in enumerate(mats)]
-    lower = min(lo for lo, _ in pairs)
-    for k in mats[:-1]:
-        nrm = linalg.spectral_norm(k)
-        lower = lower / nrm / nrm
+    lower = linalg._rescaled(min(lo for lo, _ in pairs),
+                             down=[linalg.spectral_norm(k) for k in mats[:-1]])
     composed = mats[0]
     for k in mats[1:]:
         composed = composed @ k
     return ConstructionResult(
-        system=system.with_target(composed),
         guaranteed_lower=lower,
         guaranteed_upper=min(hi for _, hi in pairs),
+        system=system.with_target(composed),
         rule="product-chain",
         certified=False,
     )
@@ -282,12 +290,10 @@ def apply_operator(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) -> Con
     """
     mat = _as_operator(u, system.dim)
     report = optimal_bounds(system, tol=tol)
-    lower = report.lower_opt if report.valid else None
-    u_norm = linalg.spectral_norm(mat)
     return ConstructionResult(
-        system=_map_samples(system, mat, mat @ system.target),
-        guaranteed_lower=lower,
-        guaranteed_upper=float(report.upper_opt) * u_norm * u_norm,
+        guaranteed_lower=report.lower_opt if report.valid else None,
+        guaranteed_upper=linalg._rescaled(report.upper_opt, up=(linalg.spectral_norm(mat),)),
+        system=_map_samples(system, mat, [mat, system.target]),
         rule="apply",
     )
 
@@ -309,12 +315,10 @@ def canonical_dual(system: BiframeSystem, new_target, *, tol: float = DEFAULT_TO
         raise SingularFrameOperatorError(
             "frame operator is numerically singular; no canonical dual exists"
         ) from exc
-    s_norm, inv_norm, k_norm = float(sigma[0]), 1.0 / float(sigma[-1]), linalg.spectral_norm(k)
-    mapped = _map_samples(system, k @ s_inv, k)
     return ConstructionResult(
-        system=mapped,
-        guaranteed_lower=lower / s_norm / s_norm,
-        guaranteed_upper=upper * inv_norm * inv_norm * k_norm * k_norm,
+        guaranteed_lower=linalg._rescaled(lower, down=(sigma[0],)),
+        guaranteed_upper=linalg._rescaled(upper, up=(linalg.spectral_norm(k),), down=(sigma[-1],)),
+        system=_map_samples(system, k @ s_inv, [k]),
         rule="dual",
     )
 
@@ -329,11 +333,10 @@ def sandwich(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) -> Construct
     if u_norm == 0.0:
         raise ZeroOperatorError("sandwich by the zero operator loses every bound")
     lower, upper = _valid_bounds(system, tol, "sandwich input")
-    target = mat @ system.target @ linalg.adjoint(mat)
     return ConstructionResult(
-        system=_map_samples(system, mat, target),
-        guaranteed_lower=lower / u_norm / u_norm,
-        guaranteed_upper=upper * u_norm * u_norm,
+        guaranteed_lower=linalg._rescaled(lower, down=(u_norm,)),
+        guaranteed_upper=linalg._rescaled(upper, up=(u_norm,)),
+        system=_map_samples(system, mat, [mat, system.target, linalg.adjoint(mat)]),
         rule="sandwich",
     )
 
@@ -349,12 +352,10 @@ def inverse_conjugate(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) -> 
     mat = _as_operator(u, system.dim)
     inv, sigma = linalg.invert(mat)  # SingularOperatorError for defective u
     lower, upper = _valid_bounds(system, tol, "inverse_conjugate input")
-    target = inv @ system.target @ mat
-    u_norm, inv_norm = float(sigma[0]), 1.0 / float(sigma[-1])
     return ConstructionResult(
-        system=_map_samples(system, inv, target),
-        guaranteed_lower=lower / u_norm / u_norm,
-        guaranteed_upper=upper * inv_norm * inv_norm,
+        guaranteed_lower=linalg._rescaled(lower, down=(sigma[0],)),
+        guaranteed_upper=linalg._rescaled(upper, down=(sigma[-1],)),
+        system=_map_samples(system, inv, [inv, system.target, mat]),
         rule="inverse-conjugate",
     )
 
@@ -402,7 +403,6 @@ def commuting_transform(system: BiframeSystem, t, *, tol: float = DEFAULT_TOL) -
     """
     mat = _as_operator(t, system.dim)
     _, sigma = linalg.invert(mat)
-    t_norm, inv_norm = float(sigma[0]), 1.0 / float(sigma[-1])
     k = system.target
     t_unit, k_unit = linalg._binary_normalised(mat)[0], linalg._binary_normalised(k)[0]
     defect = linalg.relative_gap(t_unit @ k_unit, k_unit @ t_unit)
@@ -412,9 +412,9 @@ def commuting_transform(system: BiframeSystem, t, *, tol: float = DEFAULT_TOL) -
         )
     lower, upper = _valid_bounds(system, tol, "commuting input")
     return ConstructionResult(
-        system=_map_samples(system, mat, k),
-        guaranteed_lower=lower / inv_norm / inv_norm,
-        guaranteed_upper=upper * t_norm * t_norm,
+        guaranteed_lower=linalg._rescaled(lower, up=(sigma[-1],)),  # ||T^-1|| = 1 / sigma_min
+        guaranteed_upper=linalg._rescaled(upper, up=(sigma[0],)),
+        system=_map_samples(system, mat, [k]),
         rule="commute",
     )
 
@@ -444,11 +444,10 @@ def perturb_positive(system: BiframeSystem, t, power: int = 1, *,
     lower, upper = _valid_bounds(system, tol, "perturbation input")
     grow = 1.0 + eig.values ** power
     bump = (eig.vectors * grow) @ linalg.adjoint(eig.vectors)
-    bump_norm = float(np.max(np.abs(grow)))
     return ConstructionResult(
-        system=_map_samples(system, bump, system.target),
         guaranteed_lower=lower,
-        guaranteed_upper=upper * bump_norm * bump_norm,
+        guaranteed_upper=linalg._rescaled(upper, up=(float(np.max(np.abs(grow))),)),
+        system=_map_samples(system, bump, [system.target]),
         rule="perturb",
         certified=False,
     )

@@ -170,7 +170,7 @@ def transform_equivalences(system: BiframeSystem, t, *,
     # NotPSDError unless Herm(S) is PSD
     root = linalg.sqrt_psd(_herm_spectrum(system), tol=tol)
 
-    pushed = _map_samples(system, t_mat, t_mat @ system.target)
+    pushed = _map_samples(system, t_mat, [t_mat, system.target])
     # the pencil and [(T K)* / (T H T*)^{1/2}], on the pushed system
     check = validity_cross_check(pushed, tol=tol)
     plain = quotient_norm(linalg.adjoint(pushed.target), root @ linalg.adjoint(t_mat))

@@ -87,6 +87,18 @@ class TestBounds:
         assert "target of scale 2^-565" in result.output
         assert "outside the float64 range" in result.output
 
+    def test_sums_outside_the_float_range_are_usage_error(self, runner, tmp_path):
+        # weights 1e300 on entries 1e10: S = 1e320 I is no float64
+        path = tmp_path / "huge.json"
+        measure = biframekit.DiscreteMeasure(("a", "b"), np.full(2, 1e300))
+        save(biframekit.BiframeSystem.from_samples(measure, 1e10 * np.eye(2), 1e10 * np.eye(2),
+                                                   np.eye(2)), path, claimed_bounds=(1.0, 2.0))
+        for command in ("bounds", "verify"):
+            result = runner.invoke(main, [command, str(path)])
+            assert result.exit_code == 2, result.output
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            assert "frame operator's sums lie outside the float64 range" in result.output
+
     def test_missing_file_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["bounds", str(tmp_path / "absent.json")])
         assert result.exit_code == 2
@@ -167,15 +179,28 @@ class TestVerify:
 
 class TestConstruct:
     def test_result_outside_the_float_range_reports_why_and_exits_one(self, runner, tmp_path):
+        # a guaranteed constant out of range is refused by the rule: exit 2
         path = tmp_path / "plain.json"
         save(fixture("example-3-3").with_target(np.eye(3)), path)
         result = runner.invoke(main, ["--format", "json", "construct", str(path),
                                       "--op", "product", "--operator",
                                       json.dumps((1e-170 * np.eye(3)).tolist())])
+        assert result.exit_code == 2
+        assert "outside the float64 range" in result.output
+        # constants (1, ~1.07e301) in range, but S' = U S U* of U = 2^500 I is
+        # not: nothing to certify with, exit 1
+        skew = tmp_path / "skew.json"
+        measure = biframekit.DiscreteMeasure(("a", "b"), np.ones(2))
+        save(biframekit.BiframeSystem.from_samples(
+            measure, np.eye(2), np.array([[1.0, -1e10], [1e10, 1.0]]), np.eye(2)), skew)
+        result = runner.invoke(main, ["--format", "json", "construct", str(skew),
+                                      "--op", "apply", "--operator",
+                                      json.dumps((2.0 ** 500 * np.eye(2)).tolist())])
         assert result.exit_code == 1
         payload = json.loads(result.output)
         assert "outside the float64 range" in payload["certification_error"]
-        assert "dominated" not in payload and payload["guaranteed_lower"] == "inf"
+        assert "dominated" not in payload
+        assert (payload["guaranteed_lower"], payload["guaranteed_upper"]) == (1.0, 2.0 ** 1000)
 
     def test_sandwich_is_certified_and_dominates(self, runner, manifests, tmp_path):
         out = tmp_path / "sandwiched.json"

@@ -161,18 +161,17 @@ class TestCombineSum:
 
     @pytest.mark.parametrize("c", [1e-170, 1e200, 1e100, 1e-100])
     def test_coefficients_at_any_scale(self, c):
-        # the largest |a_j| is divided by twice, never squared: 1e-170 is not
-        # taken for zero, and 1e200 does not overflow (warnings are errors
-        # in this suite); the stated constant is 0.4 / c^2, saturating
+        # the stated constant is 0.4 / c^2: 1e-170 is not taken for zero, and
+        # 1e200 does not overflow (warnings are errors in this suite); where
+        # 0.4 / c^2 is no float64 the rule raises instead of shipping inf or 0
         base = fixture("example-3-3").with_target(np.eye(3))
-        res = opcalc.combine_sum(base, [(c, np.eye(3)), (c, 2.0 * np.eye(3))])
         want = opcalc.combine_sum(base, [(1.0, np.eye(3)), (1.0, 2.0 * np.eye(3))])
         assert want.guaranteed_lower == pytest.approx(0.4, rel=1e-12)
-        if c == 1e-170:
-            assert res.guaranteed_lower == math.inf
-        elif c == 1e200:
-            assert res.guaranteed_lower == 0.0
+        if c in (1e-170, 1e200):
+            with pytest.raises(OverflowError, match="float64 range"):
+                opcalc.combine_sum(base, [(c, np.eye(3)), (c, 2.0 * np.eye(3))])
         else:
+            res = opcalc.combine_sum(base, [(c, np.eye(3)), (c, 2.0 * np.eye(3))])
             assert res.guaranteed_lower * c * c == pytest.approx(0.4, rel=1e-12)
 
     def test_rejects_empty_and_all_zero(self, promoted_diagonal):
@@ -348,15 +347,16 @@ class TestCommutingTransform:
 
     def test_commutation_is_decided_at_any_operator_scale(self):
         # T K and K T are formed from T / 2^e and K / 2^f: at 1e160 and 1e150
-        # the plain commutator would overflow
+        # the plain commutator would overflow.  A commuting T of 1e160 passes
+        # the test, but its upper constant B ||T||^2 ~ 1e321 is no float64
         system = bk.BiframeSystem.from_samples(
             bk.DiscreteMeasure(("a", "b", "c"), np.ones(3)),
             np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
             np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), 1e150 * np.diag([1.0, 2.0]))
         with pytest.raises(errors.NotCommutingError, match="relative defect"):
             opcalc.commuting_transform(system, 1e160 * np.array([[1.0, 1.0], [0.0, 1.0]]))
-        res = opcalc.commuting_transform(system, 1e160 * np.diag([1.0, 3.0]))
-        assert np.array_equal(res.system.target, system.target)
+        with pytest.raises(OverflowError, match="float64 range"):
+            opcalc.commuting_transform(system, 1e160 * np.diag([1.0, 3.0]))
 
 
 class TestPerturbPositive:
@@ -535,23 +535,85 @@ _TINY_RULES = {
                          + [(rule, True) for rule in ("product", "sandwich", "commute")],
                          ids=lambda v: v if isinstance(v, str) else ("cli" if v else "lib"))
 def test_a_tiny_operator_saturates_the_guaranteed_constants(tmp_path, rule, cli):
-    # squares saturate to inf or 0 as everywhere else in the package, where
-    # ** raised OverflowError and a division by an underflowed square
-    # ZeroDivisionError; warnings are errors in this suite
+    # a constant scaled by 1e-170 squared is no float64: the rule raises
+    # OverflowError (the CLI exits 2 saying so) where a saturated square
+    # shipped a false inf or 0; warnings are errors in this suite.  Only
+    # perturb, whose I + T is about I, keeps both constants in range.
     base = fixture("example-3-3").with_target(np.eye(3))
     if cli:
         path = tmp_path / "plain.json"
         save(base, path)
         run = CliRunner().invoke(main, ["--format", "json", "construct", str(path), "--op", rule,
                                         "--operator", json.dumps(_TINY.tolist())])
-        assert run.exit_code in (0, 1), run.output
+        assert run.exit_code == 2, run.output
         assert run.exception is None or isinstance(run.exception, SystemExit)
-        report = json.loads(run.output)
-        constants = report["guaranteed_lower"], report["guaranteed_upper"]
-    else:
+        assert "outside the float64 range" in run.output
+    elif rule == "perturb":
         result = _TINY_RULES[rule](base)
-        constants = result.guaranteed_lower, result.guaranteed_upper
-    assert all(float(c) >= 0.0 for c in constants)  # no NaN either
+        assert all(0.0 < c < math.inf for c in (result.guaranteed_lower, result.guaranteed_upper))
+    else:
+        with pytest.raises(OverflowError, match="outside the float64 range"):
+            _TINY_RULES[rule](base)
+
+
+# an operator scaled by 2^j scales each constant by exactly 2^(p j): the
+# rule's (lower, upper) powers p, each an even multiple of j
+_U = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.5], [0.3, 0.0, 1.0]])
+_SCALED_RULES = {
+    "promote": ((-2, 0), lambda base, plain, c: opcalc.promote(plain, c * _U)),
+    "product": ((-2, 0), lambda base, plain, c: opcalc.combine_product(base, c * _U)),
+    # both targets scale: the common lower bound by 2^-2j, and ||K_1||^2 by 2^2j
+    "product-chain": ((-4, 0), lambda base, plain, c: opcalc.product_chain(
+        plain, [c * _U, c * _U.T])),
+    "sum": ((-2, 0), lambda base, plain, c: opcalc.combine_sum(
+        plain, [(c, np.eye(3)), (-c, 2.0 * np.eye(3))])),
+    "apply": ((0, 2), lambda base, plain, c: opcalc.apply_operator(base, c * _U)),
+    "dual": ((0, 2), lambda base, plain, c: opcalc.canonical_dual(plain, c * _U)),
+    "sandwich": ((-2, 2), lambda base, plain, c: opcalc.sandwich(base, c * _U)),
+    "inverse-conjugate": ((-2, -2),
+                          lambda base, plain, c: opcalc.inverse_conjugate(base, c * _U)),
+    "commute": ((2, 2), lambda base, plain, c: opcalc.commuting_transform(plain, c * _U)),
+}
+
+
+def _scaled_exactly(value: float, power: int) -> float | None:
+    """``value * 2^power`` if float64 holds it as a nonzero finite number."""
+    try:
+        out = math.ldexp(value, power)
+    except OverflowError:
+        return None
+    return out if 0.0 < out < math.inf else None
+
+
+@pytest.mark.parametrize("rule", list(_SCALED_RULES))
+def test_an_operator_scaled_by_a_power_of_two_scales_the_constants_exactly(rule):
+    # at every operator scale 2^j a constant is the unscaled one times
+    # exactly 2^(p j), or the rule raises OverflowError because float64 holds
+    # no such number; never a saturated 0 or inf (warnings are errors here)
+    powers, call = _SCALED_RULES[rule]
+    base = fixture("example-3-3")
+    plain = base.with_target(np.eye(3))
+    ref = call(base, plain, 1.0)
+    for j in range(-1000, 1001, 7):
+        want = [_scaled_exactly(c, p * j)
+                for c, p in zip((ref.guaranteed_lower, ref.guaranteed_upper), powers)]
+        if None in want:
+            with pytest.raises(OverflowError, match="outside the float64 range"):
+                call(base, plain, math.ldexp(1.0, j))
+        else:
+            got = call(base, plain, math.ldexp(1.0, j))
+            assert [got.guaranteed_lower, got.guaranteed_upper] == want, j
+
+
+def test_mapped_samples_outside_the_float_range_raise():
+    # the constants (A, B 1e300) and (A / 1e300, B 1e300) fit, but the
+    # synthesis samples 1e200 * 1e150 do not
+    measure = bk.DiscreteMeasure(("a", "b"), np.ones(2))
+    system = bk.BiframeSystem.from_samples(measure, 1e-200 * np.eye(2), 1e200 * np.eye(2),
+                                           np.eye(2))
+    for rule in (opcalc.apply_operator, opcalc.sandwich):
+        with pytest.raises(OverflowError, match="samples or target"):
+            rule(system, 1e150 * np.eye(2))
 
 
 def _dominates(result, tol=1e-8):

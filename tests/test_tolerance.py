@@ -321,10 +321,13 @@ def test_no_second_tolerance_rule_in_the_package():
     on a scale of its own, and over- or underflows at the ends of the range.
     A spectral norm of a difference, ``spectral_norm(x - y)``, is the same
     verdict by a second norm; only ``linalg.asymmetry``, a diagnostic that
-    decides nothing, takes one."""
+    decides nothing, takes one.  A constant scaled by a squared norm goes
+    through ``linalg._rescaled``: a hand-squared ``x / n / n`` or ``x * n * n``
+    elsewhere ships a false 0 or ``inf`` where the product leaves float64."""
     banned = re.compile(r"max\(1|RANK_TOL|rank_tol|_DOMINANCE_SLACK")
     patterns = {"relative_gap": re.compile(r"np\.linalg\.norm\([^)]*\s-\s"),
-                "asymmetry": re.compile(r"spectral_norm\([^)]*\s-\s")}
+                "asymmetry": re.compile(r"spectral_norm\([^)]*\s-\s"),
+                "_rescaled": re.compile(r"([*/]) (\w+) \1 \2\b")}
     allowed = {name: {("linalg.py", number) for number in _linalg_lines(name)}
                for name in patterns}
     found, seen = [], set()
