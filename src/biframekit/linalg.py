@@ -5,9 +5,9 @@ hundred rows at most).  The Hermitian eigensolver is a cyclic Jacobi
 iteration: it is accurate to a few ulps for the symmetric eigenproblem and
 gives us eigenvectors we fully control (deterministic ordering and sign),
 but its loop is pure Python and dominates the package's run time.  One
-:func:`hermitian_eigen` of a dense real matrix takes about 18 / 85 / 230 ms
-at dim 16 / 32 / 64, where ``numpy.linalg.eigh`` takes 0.05 / 0.11 / 0.37 ms
-(one BLAS thread, best of a few runs on a shared 2-core x86 box).  So
+:func:`hermitian_eigen` of a dense real matrix takes about 5.2 / 22 / 118 ms
+at dim 16 / 32 / 64, where ``numpy.linalg.eigh`` takes 0.04 / 0.10 / 0.34 ms
+(one BLAS thread, best of five runs on a shared 2-core x86 box).  So
 eigensolves are not spent twice.  :func:`hermitian_eigen` is the one door
 from a matrix to a spectrum: :func:`max_psd_shift` and :func:`sqrt_psd` take
 the :class:`EigenDecomposition` itself, never the matrix, and one cache per
@@ -229,8 +229,9 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
     Computations*, section 8.5) and skip a pair whose ``|a_pq|`` is at most
     ``1e-15 * ||a||_F / n``; iteration stops once the off-diagonal mass is at
     most ``1e-15 * ||a||_F``.  Each rotation ``J`` is one Hermitian update of
-    ``J* a J``: columns ``p`` and ``q`` are rotated once, rows ``p`` and ``q``
-    are written as their conjugates, and the 2x2 block is set in closed form
+    ``J* a J``: the eigenvectors ride under the matrix in one ``2n x n``
+    stack, whose columns ``p`` and ``q`` are rotated once; rows ``p`` and
+    ``q`` are written as their conjugates, and the 2x2 block is set in closed form
     to ``a_pp - t beta`` and ``a_qq + t beta`` with zeros off the diagonal
     (``beta = |a_pq|``; ``t = tan(theta)`` is the root of smaller modulus of
     ``t^2 + 2 tau t - 1 = 0``, ``tau = (a_qq - a_pp) / (2 beta)``).
@@ -271,9 +272,9 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
         raise NotHermitianError(
             f"matrix is not Hermitian: ||a - a*|| / ||a|| = {defect:.3e} exceeds {tol:.1e}"
         )
-    m = (m + adjoint(m)) / 2.0
     n = m.shape[0]
-    vecs = np.eye(n, dtype=m.dtype)
+    stack = np.vstack([(m + adjoint(m)) / 2.0, np.eye(n, dtype=m.dtype)])
+    m = stack[:n]
 
     if n > 1:
         fro = float(np.linalg.norm(m))
@@ -305,36 +306,31 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
                         t = -1.0 / (-tau + math.hypot(1.0, tau))
                     c = 1.0 / math.hypot(1.0, t)
                     s = t * c
-                    # m <- J* m J with the plane rotation
-                    # J = [[c, s*phase], [-s*conj(phase), c]] on (p, q).
-                    # J* m J is Hermitian and J* leaves rows other than p
-                    # and q alone, so rotate the two columns once and write
-                    # rows p and q as their conjugates; the 2x2 block is
+                    # J = [[c, s*phase], [-s*conj(phase), c]] on (p, q) turns
+                    # m into J* m J and vecs into vecs J: rotate columns p and
+                    # q of the stack [m; vecs] once.  J* m J is Hermitian and
+                    # J* leaves the other rows alone, so rows p and q of m are
+                    # the conjugates of its new columns; the 2x2 block is
                     # diagonalised in closed form.
-                    cp = m[:, p]
-                    cq = m[:, q]
+                    cp = stack[:, p]
+                    cq = stack[:, q]
                     new_p = c * cp - (s * phase.conjugate()) * cq
                     new_q = (s * phase) * cp + c * cq
-                    m[:, p] = new_p
-                    m[:, q] = new_q
-                    m[p, :] = new_p.conj()
-                    m[q, :] = new_q.conj()
+                    stack[:, p] = new_p
+                    stack[:, q] = new_q
+                    m[p, :] = new_p[:n].conj()
+                    m[q, :] = new_q[:n].conj()
                     m[p, p] = a_pp - t * beta
                     m[q, q] = a_qq + t * beta
                     m[p, q] = 0.0
                     m[q, p] = 0.0
-                    vp = vecs[:, p].copy()
-                    vq = vecs[:, q].copy()
-                    vecs[:, p] = c * vp - s * np.conj(phase) * vq
-                    vecs[:, q] = s * phase * vp + c * vq
         else:
             if _off_norm() > stop:
                 raise ConvergenceError("Jacobi iteration did not converge")
 
     values = np.real(np.diagonal(m)) * math.ldexp(1.0, e)
     order = np.argsort(values, kind="stable")
-    values = values[order]
-    return EigenDecomposition(values=values, vectors=canonical_sign(vecs[:, order]))
+    return EigenDecomposition(values=values[order], vectors=canonical_sign(stack[n:, order]))
 
 
 def min_eigenpair(a, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:

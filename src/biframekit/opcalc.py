@@ -430,7 +430,7 @@ def perturb_positive(system: BiframeSystem, t, power: int = 1, *,
     lower constant is reported with ``certified=False``.  The upper constant
     ``B ||I + T^n||^2`` is sound.  One eigensolve ``T = V Lambda V*`` decides
     that ``T`` is PSD and gives ``I + T^n = V (1 + Lambda^n) V*``, with norm
-    ``max |1 + lambda^n|``.
+    ``max |1 + lambda^n|``; a ``T^n`` beyond float64 raises ``OverflowError``.
     """
     if power < 1:
         raise ValueError(f"power must be a positive integer, got {power!r}")
@@ -442,12 +442,16 @@ def perturb_positive(system: BiframeSystem, t, power: int = 1, *,
     if not eig.is_psd(tol):
         raise NotPSDError("perturbation has a negative eigenvalue beyond tolerance")
     lower, upper = _valid_bounds(system, tol, "perturbation input")
+    try:  # a Python float power raises where numpy's overflows; PSD: eig.max = ||T||
+        eig.max ** power
+    except OverflowError:
+        raise OverflowError(f"the perturbation T^{power} lies outside the float64 range") from None
     grow = 1.0 + eig.values ** power
-    bump = (eig.vectors * grow) @ linalg.adjoint(eig.vectors)
     return ConstructionResult(
         guaranteed_lower=lower,
         guaranteed_upper=linalg._rescaled(upper, up=(float(np.max(np.abs(grow))),)),
-        system=_map_samples(system, bump, [system.target]),
+        system=_map_samples(system, (eig.vectors * grow) @ linalg.adjoint(eig.vectors),
+                            [system.target]),
         rule="perturb",
         certified=False,
     )

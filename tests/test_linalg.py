@@ -60,6 +60,28 @@ def test_eigen_scalar_matrix():
     assert eig.max == pytest.approx(4.5)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_eigen_scalar_matrix_vector_is_one_in_the_input_dtype(dtype):
+    # the eigenvectors are the lower half of the rotation stack: at dim 1 no
+    # rotation runs and the stack's identity block is the answer
+    eig = linalg.hermitian_eigen(np.array([[-2.5]], dtype=dtype))
+    assert eig.vectors.dtype == dtype
+    assert eig.vectors.tolist() == [[1]]
+    assert eig.values.tolist() == [-2.5]
+
+
+def test_eigen_complex_two_by_two_vectors_are_orthonormal_with_real_positive_pivots():
+    # spectrum {1, 4}: one rotation turns the matrix and its eigenvectors together
+    a = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]])
+    eig = linalg.hermitian_eigen(a)
+    assert eig.values == pytest.approx([1.0, 4.0], rel=0, abs=1e-14)
+    v = eig.vectors
+    assert v.dtype == np.complex128
+    assert np.allclose(v.conj().T @ v, np.eye(2), rtol=0, atol=1e-15)
+    assert np.allclose(a @ v, v * eig.values, rtol=0, atol=1e-14)
+    assert np.all(v[0].imag == 0.0) and np.all(v[0].real > 0.0)
+
+
 def _eigen_input(dim: int, complex_: bool, seed: int, kind: str, exponent: int) -> np.ndarray:
     """``10^exponent`` times a dense Hermitian matrix of ``dim`` rows, or
     ``kron(I_3, h)`` of a dense ``h`` (every eigenvalue threefold), or an

@@ -396,6 +396,23 @@ class TestPerturbPositive:
         with pytest.raises(errors.NotPSDError):
             opcalc.perturb_positive(promoted_diagonal, np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]))
 
+    def test_a_power_beyond_float64_raises_before_numpy_forms_it(self):
+        # warnings are errors in this suite: (1e200)^2 must not reach numpy's
+        # power, nor the bump be formed from inf
+        base = fixture("example-3-3")
+        with pytest.raises(OverflowError, match=r"perturbation T\^2 lies outside the float64"):
+            opcalc.perturb_positive(base, 1e200 * np.eye(3), 2)
+        # in range, c * I maps every sample by exactly g = 1 + c^n, and the
+        # constants are exactly (A, B g^2)
+        report = bk.optimal_bounds(base)
+        for c, power in ((1e50, 2), (1e100, 1), (1.0, 3), (0.0, 1), (1e-170, 2)):
+            res = opcalc.perturb_positive(base, c * np.eye(3), power)
+            g = 1.0 + c ** power
+            assert res.guaranteed_lower == report.lower_opt
+            assert res.guaranteed_upper == report.upper_opt * g * g
+            assert np.array_equal(res.system.analysis.samples, base.analysis.samples * g)
+            assert np.array_equal(res.system.synthesis.samples, base.synthesis.samples * g)
+
     def test_hermitian_growth_claim_on_psd_inputs(self):
         """Stated law: Herm(S') - Herm(S) is PSD whenever S and T are PSD.
 

@@ -1,7 +1,8 @@
 """The test configuration and tooling: a failing test must not hide the
 others, the benchmark's tracer must find every name it wraps, and it must
 see a cached spectrum, norm or asymmetry as no eigensolve or SVD.  The
-LAPACK SVDs a rule runs are counted too, traced or not."""
+LAPACK SVDs a rule runs are counted too, traced or not, and the package
+imports nothing beyond its declared dependencies."""
 
 import ast
 import importlib
@@ -313,4 +314,29 @@ def test_only_the_cache_door_touches_the_cache():
                 hit = f"{name}:{number}: {line.strip()}"
                 (seen if (name, number) in allowed else found).append(hit)
     assert seen, "the pattern no longer matches biframe._cached itself"
+    assert not found, "\n".join(found)
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """The top-level modules ``source`` imports that are neither numpy,
+    click, the standard library nor the package itself (relative imports
+    are the package's own)."""
+    allowed = {"numpy", "click", "biframekit"} | set(sys.stdlib_module_names)
+    roots = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            roots.append(node.module.split(".")[0])
+    return [root for root in roots if root not in allowed]
+
+
+def test_the_package_imports_only_numpy_click_and_the_standard_library():
+    """numpy and click are the declared dependencies.  scipy is often
+    installed beside them but is not one, so no module may reach for it,
+    not even for a BLAS rotation in the Jacobi loop."""
+    probe = "import os, numpy.linalg\nfrom scipy.linalg.blas import drot\nfrom . import linalg\n"
+    assert _foreign_imports(probe) == ["scipy"], "the walk no longer sees a foreign import"
+    found = [f"{path.relative_to(SRC)}: {root}" for path in sorted(SRC.rglob("*.py"))
+             for root in _foreign_imports(path.read_text(encoding="utf-8"))]
     assert not found, "\n".join(found)
