@@ -26,9 +26,11 @@ strictly positive lower bound exists.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -247,6 +249,28 @@ def swap(system: BiframeSystem) -> BiframeSystem:
     )
 
 
+def _as_operator(a, dim: int, name: str = "operator") -> np.ndarray:
+    mat = linalg.as_matrix(a, square=True)
+    if mat.shape[0] != dim:
+        raise DimensionMismatchError(
+            f"{name} is {mat.shape[0]}x{mat.shape[1]}, system dimension is {dim}"
+        )
+    return mat
+
+
+def _map_samples(system: BiframeSystem, u: np.ndarray,
+                 target: Sequence[np.ndarray]) -> BiframeSystem:
+    """Apply ``u`` to every sampled vector of both families (same measure);
+    the new target is the product of ``target``, left to right.  Samples or
+    a target that leave float64 raise ``OverflowError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mapped = (system.analysis.samples @ u.T, system.synthesis.samples @ u.T,
+                  functools.reduce(np.matmul, target))
+    if not all(np.isfinite(m).all() for m in mapped):
+        raise OverflowError("the constructed samples or target lie outside the float64 range")
+    return BiframeSystem.from_samples(system.measure, *mapped)
+
+
 def gram_target(system: BiframeSystem, c: float = 1.0) -> np.ndarray:
     """``c K K*`` for the system's target ``K`` and ``c >= 0`` (``K K*``, the
     reference PSD matrix the lower bound is measured against, by default).
@@ -364,9 +388,9 @@ def check_bounds(system: BiframeSystem, lower: float, upper: float,
     and where the form is indefinite ``w`` is the bottom eigenvector of
     ``Herm(S)``.  Where the form is PSD but its positive lower constant
     stays within tolerance of zero, ``w`` is reported only when it refutes
-    the claim, ``<Herm S w, w> < lower ||K* w||^2``; otherwise the refuted
-    claim carries no witness.  A refuted upper claim is witnessed by the
-    top eigenvector of ``Herm(S)``."""
+    the claim, ``<Herm S w, w> < lower ||K* w||^2`` (decided on ``K / 2^e``,
+    so at any target scale); otherwise the refuted claim carries no witness.
+    A refuted upper claim is witnessed by the top eigenvector of ``Herm(S)``."""
     if not (np.isfinite(lower) and np.isfinite(upper)):
         raise MalformedBoundsError("bounds must be finite numbers")
     if not (0.0 < lower <= upper):
@@ -387,9 +411,14 @@ def _check_claim(system: BiframeSystem, report: BoundsReport, lower: float, uppe
         witness = report.witness_lower
         if report.lower_opt is None and report.witness_negative_form is None:
             # a PSD form with its lower constant within tolerance of zero:
-            # the tight direction is evidence only where it breaks the claim
+            # the tight direction is evidence only where it breaks the claim,
+            # form < lower ||K* w||^2, decided on K / 2^e so neither side
+            # under- or overflows: form / 4^e < lower ||(K / 2^e)* w||^2
+            k_unit, e = linalg._binary_normalised(system.target)
             form = np.real(np.vdot(witness, _herm_part(system) @ witness))
-            if not form < lower * np.linalg.norm(linalg.adjoint(system.target) @ witness) ** 2:
+            with np.errstate(over="ignore"):  # an infinite form / 4^e refutes nothing
+                scaled = np.ldexp(form, -2 * e)
+            if not scaled < lower * np.linalg.norm(linalg.adjoint(k_unit) @ witness) ** 2:
                 witness = None
     elif not upper_ok:
         witness = _herm_spectrum(system).vectors[:, -1].copy()

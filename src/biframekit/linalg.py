@@ -14,11 +14,15 @@ the :class:`EigenDecomposition` itself, never the matrix, and one cache per
 set of samples holds the spectrum of ``Herm(S)`` that its systems hand them.
 ``Herm(S)`` is decomposed once, however many bounds, checks and quotients
 read it, under however many targets.
-Singular-value based helpers (pseudo-inverse, spectral norm, range/null
-bases) sit on ``numpy.linalg.svd`` with explicit rank thresholding; the
-basis helpers and :func:`invert` hand back the singular values they decide
-by, and :func:`orthonormal_nullspace` the kernel's complement too, so a
-caller needs no second SVD for a norm or a pseudo-inverse.
+Singular-value based helpers (pseudo-inverse, spectral norm, rank,
+range/null bases, :func:`invert`) sit on ``numpy.linalg.svd`` with explicit
+rank thresholding, and they are the one door to an SVD: no other code in
+the package, :func:`max_psd_shift` and ``quotient.quotient_norm``
+included, calls LAPACK's SVD itself, so a tracer that wraps these helpers
+counts every SVD the package runs.  The basis helpers and :func:`invert`
+hand back the singular values they decide by, and
+:func:`orthonormal_nullspace` the kernel's complement too, so a caller
+needs no second SVD for a norm or a pseudo-inverse.
 
 Every verdict in the package has one tolerance rule: a quantity counts as
 zero when it is at most ``tol`` times a norm of the problem the verdict is
@@ -34,9 +38,10 @@ iff ``lower <= lower_opt + tol * lower_opt`` and
 The central routine is :func:`max_psd_shift`, which computes the largest
 ``a >= 0`` with ``s - a*k k*`` positive semidefinite.  That quantity is the
 optimal lower bound of every sampled system in this package; it is the
-quotient constant ``1 / ||[k* / s^{1/2}]||^2``, read with one SVD of ``k`` in
-the eigenbasis of ``s``, and its contract (tolerance semantics, witness
-vector) is spelled out in detail below.
+quotient constant ``1 / ||[k* / s^{1/2}]||^2``, read off the SVD of ``k``
+whitened in the eigenbasis of ``s`` (two or three SVDs, all through the
+helpers above), and its contract (tolerance semantics, witness vector) is
+spelled out in detail below.
 """
 
 from __future__ import annotations
@@ -180,10 +185,17 @@ def _rescaled(value: float, up=(), down=(), what: str = "a guaranteed constant")
     for x in down:
         m, e = math.frexp(x)
         mant, exp = mant / m / m, exp - 2 * e
-    fits = exp + math.frexp(mant)[1] <= sys.float_info.max_exp  # else ldexp raises
-    out = math.ldexp(mant, exp) if fits else math.inf
-    if mant and out in (0.0, math.inf):
-        raise OverflowError(f"{what} lies outside the float64 range: {mant!r} x 2^{exp}")
+    return _ldexp(mant, exp, what)
+
+
+def _ldexp(value: float, exp: int, what: str) -> float:
+    """``value * 2^exp``, exact wherever it is normal.  A subnormal result
+    ships; a nonzero one that float64 cannot hold raises ``OverflowError``
+    naming ``what``, never a false 0 or ``inf``."""
+    fits = exp + math.frexp(value)[1] <= sys.float_info.max_exp  # else ldexp raises
+    out = math.ldexp(value, exp) if fits else math.inf
+    if value and out in (0.0, math.inf):
+        raise OverflowError(f"{what} lies outside the float64 range: {value!r} x 2^{exp}")
     return out
 
 
@@ -493,7 +505,9 @@ def max_psd_shift(s_eig: EigenDecomposition, k, tol: float = DEFAULT_TOL) -> Shi
     zero.
 
     Eigensolves per call: 0, whatever ``k`` is; the spectrum of ``s`` is
-    read, not computed.
+    read, not computed.  SVDs per call: 2, or 3 when ``s`` has eigenvalues
+    within its cutoff: ``sigma_max(W)`` by :func:`spectral_norm`, then the
+    range test and the whitened ``W``, each by :func:`orthonormal_range`.
 
     Returns
     -------
@@ -526,20 +540,20 @@ def max_psd_shift(s_eig: EigenDecomposition, k, tol: float = DEFAULT_TOL) -> Shi
     lam, v = s_eig.values, s_eig.vectors
     cutoff = s_eig.cutoff(tol)
     w = adjoint(v) @ k_unit
-    p_max = np.linalg.norm(w, 2) ** 2
+    p_max = spectral_norm(w) ** 2
     null = lam <= cutoff
     if null.any():  # the range test
-        u, sigma, _ = np.linalg.svd(w[null], full_matrices=False)
+        basis, sigma = orthonormal_range(w[null])
         if sigma[0] ** 2 > tol * p_max:
-            return ShiftResult(None, unit_vector(v[:, null] @ u[:, 0]))
+            return ShiftResult(None, unit_vector(v[:, null] @ basis[:, 0]))
     floored = lam / 2.0 + np.maximum(lam, cutoff) / 2.0  # halved first: stays finite
     live = floored > 0.0  # false only at lambda = -cutoff
     blocked = ~live & w.any(axis=1)
     if blocked.any():
         return ShiftResult(None, v[:, np.argmax(blocked)].copy())
     root = np.sqrt(floored[live])
-    u, sigma, _ = np.linalg.svd(w[live] / root[:, None], full_matrices=False)
-    amount, witness = 1.0 / float(sigma[0]) ** 2, unit_vector(v[:, live] @ (u[:, 0] / root))
+    basis, sigma = orthonormal_range(w[live] / root[:, None])
+    amount, witness = 1.0 / float(sigma[0]) ** 2, unit_vector(v[:, live] @ (basis[:, 0] / root))
     if amount * p_max <= cutoff:
         return ShiftResult(None, witness)
     # s - a*k k* = s - (a * 4^e) * k_unit k_unit*

@@ -14,7 +14,8 @@ range it is the plain product bit for bit.  A rule forms its constants
 before any product that grows with its operator (the result's keywords are
 evaluated in the order written), so a constant that float64 cannot hold
 raises ``OverflowError`` first, never a false ``0`` or ``inf``; so do
-mapped samples or a target that leave float64 (:func:`_map_samples`).
+mapped samples or a target that leave float64
+(:func:`~biframekit.biframe._map_samples`).
 
 ``certified`` records whether the guaranteed lower constant actually follows
 from the construction.  Most rules are certified; the additive combinations
@@ -26,7 +27,6 @@ and the tests track how often the claim survives instead of asserting it.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -38,13 +38,14 @@ from . import linalg
 from .biframe import (
     BiframeSystem,
     BoundsReport,
+    _as_operator,
     _herm_part,
+    _map_samples,
     frame_operator,
     gram_target,
     optimal_bounds,
 )
 from .errors import (
-    DimensionMismatchError,
     MalformedBoundsError,
     NotABiframeError,
     NotCommutingError,
@@ -84,28 +85,6 @@ class ConstructionResult:
     guaranteed_upper: float
     rule: str
     certified: bool = True
-
-
-def _as_operator(a, dim: int, name: str = "operator") -> np.ndarray:
-    mat = linalg.as_matrix(a, square=True)
-    if mat.shape[0] != dim:
-        raise DimensionMismatchError(
-            f"{name} is {mat.shape[0]}x{mat.shape[1]}, system dimension is {dim}"
-        )
-    return mat
-
-
-def _map_samples(system: BiframeSystem, u: np.ndarray,
-                 target: Sequence[np.ndarray]) -> BiframeSystem:
-    """Apply ``u`` to every sampled vector of both families (same measure);
-    the new target is the product of ``target``, left to right.  Samples or
-    a target that leave float64 raise ``OverflowError``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mapped = (system.analysis.samples @ u.T, system.synthesis.samples @ u.T,
-                  functools.reduce(np.matmul, target))
-    if not all(np.isfinite(m).all() for m in mapped):
-        raise OverflowError("the constructed samples or target lie outside the float64 range")
-    return BiframeSystem.from_samples(system.measure, *mapped)
 
 
 def _valid_bounds(system: BiframeSystem, tol: float, what: str) -> tuple[float, float]:

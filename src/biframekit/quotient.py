@@ -30,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .biframe import BiframeSystem, _herm_spectrum, optimal_bounds
+from .biframe import BiframeSystem, _as_operator, _herm_spectrum, _map_samples, optimal_bounds
 from .errors import DimensionMismatchError
 from .linalg import DEFAULT_TOL
-from .opcalc import _as_operator, _map_samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +60,17 @@ def quotient_norm(u, v) -> QuotientResult:
     norm is ``||U V^+|| = ||U V_r Sigma_r^-1||``, since ``U_r*`` has
     orthonormal rows, and it is attained at ``V_r Sigma_r^-1 y`` for the top
     right singular vector ``y`` of ``U V_r Sigma_r^-1``.
+
+    SVDs per call: at most 4, each taken by :func:`linalg.orthonormal_nullspace`
+    or :func:`linalg.spectral_norm`: ``V``, ``||U||``, ``U`` on the null basis
+    (when ``V`` has a kernel) and ``U V_r Sigma_r^-1`` (when ``V`` is nonzero
+    and the quotient exists).
+
+    All of it is decided on ``U / 2^e`` and ``V / 2^f``
+    (:func:`linalg._binary_normalised`), so nothing over- or underflows at
+    any operator scale, and the norm is scaled back once by ``2^(e - f)``:
+    in range that is the plain result bit for bit, and a nonzero norm that
+    float64 cannot hold raises ``OverflowError``, never a false 0 or ``inf``.
     """
     u_mat = linalg.as_matrix(u)
     v_mat = linalg.as_matrix(v)
@@ -68,13 +78,15 @@ def quotient_norm(u, v) -> QuotientResult:
         raise DimensionMismatchError(
             f"quotient needs operators of equal shape, got {u_mat.shape} and {v_mat.shape}"
         )
+    u_mat, e = linalg._binary_normalised(u_mat)
+    v_mat, f = linalg._binary_normalised(v_mat)
 
     null_basis, v_sigma, coimage = linalg.orthonormal_nullspace(v_mat)
     u_scale = linalg.spectral_norm(u_mat)
     if null_basis.shape[1]:
-        _, top, vh = np.linalg.svd(u_mat @ null_basis)
+        _, top, right = linalg.orthonormal_nullspace(u_mat @ null_basis)
         if top[0] > DEFAULT_TOL * u_scale:
-            witness = linalg.canonical_sign(null_basis @ np.conj(vh[0]))
+            witness = linalg.canonical_sign(null_basis @ right[:, 0])
             return QuotientResult(False, None, witness, None)
 
     rank = coimage.shape[1]
@@ -84,13 +96,13 @@ def quotient_norm(u, v) -> QuotientResult:
         return QuotientResult(True, 0.0, None, None)
 
     whitened = coimage / v_sigma[:rank]  # V_r Sigma_r^-1
-    _, sigma, vh = np.linalg.svd(u_mat @ whitened)
+    _, sigma, right = linalg.orthonormal_nullspace(u_mat @ whitened)
     if sigma[0] * v_sigma[0] <= DEFAULT_TOL * u_scale:
         # U vanishes on range(V*): the ratio is 0 along any non-null input,
         # reported at V's top right singular vector.
         return QuotientResult(True, 0.0, None, linalg.canonical_sign(coimage[:, 0]))
-    return QuotientResult(True, float(sigma[0]), None,
-                          linalg.unit_vector(whitened @ np.conj(vh[0])))
+    norm = linalg._ldexp(float(sigma[0]), e - f, f"the norm of [U/V] at scales 2^{e}, 2^{f}")
+    return QuotientResult(True, norm, None, linalg.unit_vector(whitened @ right[:, 0]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 """Systems, quadratic forms, optimal bounds, verification, classification."""
 
+import math
 import warnings
 
 import numpy as np
@@ -226,19 +227,38 @@ def test_check_bounds_ships_a_lower_witness_only_where_it_refutes_the_claim(lowe
                                                                             refuted_along_e2):
     # F = G = diag(1, 1e-6): the form is PSD, 1e-12 along e_2, so its lower
     # constant is within tolerance of zero and every lower claim is refuted;
-    # e_2 breaks only the claims above 1e-12
+    # e_2 breaks only the claims above 1e-12.  With K = 2^j I and the claim
+    # scaled by 4^-j the verdict is the same
     m = bk.DiscreteMeasure(("a", "b"), np.ones(2))
     f = np.diag([1.0, 1e-6])
-    sys_ = bk.BiframeSystem.from_samples(m, f, f, np.eye(2))
-    report = bk.optimal_bounds(sys_)
-    assert report.lower_opt is None and report.witness_negative_form is None
-    out = bk.check_bounds(sys_, lower, 2.0)
-    assert out.ok is False and not out.lower_ok and out.upper_ok
-    if refuted_along_e2:
-        assert np.abs(out.witness) == pytest.approx([0.0, 1.0], abs=1e-12)
-        assert bk.biframe_form(sys_, out.witness) < lower * float(out.witness @ out.witness)
-    else:
-        assert out.witness is None
+    for j in (-300, 0, 300):
+        sys_ = bk.BiframeSystem.from_samples(m, f, f, math.ldexp(1.0, j) * np.eye(2))
+        report = bk.optimal_bounds(sys_)
+        assert report.lower_opt is None and report.witness_negative_form is None
+        out = bk.check_bounds(sys_, math.ldexp(lower, -2 * j), 1e200)
+        assert out.ok is False and not out.lower_ok and out.upper_ok
+        if refuted_along_e2:
+            assert np.abs(out.witness) == pytest.approx([0.0, 1.0], abs=1e-12)
+            assert bk.biframe_form(sys_, out.witness) < lower * float(out.witness @ out.witness)
+        else:
+            assert out.witness is None
+    # at K = 2^-600 I, ||K* e_2||^2 = 2^-1200 sits far below the form: e_2
+    # refutes no claim, and the form / 4^-600 it is decided by overflows
+    sys_ = bk.BiframeSystem.from_samples(m, f, f, math.ldexp(1.0, -600) * np.eye(2))
+    assert bk.check_bounds(sys_, lower, 2.0).witness is None
+
+
+@pytest.mark.parametrize("j", [-600, -540, 0, 540, 600])
+def test_check_bounds_ships_the_null_witness_at_any_target_scale(j):
+    # F = G = [[1, 0]]: the form vanishes on e_2, where ||K* e_2||^2 = c^2 > 0
+    # refutes the claim; the test is decided on K / 2^e, so c^2 never
+    # underflows to 0 (it did at c = 2^-540) nor overflows
+    m = bk.DiscreteMeasure(("a",), np.ones(1))
+    c = math.ldexp(1.0, j)
+    sys_ = bk.BiframeSystem.from_samples(m, [[1.0, 0.0]], [[1.0, 0.0]], c * np.eye(2))
+    out = bk.check_bounds(sys_, 1.0, 2.0)
+    assert not out.lower_ok and out.upper_ok
+    assert np.array_equal(out.witness, [0.0, 1.0])
 
 
 def test_optimal_bounds_verify_for_random_valid_systems():

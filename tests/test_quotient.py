@@ -1,5 +1,7 @@
 """Operator quotients and the validity cross-checks built on them."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,34 @@ class TestQuotientNorm:
             res = quotient.quotient_norm(np.eye(3), c * np.diag([1.0, 2.0, 3.0]))
         assert res.norm == pytest.approx(1.0 / c, rel=1e-12, abs=0.0)
         assert np.array_equal(res.achiever, [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("u, v", [
+        (1e-200, 1e200), (2.0 ** -600, 2.0 ** 500), (1e200, 1e-200), (1.0, 1e-320)],
+        ids=["1e-200/1e200", "2^-600/2^500", "1e200/1e-200", "1/1e-320"])
+    def test_a_norm_beyond_float64_raises(self, u, v):
+        # norms 1e-400, 2^-1100, 1e400 and 1e320: the plain arithmetic read
+        # the first two as 0.0 ("U vanishes"), the third as nan, and failed
+        # to decompose the fourth
+        with pytest.raises(OverflowError, match=r"norm of \[U/V\] .*float64 range"):
+            quotient.quotient_norm(u * np.eye(2), v * np.eye(2))
+
+    @pytest.mark.parametrize("j, k", [(0, 0), (-900, -600), (600, 900), (-500, 400), (500, -400)])
+    def test_norm_scales_by_powers_of_two_exactly(self, j, k):
+        # decided on U / 2^e and V / 2^f, the norm of [2^j U / 2^k V] is
+        # 2^(j - k) times that of [U/V] bit for bit, the achiever unchanged
+        rng = np.random.default_rng(31)
+        for trial in range(12):
+            n = int(rng.integers(1, 6))
+            complex_ = trial % 2 == 1
+            v = random_matrix(rng, n, n, complex_)
+            if trial % 3 == 0:  # a kernel that U respects
+                v = v @ np.diag([1.0] * (n - 1) + [0.0])
+            u = random_matrix(rng, n, n, complex_) @ v
+            base = quotient.quotient_norm(u, v)
+            res = quotient.quotient_norm(u * math.ldexp(1.0, j), v * math.ldexp(1.0, k))
+            assert base.exists and res.exists
+            assert res.norm == math.ldexp(base.norm, j - k)
+            assert np.array_equal(res.achiever, base.achiever)
 
     def test_zero_numerator(self):
         res = quotient.quotient_norm(np.zeros((3, 3)), np.eye(3))

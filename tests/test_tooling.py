@@ -1,7 +1,8 @@
 """The test configuration and tooling: a failing test must not hide the
 others, the benchmark's tracer must find every name it wraps, and it must
-see a cached spectrum, norm or asymmetry as no eigensolve or SVD.  The
-LAPACK SVDs a rule runs are counted too, traced or not, and the package
+see a cached spectrum, norm or asymmetry as no eigensolve or SVD.  Every
+LAPACK SVD a rule runs is a traced ``linalg.svd`` span: only the SVD
+helpers of ``linalg`` call ``numpy.linalg``'s SVD family.  The package
 imports nothing beyond its declared dependencies."""
 
 import ast
@@ -163,30 +164,6 @@ def test_traced_transform_equivalences_cross_checks_the_pushed_system_once():
     assert names.count("biframe.optimal_bounds") == 1
 
 
-@pytest.mark.parametrize("rule, svds", [
-    # one SVD of K: its range basis and ||K^+|| = 1 / sigma_r
-    ("restrict_to_range", 1),
-    # range(K) with ||K|| = sigma_0, then the residual's norm; ||U|| comes
-    # from the eigensolve of U U*
-    ("max_transfer_ratio", 2),
-    # V's null basis, ||V|| = sigma_0 and V^+ from one SVD, then ||U||
-    ("quotient_norm", 2),
-])
-def test_traced_rules_decompose_each_operator_once(rule, svds):
-    rng = np.random.default_rng(8)
-    k = rng.normal(size=(4, 2)) @ rng.normal(size=(2, 4))
-    system = _system().with_target(k)
-    assert biframe.optimal_bounds(system).valid
-    call = {
-        "restrict_to_range": lambda: opcalc.restrict_to_range(system),
-        "max_transfer_ratio": lambda: opcalc.max_transfer_ratio(system, 2.0 * k),
-        "quotient_norm": lambda: quotient.quotient_norm(2.0 * k, k),
-    }[rule]
-
-    names = _traced(call)
-    assert names.count("linalg.svd") == svds
-
-
 @pytest.mark.parametrize("rule", ["max_transfer_ratio", "perturb_positive"])
 def test_traced_operator_rules_decompose_their_operator_once(rule):
     system = _system()
@@ -199,32 +176,16 @@ def test_traced_operator_rules_decompose_their_operator_once(rule):
 
 def test_traced_bounds_on_a_warm_system_run_no_svd_helper():
     # the asymmetry's two spectral norms are cached with the spectrum, so a
-    # warm system, or a retargeted copy sharing its cache, spends none
+    # warm system, or a retargeted copy sharing its cache, spends none: its
+    # only SVDs are max_psd_shift's two
     system = _system()
     assert biframe.optimal_bounds(system).valid
     dense = np.diag([1.0, 2.0, 3.0, 4.0]) + np.triu(np.ones((4, 4)), 1)
     for warm in (system, system.with_target(dense)):
         names = _traced(lambda: biframe.optimal_bounds(warm))
         assert names.count("biframe.optimal_bounds") == 1
-        assert names.count("linalg.svd") == 0
+        assert names.count("linalg.svd") == 2
         assert names.count("linalg.asymmetry") == 0
-
-
-@pytest.mark.parametrize("rule, svds", [
-    # invert(S), and ||K|| of the new target
-    ("canonical_dual", 2),
-    # invert(U), whose singular values give ||U|| and ||U^-1||
-    ("inverse_conjugate", 1),
-    # invert(T) for ||T|| and ||T^-1||; commutation is a relative_gap
-    ("commuting_transform", 1),
-])
-def test_traced_invert_rules_decompose_their_operator_once(rule, svds):
-    system = _system()
-    assert biframe.optimal_bounds(system).valid
-    u = np.diag([1.0, 0.5, 0.25, 2.0])
-
-    names = _traced(lambda: getattr(opcalc, rule)(system, u))
-    assert names.count("linalg.svd") == svds
 
 
 def _lapack_svds(monkeypatch, call) -> int:
@@ -250,23 +211,38 @@ def _lapack_svds(monkeypatch, call) -> int:
 
 
 @pytest.mark.parametrize("rule, svds", [
-    # V's SVD, ||U||, U on null(V), and U V_r Sigma_r^-1
-    ("quotient_norm", 4),
-    # range(K), the residual's norm, and max_psd_shift's three: sigma_max(W),
-    # the range test on the null directions of U U*, the whitened pencil
+    # max_psd_shift's two on a warm system: sigma_max(W) and the whitened
+    # pencil; Herm(S) has no null directions, so no range test
+    ("optimal_bounds", 2),
+    # one SVD of K: its range basis and ||K^+|| = 1 / sigma_r; the input's
+    # bounds are max_psd_shift's two
+    ("restrict_to_range", 3),
+    # range(K) with ||K|| = sigma_0, the residual's norm, and max_psd_shift's
+    # three: sigma_max(W), the range test on the null directions of U U*,
+    # the whitened pencil; ||U|| comes from the eigensolve of U U*
     ("max_transfer_ratio", 5),
     # the same without null directions
     ("max_transfer_ratio-identity", 4),
-    # invert(T), and max_psd_shift's two
+    # V's null basis, ||V|| = sigma_0 and V^+ from one SVD, ||U||, U on
+    # null(V), and U V_r Sigma_r^-1
+    ("quotient_norm", 4),
+    # invert(S), ||K|| of the new target, and max_psd_shift's two
+    ("canonical_dual", 4),
+    # invert(U), whose singular values give ||U|| and ||U^-1||, and
+    # max_psd_shift's two
+    ("inverse_conjugate", 3),
+    # invert(T) for ||T|| and ||T^-1||, and max_psd_shift's two;
+    # commutation is a relative_gap
     ("commuting_transform", 3),
     # max_psd_shift's two: the perturbation is an eigensolve
     ("perturb_positive", 2),
-    # V's SVD, ||K*||, U V_r Sigma_r^-1, and max_psd_shift's two
+    # max_psd_shift's two, then V's SVD, ||K*|| and U V_r Sigma_r^-1
     ("validity_cross_check", 5),
 ])
-def test_every_lapack_svd_of_a_rule_is_counted(monkeypatch, rule, svds):
-    # the bench's linalg.svd counts only the traced helpers; this counts the
-    # raw calls too, so an SVD moved out of a helper cannot hide
+def test_every_lapack_svd_of_a_rule_is_a_traced_span(monkeypatch, rule, svds):
+    # the bench's linalg.svd counts the traced helpers; no LAPACK SVD may run
+    # outside them, so the two counts agree, and each operator is
+    # decomposed once
     rng = np.random.default_rng(8)
     k = rng.normal(size=(4, 2)) @ rng.normal(size=(2, 4))
     system, u = _system(), np.diag([1.0, 0.5, 0.25, 2.0])
@@ -274,14 +250,20 @@ def test_every_lapack_svd_of_a_rule_is_counted(monkeypatch, rule, svds):
     for warm in (system, rank_two):
         assert biframe.optimal_bounds(warm).valid
     call = {
-        "quotient_norm": lambda: quotient.quotient_norm(2.0 * k, k),
+        "optimal_bounds": lambda: biframe.optimal_bounds(system),
+        "restrict_to_range": lambda: opcalc.restrict_to_range(rank_two),
         "max_transfer_ratio": lambda: opcalc.max_transfer_ratio(rank_two, 2.0 * k),
         "max_transfer_ratio-identity": lambda: opcalc.max_transfer_ratio(system, u),
+        "quotient_norm": lambda: quotient.quotient_norm(2.0 * k, k),
+        "canonical_dual": lambda: opcalc.canonical_dual(system, u),
+        "inverse_conjugate": lambda: opcalc.inverse_conjugate(system, u),
         "commuting_transform": lambda: opcalc.commuting_transform(system, u),
         "perturb_positive": lambda: opcalc.perturb_positive(system, u),
         "validity_cross_check": lambda: quotient.validity_cross_check(system),
     }[rule]
-    assert _lapack_svds(monkeypatch, call) == svds
+    names = []
+    lapack = _lapack_svds(monkeypatch, lambda: names.extend(_traced(call)))
+    assert names.count("linalg.svd") == lapack == svds
 
 
 def test_traced_demo_computes_one_bound_report():
@@ -339,4 +321,55 @@ def test_the_package_imports_only_numpy_click_and_the_standard_library():
     assert _foreign_imports(probe) == ["scipy"], "the walk no longer sees a foreign import"
     found = [f"{path.relative_to(SRC)}: {root}" for path in sorted(SRC.rglob("*.py"))
              for root in _foreign_imports(path.read_text(encoding="utf-8"))]
+    assert not found, "\n".join(found)
+
+
+_SVD_FAMILY = {"svd", "svdvals", "matrix_norm", "cond", "matrix_rank", "pinv", "lstsq"}
+
+
+def _raw_svds(source: str) -> list[int]:
+    """Lines of ``source`` that take an SVD through ``numpy.linalg``: a call
+    of ``svd``, ``svdvals``, ``matrix_norm``, ``cond``, ``matrix_rank``,
+    ``pinv`` or ``lstsq``, or of ``norm`` with ``ord`` 2, -2, ``'nuc'`` or an
+    ``ord`` that is no literal; and an import of one of them by name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            if any(alias.name in _SVD_FAMILY | {"norm"} for alias in node.names):
+                lines.append(node.lineno)
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "linalg"):
+            continue
+        if node.func.attr == "norm":
+            ords = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "ord"]
+            try:
+                if not ords or ast.literal_eval(ords[0]) not in (2, -2, "nuc"):
+                    continue
+            except ValueError:
+                pass
+            lines.append(node.lineno)
+        elif node.func.attr in _SVD_FAMILY:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_traced_svd_helpers_call_lapacks_svd():
+    """The helpers the bench traces as ``linalg.svd`` are the one door to an
+    SVD: a raw ``numpy.linalg`` SVD anywhere else in the package would run
+    where the tracer cannot count it."""
+    probe = ("import numpy as np\nfrom numpy.linalg import pinv\nx = np.linalg.svd(a)\n"
+             "y = np.linalg.norm(a, 2)\nz = numpy.linalg.norm(a, ord=-2)\n"
+             "w = np.linalg.norm(a)\nv = np.linalg.norm(a, 'fro')\nu = linalg.svd(a)\n")
+    assert _raw_svds(probe) == [2, 3, 4, 5], "the walk no longer sees a raw SVD"
+    helpers = [attr for span, _, attr in _tracing().LAYERS if span == "linalg.svd"]
+    tree = ast.parse((SRC / "linalg.py").read_text(encoding="utf-8"))
+    allowed = {("linalg.py", number) for name in helpers
+               for number in _function_lines(tree, name)}
+    found, seen = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        for number in _raw_svds(path.read_text(encoding="utf-8")):
+            (seen if (name, number) in allowed else found).append(f"{name}:{number}")
+    assert seen, "the walk no longer sees the helpers' own SVDs"
     assert not found, "\n".join(found)
