@@ -183,18 +183,32 @@ def _cached(system: BiframeSystem, key: str, make):
     return system._cache[key]
 
 
+def _unit_samples(system: BiframeSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``(w / 2^a, F / 2^b, G / 2^c, a + b + c)``: the weights and both
+    families, each divided by its power of two
+    (:func:`linalg._binary_normalised`), so sums of their products neither
+    over- nor underflow, and the exponent that scales such a sum back."""
+    (w, a), (f, b), (g, c) = (linalg._binary_normalised(x) for x in (
+        system.measure.weights, system.analysis.samples, system.synthesis.samples))
+    return w, f, g, a + b + c
+
+
+def _unit_frame(system: BiframeSystem) -> tuple[np.ndarray, int]:
+    """``(S / 2^e, e)``: ``S`` summed from :func:`_unit_samples`."""
+    w, f, g, e = _unit_samples(system)
+    return g.T @ (w[:, None] * np.conj(f)), e
+
+
 def frame_operator(system: BiframeSystem) -> np.ndarray:
     """Accumulated operator ``S = sum_i w_i G_i F_i*`` (so ``<S f, f>`` equals
-    the system's quadratic form).  Cached on the system.  An ``S`` whose sums
-    leave float64 raises ``OverflowError``."""
-    def make() -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = system.synthesis.samples.T @ (
-                system.measure.weights[:, None] * np.conj(system.analysis.samples))
-        if not np.isfinite(s).all():
-            raise OverflowError("the frame operator's sums lie outside the float64 range")
-        return s
-    return _cached(system, "frame_operator", make)
+    the system's quadratic form).  Cached on the system.  ``S`` is summed
+    from :func:`_unit_samples` and scaled back once by
+    :func:`linalg._ldexp`, so it is right wherever it fits, even where
+    ``w_i F_i`` does not; an ``S`` whose largest entry float64 cannot hold
+    raises ``OverflowError`` ("the frame operator's sums lie outside the
+    float64 range")."""
+    return _cached(system, "frame_operator",
+                   lambda: linalg._ldexp(*_unit_frame(system), "the frame operator's sums"))
 
 
 def _herm_part(system: BiframeSystem) -> np.ndarray:
@@ -216,21 +230,26 @@ def biframe_form(system: BiframeSystem, f, tol: float = DEFAULT_TOL) -> float:
     The sum is real whenever the frame operator is self-adjoint; only the
     real part is returned, with a :class:`NonSelfAdjointWarning` if the
     imaginary remainder exceeds ``tol * ||f||^2 * ||S||``.
+
+    The sum and that test run on ``f / 2^e`` and :func:`_unit_samples`, and
+    the form is scaled back once by :func:`linalg._ldexp`: in range it is
+    the plain sum bit for bit, and a form float64 cannot hold raises
+    ``OverflowError`` ("the form lies outside the float64 range").
     """
-    vec = linalg.as_vector(f, dim=system.dim)
-    coeff = np.conj(system.analysis.samples) @ vec
-    recon = system.synthesis.samples @ np.conj(vec)
-    value = complex(system.measure.weights @ (coeff * recon))
-    op_norm = _cached(system, "frame_norm", lambda: linalg.spectral_norm(frame_operator(system)))
+    vec, e = linalg._binary_normalised(linalg.as_vector(f, dim=system.dim))
+    w, fa, ga, exp = _unit_samples(system)
+    value = complex(w @ ((np.conj(fa) @ vec) * (ga @ np.conj(vec))))  # form(f) / 2^(exp + 2e)
+    # ||S|| / 2^exp, so that the test compares like with like
+    op_norm = _cached(system, "frame_norm", lambda: linalg.spectral_norm(_unit_frame(system)[0]))
     scale = float(np.real(np.vdot(vec, vec))) * op_norm
     if scale > 0.0 and abs(value.imag) > tol * scale:
         warnings.warn(
-            f"form has imaginary part {value.imag:.3e}; the frame operator "
-            "is not self-adjoint at this tolerance",
+            f"form has imaginary part {linalg._ldexp(value.imag, exp + 2 * e, 'the form'):.3e}; "
+            "the frame operator is not self-adjoint at this tolerance",
             NonSelfAdjointWarning,
             stacklevel=2,
         )
-    return value.real
+    return linalg._ldexp(value.real, exp + 2 * e, "the form")
 
 
 def swap(system: BiframeSystem) -> BiframeSystem:
@@ -258,17 +277,25 @@ def _as_operator(a, dim: int, name: str = "operator") -> np.ndarray:
     return mat
 
 
+def _product(*factors: np.ndarray) -> np.ndarray:
+    """The matrix product of ``factors``, left to right, formed from factors
+    divided by their powers of two (:func:`linalg._binary_normalised`) and
+    scaled back once by :func:`linalg._ldexp`: in range it is the plain
+    product bit for bit, and one that leaves float64 raises
+    ``OverflowError``, never an ``inf`` or a ``RuntimeWarning``."""
+    units, exps = zip(*map(linalg._binary_normalised, factors))
+    return linalg._ldexp(functools.reduce(np.matmul, units), sum(exps),
+                         "the constructed samples or target")
+
+
 def _map_samples(system: BiframeSystem, u: np.ndarray,
                  target: Sequence[np.ndarray]) -> BiframeSystem:
     """Apply ``u`` to every sampled vector of both families (same measure);
-    the new target is the product of ``target``, left to right.  Samples or
-    a target that leave float64 raise ``OverflowError``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mapped = (system.analysis.samples @ u.T, system.synthesis.samples @ u.T,
-                  functools.reduce(np.matmul, target))
-    if not all(np.isfinite(m).all() for m in mapped):
-        raise OverflowError("the constructed samples or target lie outside the float64 range")
-    return BiframeSystem.from_samples(system.measure, *mapped)
+    the new target is the product of ``target``, left to right.  Each is a
+    :func:`_product`, so samples or a target that leave float64 raise
+    ``OverflowError``."""
+    return BiframeSystem.from_samples(system.measure, _product(system.analysis.samples, u.T),
+                                      _product(system.synthesis.samples, u.T), _product(*target))
 
 
 def gram_target(system: BiframeSystem, c: float = 1.0) -> np.ndarray:

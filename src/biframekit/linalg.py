@@ -35,6 +35,17 @@ iff ``lower <= lower_opt + tol * lower_opt`` and
 ``upper >= upper_opt - tol * |upper_opt|`` (``check_bounds``, the CLI's
 ``construct`` dominance and the tensor product law all decide by it).
 
+Every value that can leave float64 has one range rule beside it: it is
+formed on operands divided by powers of two (:func:`_binary_normalised`),
+where nothing over- or underflows, and scaled back once by :func:`_ldexp`
+(a constant scaled by squared norms by :func:`_rescaled`, which ends in
+it).  Dividing by a power of two is exact, so wherever the plain arithmetic
+stays in range the result is the plain one bit for bit; a value float64
+cannot hold raises ``OverflowError`` naming it, never an ``inf``, a false 0
+or a ``RuntimeWarning``.  ``S`` (``biframe.frame_operator``), mapped samples
+and targets, eigenvalues, the form, the lower constant, the transfer ratio,
+``||T||^n`` and every construction rule's constants are formed so.
+
 The central routine is :func:`max_psd_shift`, which computes the largest
 ``a >= 0`` with ``s - a*k k*`` positive semidefinite.  That quantity is the
 optimal lower bound of every sampled system in this package; it is the
@@ -115,9 +126,11 @@ def asymmetry(a) -> float:
     """Relative self-adjointness defect ``||a - a*|| / ||a||`` (spectral norms).
 
     Returns 0.0 for the zero matrix.  Used as a diagnostic everywhere a
-    frame operator is implicitly assumed self-adjoint.
+    frame operator is implicitly assumed self-adjoint.  Both norms are taken
+    on ``a / 2^e`` (:func:`_binary_normalised`), so ``a - a*`` cannot
+    overflow, and in range the ratio is the plain one bit for bit.
     """
-    m = as_matrix(a, square=True)
+    m, _ = _binary_normalised(as_matrix(a, square=True))
     denom = spectral_norm(m)
     if denom == 0.0:
         return 0.0
@@ -157,17 +170,23 @@ def unit_vector(v: np.ndarray) -> np.ndarray:
     return canonical_sign(unit / nrm)
 
 
+def _top(a: np.ndarray) -> float:
+    """The largest real or imaginary part of ``a`` in modulus (the parts, not
+    the moduli, which may overflow)."""
+    return float(max(np.abs(a.real).max(), np.abs(a.imag).max() if np.iscomplexobj(a) else 0.0))
+
+
 def _binary_normalised(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(a / 2^e, e)``, where ``2^e`` is the largest power of two at most the
-    largest real or imaginary part of ``a`` (the parts, not the moduli, which
-    may overflow).  The largest part of ``a / 2^e`` lies in ``[1, 2)``, so its
-    norms neither over- nor underflow; and dividing by a power of two is
-    exact, so wherever ``a`` itself stays in range the arithmetic on
-    ``a / 2^e`` is bit for bit the arithmetic on ``a``, scaled.
+    """``(a / 2^e, e)``, where ``2^e`` is the largest power of two at most
+    :func:`_top` of ``a``.  The largest part of ``a / 2^e`` lies in
+    ``[1, 2)``, so its norms neither over- nor underflow; and dividing by a
+    power of two is exact, so wherever ``a`` itself stays in range the
+    arithmetic on ``a / 2^e`` is bit for bit the arithmetic on ``a``, scaled.
+    A subnormal ``2^e`` is divided out by :func:`_ldexp`, part by part:
+    numpy's complex division by it would overflow on its reciprocal.
     """
-    top = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
-    e = math.frexp(top)[1] - 1
-    return a / math.ldexp(1.0, e), e
+    e = math.frexp(_top(a))[1] - 1
+    return (a / math.ldexp(1.0, e) if e >= sys.float_info.min_exp - 1 else _ldexp(a, -e, "a")), e
 
 
 def _rescaled(value: float, up=(), down=(), what: str = "a guaranteed constant") -> float:
@@ -188,15 +207,25 @@ def _rescaled(value: float, up=(), down=(), what: str = "a guaranteed constant")
     return _ldexp(mant, exp, what)
 
 
-def _ldexp(value: float, exp: int, what: str) -> float:
-    """``value * 2^exp``, exact wherever it is normal.  A subnormal result
-    ships; a nonzero one that float64 cannot hold raises ``OverflowError``
-    naming ``what``, never a false 0 or ``inf``."""
-    fits = exp + math.frexp(value)[1] <= sys.float_info.max_exp  # else ldexp raises
-    out = math.ldexp(value, exp) if fits else math.inf
-    if value and out in (0.0, math.inf):
-        raise OverflowError(f"{what} lies outside the float64 range: {value!r} x 2^{exp}")
-    return out
+def _ldexp(value, exp: int, what: str):
+    """``value * 2^exp`` for a real or complex number or array: the one way a
+    value formed on :func:`_binary_normalised` operands is scaled back.  It
+    is exact wherever it is normal.  The :func:`_top` entry decides: if
+    float64 cannot hold it, a nonzero value that would become 0 or ``inf``,
+    this raises ``OverflowError`` naming ``what`` (a number "lies", an
+    array's entries "lie" outside the float64 range), never a false 0,
+    ``inf`` or ``RuntimeWarning``.  A subnormal top entry ships, and the
+    smaller entries round as IEEE does, to subnormals or 0.  A number comes
+    back as a Python number."""
+    arr = np.asarray(value)
+    top = _top(arr)
+    fits = exp + math.frexp(top)[1] <= sys.float_info.max_exp  # else ldexp raises
+    if top and (math.ldexp(top, exp) if fits else math.inf) in (0.0, math.inf):
+        raise OverflowError(f"{what} {'lie' if arr.ndim else 'lies'} outside the float64 range")
+    out = np.asarray(np.ldexp(arr.real, exp), dtype=arr.dtype)
+    if np.iscomplexobj(arr):
+        out.imag = np.ldexp(arr.imag, exp)
+    return out if arr.ndim else out.item()
 
 
 def relative_gap(a, b) -> float:
@@ -250,11 +279,12 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
 
     The Hermitian check and the sweeps run on ``a / 2^e``
     (:func:`_binary_normalised`), symmetrised once the check passes, and the
-    eigenvalues are scaled back by ``2^e`` at the end, so the norms behind
-    the check and the stopping rule neither underflow nor overflow at any
-    scale, and ``hermitian_eigen(2^j a)`` is ``2^j`` times
-    ``hermitian_eigen(a)`` bit for bit, vectors unchanged, while ``2^j a``
-    and its eigenvalues stay normal.
+    eigenvalues are scaled back by ``2^e`` once at the end, by
+    :func:`_ldexp`, so the norms behind the check and the stopping rule
+    neither underflow nor overflow at any scale, and
+    ``hermitian_eigen(2^j a)`` is ``2^j`` times ``hermitian_eigen(a)`` bit
+    for bit, vectors unchanged, while ``2^j a`` and its eigenvalues stay
+    normal.
 
     Parameters
     ----------
@@ -277,6 +307,10 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
         If the sweep budget is exhausted (does not happen for finite input;
         Jacobi converges quadratically once sweeps start annihilating
         off-diagonal mass).
+    OverflowError
+        If the largest eigenvalue in modulus lies outside the float64 range
+        (a matrix whose entries fit may have one up to ``n`` times larger);
+        the message names the eigenvalues.  Small ones round as IEEE does.
     """
     m, e = _binary_normalised(as_matrix(a, square=True))
     defect = relative_gap(m, adjoint(m))
@@ -340,7 +374,7 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
             if _off_norm() > stop:
                 raise ConvergenceError("Jacobi iteration did not converge")
 
-    values = np.real(np.diagonal(m)) * math.ldexp(1.0, e)
+    values = _ldexp(np.real(np.diagonal(m)), e, "the eigenvalues")
     order = np.argsort(values, kind="stable")
     return EigenDecomposition(values=values[order], vectors=canonical_sign(stack[n:, order]))
 
@@ -496,13 +530,15 @@ def max_psd_shift(s_eig: EigenDecomposition, k, tol: float = DEFAULT_TOL) -> Shi
     cutoff``.  A shift counts as zero when ``amount * sigma_max(k)^2`` is
     within the cutoff of ``s``.
 
-    All of the above runs on ``k / 2^e`` (:func:`_binary_normalised`): ``W``,
-    its singular values and both zero tests stay in range at any target
-    scale, and the amount is divided by ``4^e`` once at the end, by
-    :func:`_rescaled`.  Scaling by a power of two is exact, so wherever the
-    unscaled arithmetic stays in range the result is bit for bit the
-    unscaled one.  ``degenerate`` is set only for a ``k`` that is exactly
-    zero.
+    All of the above runs on ``k / 2^e`` and on the spectrum divided by an
+    even power of two ``2^f`` (:func:`_binary_normalised`; the roots scale
+    by exactly ``2^(f/2)``): ``W``, the roots, the singular values and both
+    zero tests stay in range at any scale of ``s`` or ``k``, and the
+    whitened shift ``1 / sigma^2`` is scaled back by ``2^f / 4^e`` once at
+    the end, by :func:`_ldexp`.  Scaling by a power of two is exact, so
+    wherever the unscaled arithmetic stays in range the result is bit for
+    bit the unscaled one.  ``degenerate`` is set only for a ``k`` that is
+    exactly zero.
 
     Eigensolves per call: 0, whatever ``k`` is; the spectrum of ``s`` is
     read, not computed.  SVDs per call: 2, or 3 when ``s`` has eigenvalues
@@ -520,8 +556,8 @@ def max_psd_shift(s_eig: EigenDecomposition, k, tol: float = DEFAULT_TOL) -> Shi
     Raises
     ------
     OverflowError
-        When a positive shift exists but ``amount / 4^e`` overflows or
-        underflows to zero in float64; the message names the target scale.
+        When a positive shift exists but ``amount * 2^f / 4^e`` overflows or
+        underflows to zero in float64; the message names both scales.
     """
     k_m = as_matrix(k)
     n = s_eig.values.shape[0]
@@ -537,8 +573,10 @@ def max_psd_shift(s_eig: EigenDecomposition, k, tol: float = DEFAULT_TOL) -> Shi
     if degenerate:
         return ShiftResult(math.inf, None, degenerate)
 
-    lam, v = s_eig.values, s_eig.vectors
-    cutoff = s_eig.cutoff(tol)
+    # s / 2^f for an even f, so the roots below scale by exactly 2^(f/2)
+    (lam, f), v = _binary_normalised(s_eig.values), s_eig.vectors
+    lam, f = lam * 2.0 ** (f % 2), f - f % 2
+    cutoff = EigenDecomposition(lam, v).cutoff(tol)
     w = adjoint(v) @ k_unit
     p_max = spectral_norm(w) ** 2
     null = lam <= cutoff
@@ -546,7 +584,7 @@ def max_psd_shift(s_eig: EigenDecomposition, k, tol: float = DEFAULT_TOL) -> Shi
         basis, sigma = orthonormal_range(w[null])
         if sigma[0] ** 2 > tol * p_max:
             return ShiftResult(None, unit_vector(v[:, null] @ basis[:, 0]))
-    floored = lam / 2.0 + np.maximum(lam, cutoff) / 2.0  # halved first: stays finite
+    floored = (lam + np.maximum(lam, cutoff)) / 2.0
     live = floored > 0.0  # false only at lambda = -cutoff
     blocked = ~live & w.any(axis=1)
     if blocked.any():
@@ -556,7 +594,6 @@ def max_psd_shift(s_eig: EigenDecomposition, k, tol: float = DEFAULT_TOL) -> Shi
     amount, witness = 1.0 / float(sigma[0]) ** 2, unit_vector(v[:, live] @ (basis[:, 0] / root))
     if amount * p_max <= cutoff:
         return ShiftResult(None, witness)
-    # s - a*k k* = s - (a * 4^e) * k_unit k_unit*
-    shift = _rescaled(amount, down=(math.ldexp(1.0, e),),
-                      what=f"the shift for a target of scale 2^{e}")
-    return ShiftResult(shift, witness)
+    # s - a*k k* = 2^f (s / 2^f - (a * 4^e / 2^f) * k_unit k_unit*)
+    return ShiftResult(_ldexp(amount, f - 2 * e, f"the shift for a spectrum of scale 2^{f} "
+                                                 f"and a target of scale 2^{e}"), witness)

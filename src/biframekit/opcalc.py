@@ -14,8 +14,8 @@ range it is the plain product bit for bit.  A rule forms its constants
 before any product that grows with its operator (the result's keywords are
 evaluated in the order written), so a constant that float64 cannot hold
 raises ``OverflowError`` first, never a false ``0`` or ``inf``; so do
-mapped samples or a target that leave float64
-(:func:`~biframekit.biframe._map_samples`).
+mapped samples or a target that leave float64: every product a rule forms
+is a :func:`~biframekit.biframe._product`.
 
 ``certified`` records whether the guaranteed lower constant actually follows
 from the construction.  Most rules are certified; the additive combinations
@@ -23,6 +23,8 @@ from the construction.  Most rules are certified; the additive combinations
 carry stated constants that can be beaten by the transformed system's true
 bounds going the *wrong* way, so they are reported with ``certified=False``
 and the tests track how often the claim survives instead of asserting it.
+A subnormal lower constant is never certified: it has lost bits, and may
+have rounded up past the true constant.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .biframe import (
     _as_operator,
     _herm_part,
     _map_samples,
+    _product,
     frame_operator,
     gram_target,
     optimal_bounds,
@@ -77,7 +80,9 @@ class ConstructionResult:
         Short name of the construction ("promote", "sandwich", ...).
     certified:
         True when the lower constant is a consequence of the construction;
-        False when it is a stated claim that the optimal bounds may refute.
+        False when it is a stated claim that the optimal bounds may refute,
+        and for a subnormal lower constant, which has lost bits and may have
+        rounded up past the true one (the value ships unchanged).
     """
 
     system: BiframeSystem
@@ -85,6 +90,10 @@ class ConstructionResult:
     guaranteed_upper: float
     rule: str
     certified: bool = True
+
+    def __post_init__(self):
+        if 0.0 < (self.guaranteed_lower or 0.0) < sys.float_info.min:
+            object.__setattr__(self, "certified", False)
 
 
 def _valid_bounds(system: BiframeSystem, tol: float, what: str) -> tuple[float, float]:
@@ -224,7 +233,7 @@ def combine_product(system: BiframeSystem, right_target, *,
     return ConstructionResult(
         guaranteed_lower=linalg._rescaled(lower, down=(nrm,)),
         guaranteed_upper=upper,
-        system=system.with_target(system.target @ k2),
+        system=system.with_target(_product(system.target, k2)),
         rule="product",
     )
 
@@ -246,13 +255,10 @@ def product_chain(system: BiframeSystem, targets: Sequence[np.ndarray], *,
              for j, k in enumerate(mats)]
     lower = linalg._rescaled(min(lo for lo, _ in pairs),
                              down=[linalg.spectral_norm(k) for k in mats[:-1]])
-    composed = mats[0]
-    for k in mats[1:]:
-        composed = composed @ k
     return ConstructionResult(
         guaranteed_lower=lower,
         guaranteed_upper=min(hi for _, hi in pairs),
-        system=system.with_target(composed),
+        system=system.with_target(_product(*mats)),
         rule="product-chain",
         certified=False,
     )
@@ -297,7 +303,7 @@ def canonical_dual(system: BiframeSystem, new_target, *, tol: float = DEFAULT_TO
     return ConstructionResult(
         guaranteed_lower=linalg._rescaled(lower, down=(sigma[0],)),
         guaranteed_upper=linalg._rescaled(upper, up=(linalg.spectral_norm(k),), down=(sigma[-1],)),
-        system=_map_samples(system, k @ s_inv, [k]),
+        system=_map_samples(system, _product(k, s_inv), [k]),
         rule="dual",
     )
 
@@ -348,27 +354,25 @@ def max_transfer_ratio(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) ->
     root of the maximal PSD shift of ``U U*`` along ``K K*``; it is strictly
     positive exactly when pushing the system through ``U``
     (:func:`apply_operator`, but keeping the *original* target ``K``) again
-    yields a valid system.  ``U U*`` is formed from ``U / 2^e``
-    (:func:`linalg._binary_normalised`) and the root scaled back by ``2^e``,
-    so the ratio stays right at any scale of ``U`` and, in range, is the
-    plain one bit for bit.  Its one eigensolve gives ``||U||`` as well, as
-    ``2^e sqrt(lambda_max)``.
+    yields a valid system.  ``U U*`` and the shift are formed from ``U / 2^e``
+    and ``K / 2^f`` (:func:`linalg._binary_normalised`) and the ratio is
+    scaled back by ``2^(e - f)`` once, by :func:`linalg._ldexp`, so it stays
+    right at any scale of ``U`` and ``K``, and in range it is the plain one
+    bit for bit; a ratio float64 cannot hold raises ``OverflowError``.  Its
+    one eigensolve gives ``||U||`` as well, as ``2^e sqrt(lambda_max)``.
     """
     mat = _as_operator(u, system.dim)
-    k = system.target
-    unit, e = linalg._binary_normalised(mat)
+    (unit, e), (k_unit, f) = map(linalg._binary_normalised, (mat, system.target))
     gram = linalg.hermitian_eigen(unit @ linalg.adjoint(unit), tol=tol)
-    basis, sigma = linalg.orthonormal_range(k)
+    basis, sigma = linalg.orthonormal_range(system.target)
     residual = mat - basis @ (linalg.adjoint(basis) @ mat)
-    scale = math.ldexp(math.sqrt(gram.max), e) + float(sigma[0])
+    scale = linalg._ldexp(math.sqrt(gram.max), e, "the norm of U") + float(sigma[0])
     if linalg.spectral_norm(residual) > tol * scale:
-        raise RangeNotContainedError(
-            "operator range is not contained in the target range"
-        )
-    shift = linalg.max_psd_shift(gram, k, tol=tol)
-    if shift.amount is None:
-        return 0.0
-    return math.ldexp(math.sqrt(shift.amount), e)
+        raise RangeNotContainedError("operator range is not contained in the target range")
+    shift = linalg.max_psd_shift(gram, k_unit, tol=tol)  # U U* is PSD: amount None or > 0
+    if shift.degenerate:  # U = K = 0
+        return math.inf
+    return linalg._ldexp(math.sqrt(shift.amount or 0.0), e - f, "the transfer ratio")
 
 
 def commuting_transform(system: BiframeSystem, t, *, tol: float = DEFAULT_TOL) -> ConstructionResult:
@@ -382,8 +386,7 @@ def commuting_transform(system: BiframeSystem, t, *, tol: float = DEFAULT_TOL) -
     """
     mat = _as_operator(t, system.dim)
     _, sigma = linalg.invert(mat)
-    k = system.target
-    t_unit, k_unit = linalg._binary_normalised(mat)[0], linalg._binary_normalised(k)[0]
+    t_unit, k_unit = (linalg._binary_normalised(m)[0] for m in (mat, system.target))
     defect = linalg.relative_gap(t_unit @ k_unit, k_unit @ t_unit)
     if defect > tol:
         raise NotCommutingError(
@@ -393,7 +396,7 @@ def commuting_transform(system: BiframeSystem, t, *, tol: float = DEFAULT_TOL) -
     return ConstructionResult(
         guaranteed_lower=linalg._rescaled(lower, up=(sigma[-1],)),  # ||T^-1|| = 1 / sigma_min
         guaranteed_upper=linalg._rescaled(upper, up=(sigma[0],)),
-        system=_map_samples(system, mat, [k]),
+        system=_map_samples(system, mat, [system.target]),
         rule="commute",
     )
 
@@ -409,7 +412,11 @@ def perturb_positive(system: BiframeSystem, t, power: int = 1, *,
     lower constant is reported with ``certified=False``.  The upper constant
     ``B ||I + T^n||^2`` is sound.  One eigensolve ``T = V Lambda V*`` decides
     that ``T`` is PSD and gives ``I + T^n = V (1 + Lambda^n) V*``, with norm
-    ``max |1 + lambda^n|``; a ``T^n`` beyond float64 raises ``OverflowError``.
+    ``max |1 + lambda^n|``.  ``T^n`` fits iff ``max(||T||, 1)^n`` does,
+    which is formed as ``2^f 2^k`` from ``n log2 max(||T||, 1) = k + f``
+    (``f`` in ``[0, 1)``) and scaled back once by :func:`linalg._ldexp`, so
+    no power of the norm itself overflows, whatever ``n``: one beyond
+    float64 raises ``OverflowError`` before numpy forms ``T^n``.
     """
     if power < 1:
         raise ValueError(f"power must be a positive integer, got {power!r}")
@@ -421,10 +428,9 @@ def perturb_positive(system: BiframeSystem, t, power: int = 1, *,
     if not eig.is_psd(tol):
         raise NotPSDError("perturbation has a negative eigenvalue beyond tolerance")
     lower, upper = _valid_bounds(system, tol, "perturbation input")
-    try:  # a Python float power raises where numpy's overflows; PSD: eig.max = ||T||
-        eig.max ** power
-    except OverflowError:
-        raise OverflowError(f"the perturbation T^{power} lies outside the float64 range") from None
+    # PSD: eig.max = ||T||; only a norm above 1 has a power that can overflow
+    k, f = divmod(power * math.log2(max(eig.max, 1.0)), 1.0)
+    linalg._ldexp(2.0 ** f, int(k), f"the perturbation T^{power}")
     grow = 1.0 + eig.values ** power
     return ConstructionResult(
         guaranteed_lower=lower,

@@ -516,3 +516,41 @@ def test_library_import_leaves_the_cli_unloaded():
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
     assert run.stdout.strip() == "[]"
+
+
+class TestRangeRule:
+    """P1: ``Herm(S)`` fits but its top eigenvalue 1.9e308 does not; P2:
+    ``S = 1e300 I`` fits though ``w_i F_i`` does not."""
+
+    @pytest.fixture
+    def p1(self, tmp_path):
+        samples = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        measure = biframekit.DiscreteMeasure(("a", "b", "c"), np.array([1e307, 1e307, 9e307]))
+        path = tmp_path / "p1.json"
+        save(biframekit.BiframeSystem.from_samples(measure, samples, samples, np.eye(2)), path)
+        return str(path)
+
+    def test_an_eigenvalue_beyond_float64_is_usage_error(self, runner, p1):
+        # once "optimal upper: inf / valid: no"
+        result = runner.invoke(main, ["bounds", p1])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "eigenvalues lie outside the float64 range" in result.output
+
+    def test_a_claim_on_it_is_not_refuted(self, runner, p1):
+        # once "lower holds: no", though 1e306 <= 1e307, the lower constant
+        result = runner.invoke(main, ["verify", p1, "--lower", "1e306", "--upper", "1e308"])
+        assert result.exit_code == 2, result.output
+        assert "outside the float64 range" in result.output
+        assert "REFUTED" not in result.output
+
+    def test_a_frame_operator_that_fits_is_reported(self, runner, tmp_path):
+        measure = biframekit.DiscreteMeasure(("a", "b"), np.full(2, 1e300))
+        path = tmp_path / "p2.json"
+        save(biframekit.BiframeSystem.from_samples(measure, 1e10 * np.eye(2), 1e-10 * np.eye(2),
+                                                   np.eye(2)), path)
+        result = runner.invoke(main, ["bounds", str(path)])
+        assert result.exit_code == 0, result.output
+        assert "optimal lower: 1e+300" in result.output
+        assert "optimal upper: 1e+300" in result.output
+        assert "valid: yes" in result.output

@@ -622,6 +622,18 @@ def test_an_operator_scaled_by_a_power_of_two_scales_the_constants_exactly(rule)
             assert [got.guaranteed_lower, got.guaranteed_upper] == want, j
 
 
+@pytest.mark.parametrize("rule", ["promote", "product"])
+def test_a_subnormal_lower_constant_ships_uncertified(rule):
+    # (A / ||U||^2) at U x 1e160 is about 3.7e-321: a subnormal with some ten
+    # significant bits, which may have rounded up past the true constant
+    base = fixture("example-3-3")
+    result = _SCALED_RULES[rule][1](base, base.with_target(np.eye(3)), 1e160)
+    assert 0.0 < result.guaranteed_lower < np.finfo(np.float64).tiny
+    assert result.guaranteed_lower == pytest.approx(3.725e-321, rel=1e-3)
+    assert result.certified is False
+    assert _SCALED_RULES[rule][1](base, base.with_target(np.eye(3)), 1e150).certified is True
+
+
 def test_mapped_samples_outside_the_float_range_raise():
     # the constants (A, B 1e300) and (A / 1e300, B 1e300) fit, but the
     # synthesis samples 1e200 * 1e150 do not

@@ -373,3 +373,56 @@ def test_only_the_traced_svd_helpers_call_lapacks_svd():
             (seen if (name, number) in allowed else found).append(f"{name}:{number}")
     assert seen, "the walk no longer sees the helpers' own SVDs"
     assert not found, "\n".join(found)
+
+
+_SCALE_HELPERS = ("_top", "_binary_normalised", "_ldexp", "_rescaled")
+# sites that step outside the range rule on purpose, and why
+_RANGE_RULE_EXCEPTIONS = {
+    ("biframe.py", "_check_claim"): "the witness test compares form / 4^e with a claim: "
+                                    "an infinite quotient correctly refutes nothing",
+    ("opcalc.py", "parseval_check"): "a 2^-2e beyond float64 is a verdict (K is nowhere "
+                                     "near unitary), not a value to form",
+}
+
+
+def _range_escapes(source: str) -> list[int]:
+    """Lines of ``source`` that scale or guard a value by hand: any use of
+    ``errstate`` or of ``ldexp`` (``math.ldexp``, ``numpy.ldexp`` or either
+    imported by name)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        names = ([node.attr] if isinstance(node, ast.Attribute)
+                 else [node.id] if isinstance(node, ast.Name)
+                 else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                 else [])
+        if {"errstate", "ldexp"} & set(names):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_only_the_scale_helpers_scale_by_a_power_of_two():
+    """The range rule: a value that can leave float64 is formed on operands
+    divided by powers of two and scaled back once by ``linalg._ldexp`` (or
+    ``_rescaled``).  A hand-written ``math.ldexp(1.0, e)`` factor, an
+    ``np.ldexp`` or an ``np.errstate`` block anywhere else is a second rule:
+    it can ship an ``inf`` or a false 0, or hide the warning that says so."""
+    probe = ("import math\nimport numpy as np\nfrom numpy import ldexp\n"
+             "with np.errstate(over='ignore'):\n    x = a @ b\n"
+             "y = a * math.ldexp(1.0, e)\nz = np.ldexp(a, 3)\nw = a * 2.0\n")
+    assert _range_escapes(probe) == [3, 4, 6, 7], "the walk no longer sees a hand scaling"
+    allowed = {}
+    for name, function in [("linalg.py", helper) for helper in _SCALE_HELPERS] + list(
+            _RANGE_RULE_EXCEPTIONS):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        allowed.update({(name, number): function for number in _function_lines(tree, function)})
+    found, seen = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        for number in _range_escapes(path.read_text(encoding="utf-8")):
+            if (name, number) in allowed:
+                seen.add(allowed[name, number])
+            else:
+                found.append(f"{name}:{number}")
+    assert not found, "\n".join(found)
+    # each named site still needs its exception, and the helpers still scale
+    assert seen >= {"_ldexp", *(function for _, function in _RANGE_RULE_EXCEPTIONS)}
