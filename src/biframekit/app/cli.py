@@ -9,8 +9,9 @@ Exit codes follow one contract everywhere: 0 when the requested property
 verified, 1 when verification failed (a witness is printed where one
 exists), 2 for every invalid argument and every usage, parse, or validation
 problem, including an input whose optimal lower constant or frame
-operator lies outside the float64 range, and a construction whose
-guaranteed constant, or whose system, does (``construct`` reports a result
+operator lies outside the float64 range, a tensor product whose samples,
+weights or target do, and a construction whose guaranteed constant, or
+whose system, does (``construct`` reports a result
 whose bounds leave that range in its ``certification_error`` row and
 exits 1).  Each command builds its report as one ordered list of rows
 ``(key, value, line)``, and :func:`_emit` renders it: ``--format json``
@@ -151,8 +152,8 @@ def _read_matrix(value: str, dim: int, complex_field: bool) -> np.ndarray:
 class _Group(click.Group):
     """Reports a bound, a guaranteed constant or a system outside the
     float64 range (``OverflowError``, as :func:`linalg.max_psd_shift`, the
-    construction rules and ``frame_operator`` raise it) as an invalid input,
-    exit 2, instead of a traceback."""
+    construction rules, ``frame_operator`` and ``tensor_system`` raise it)
+    as an invalid input, exit 2, instead of a traceback."""
 
     def invoke(self, ctx: click.Context):
         try:

@@ -26,7 +26,6 @@ strictly positive lower bound exists.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -184,13 +183,18 @@ def _cached(system: BiframeSystem, key: str, make):
 
 
 def _unit_samples(system: BiframeSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """``(w / 2^a, F / 2^b, G / 2^c, a + b + c)``: the weights and both
-    families, each divided by its power of two
-    (:func:`linalg._binary_normalised`), so sums of their products neither
-    over- nor underflow, and the exponent that scales such a sum back."""
-    (w, a), (f, b), (g, c) = (linalg._binary_normalised(x) for x in (
+    """``(w', F / 2^b, G / 2^c, e)``: each node's weight and samples divided
+    by their own powers of two ``2^a_i``, ``2^b_i``, ``2^c_i``
+    (:func:`linalg._binary_normalised` by row), the node's exponent
+    ``r_i = a_i + b_i + c_i`` carried by its weight, ``w'_i = (w_i / 2^a_i)
+    2^(r_i - e)`` (:func:`linalg._ldexp`), and ``e = max r_i``, which scales
+    a sum of their products back.  Node terms so stay in range at every
+    scale; a node more than ``2^1074`` below the largest flushes to 0, as it
+    would in a float sum of the terms."""
+    (w, a), (f, b), (g, c) = (linalg._binary_normalised(x, rows=True) for x in (
         system.measure.weights, system.analysis.samples, system.synthesis.samples))
-    return w, f, g, a + b + c
+    r = a + b + c
+    return linalg._ldexp(w, r - r.max(), "the node weights"), f, g, int(r.max())
 
 
 def _unit_frame(system: BiframeSystem) -> tuple[np.ndarray, int]:
@@ -202,11 +206,14 @@ def _unit_frame(system: BiframeSystem) -> tuple[np.ndarray, int]:
 def frame_operator(system: BiframeSystem) -> np.ndarray:
     """Accumulated operator ``S = sum_i w_i G_i F_i*`` (so ``<S f, f>`` equals
     the system's quadratic form).  Cached on the system.  ``S`` is summed
-    from :func:`_unit_samples` and scaled back once by
+    node by node from :func:`_unit_samples` and scaled back once by
     :func:`linalg._ldexp`, so it is right wherever it fits, even where
-    ``w_i F_i`` does not; an ``S`` whose largest entry float64 cannot hold
-    raises ``OverflowError`` ("the frame operator's sums lie outside the
-    float64 range")."""
+    ``w_i F_i`` does not, or where one node's samples lie far below
+    another's.  It is the plain sum bit for bit wherever dividing each node's
+    weight and sample rows by their powers of two, and the plain
+    arithmetic, leave every entry normal.  An ``S`` whose largest entry
+    float64 cannot hold raises ``OverflowError`` ("the frame operator's sums
+    lie outside the float64 range")."""
     return _cached(system, "frame_operator",
                    lambda: linalg._ldexp(*_unit_frame(system), "the frame operator's sums"))
 
@@ -231,10 +238,11 @@ def biframe_form(system: BiframeSystem, f, tol: float = DEFAULT_TOL) -> float:
     real part is returned, with a :class:`NonSelfAdjointWarning` if the
     imaginary remainder exceeds ``tol * ||f||^2 * ||S||``.
 
-    The sum and that test run on ``f / 2^e`` and :func:`_unit_samples`, and
-    the form is scaled back once by :func:`linalg._ldexp`: in range it is
-    the plain sum bit for bit, and a form float64 cannot hold raises
-    ``OverflowError`` ("the form lies outside the float64 range").
+    The sum and that test run on ``f / 2^e`` and :func:`_unit_samples`, node
+    by node, and the form is scaled back once by :func:`linalg._ldexp`: it is
+    the plain sum bit for bit wherever that division, and the plain
+    arithmetic, leave every entry normal, and a form float64 cannot hold
+    raises ``OverflowError`` ("the form lies outside the float64 range").
     """
     vec, e = linalg._binary_normalised(linalg.as_vector(f, dim=system.dim))
     w, fa, ga, exp = _unit_samples(system)
@@ -277,35 +285,29 @@ def _as_operator(a, dim: int, name: str = "operator") -> np.ndarray:
     return mat
 
 
-def _product(*factors: np.ndarray) -> np.ndarray:
-    """The matrix product of ``factors``, left to right, formed from factors
-    divided by their powers of two (:func:`linalg._binary_normalised`) and
-    scaled back once by :func:`linalg._ldexp`: in range it is the plain
-    product bit for bit, and one that leaves float64 raises
-    ``OverflowError``, never an ``inf`` or a ``RuntimeWarning``."""
-    units, exps = zip(*map(linalg._binary_normalised, factors))
-    return linalg._ldexp(functools.reduce(np.matmul, units), sum(exps),
-                         "the constructed samples or target")
-
-
 def _map_samples(system: BiframeSystem, u: np.ndarray,
                  target: Sequence[np.ndarray]) -> BiframeSystem:
     """Apply ``u`` to every sampled vector of both families (same measure);
     the new target is the product of ``target``, left to right.  Each is a
-    :func:`_product`, so samples or a target that leave float64 raise
-    ``OverflowError``."""
-    return BiframeSystem.from_samples(system.measure, _product(system.analysis.samples, u.T),
-                                      _product(system.synthesis.samples, u.T), _product(*target))
+    :func:`linalg._product`, one power of two per sample row, so a row far
+    below the others keeps its bits, and samples or a target that leave
+    float64 raise ``OverflowError`` ("the constructed samples or target")."""
+    mapped = (linalg._product(*factors, what="the constructed samples or target") for factors in
+              ((system.analysis.samples, u.T), (system.synthesis.samples, u.T), target))
+    return BiframeSystem.from_samples(system.measure, *mapped)
 
 
 def gram_target(system: BiframeSystem, c: float = 1.0) -> np.ndarray:
     """``c K K*`` for the system's target ``K`` and ``c >= 0`` (``K K*``, the
     reference PSD matrix the lower bound is measured against, by default).
-    It is formed as ``(sqrt(c) K)(sqrt(c) K)*``, so it stays finite wherever
-    the product does, even where ``K K*`` would not; at ``c = 1`` that is
-    ``K K*`` bit for bit."""
+    It is formed as the :func:`linalg._product` ``(sqrt(c) K)(sqrt(c) K)*``,
+    so it is right wherever the product fits, even where ``K K*`` would not,
+    and one that does not fit raises ``OverflowError``.  At ``c = 1`` it is
+    the plain ``K K*`` bit for bit wherever dividing each row of ``K``, and
+    ``K*``, by its power of two, and the plain arithmetic, leave every entry
+    normal."""
     k = math.sqrt(c) * system.target
-    return k @ linalg.adjoint(k)
+    return linalg._product(k, linalg.adjoint(k), what="c K K*")
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ before any product that grows with its operator (the result's keywords are
 evaluated in the order written), so a constant that float64 cannot hold
 raises ``OverflowError`` first, never a false ``0`` or ``inf``; so do
 mapped samples or a target that leave float64: every product a rule forms
-is a :func:`~biframekit.biframe._product`.
+is a :func:`~biframekit.linalg._product`, one power of two per row.
 
 ``certified`` records whether the guaranteed lower constant actually follows
 from the construction.  Most rules are certified; the additive combinations
@@ -43,7 +43,6 @@ from .biframe import (
     _as_operator,
     _herm_part,
     _map_samples,
-    _product,
     frame_operator,
     gram_target,
     optimal_bounds,
@@ -155,12 +154,7 @@ def restrict_to_range(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> Con
         # the basis is the standard one: same samples, and the same cache
         compressed = system.with_target(eye)
     else:
-        compressed = BiframeSystem.from_samples(
-            system.measure,
-            system.analysis.samples @ np.conj(basis),
-            system.synthesis.samples @ np.conj(basis),
-            eye,
-        )
+        compressed = _map_samples(system, linalg.adjoint(basis), [eye])
     return ConstructionResult(
         guaranteed_lower=linalg._rescaled(lower, up=(sigma[rank - 1],)),  # ||K^+|| = 1 / sigma_r
         guaranteed_upper=upper,
@@ -233,7 +227,7 @@ def combine_product(system: BiframeSystem, right_target, *,
     return ConstructionResult(
         guaranteed_lower=linalg._rescaled(lower, down=(nrm,)),
         guaranteed_upper=upper,
-        system=system.with_target(_product(system.target, k2)),
+        system=system.with_target(linalg._product(system.target, k2, what="the composed target")),
         rule="product",
     )
 
@@ -258,7 +252,7 @@ def product_chain(system: BiframeSystem, targets: Sequence[np.ndarray], *,
     return ConstructionResult(
         guaranteed_lower=lower,
         guaranteed_upper=min(hi for _, hi in pairs),
-        system=system.with_target(_product(*mats)),
+        system=system.with_target(linalg._product(*mats, what="the composed target")),
         rule="product-chain",
         certified=False,
     )
@@ -303,7 +297,7 @@ def canonical_dual(system: BiframeSystem, new_target, *, tol: float = DEFAULT_TO
     return ConstructionResult(
         guaranteed_lower=linalg._rescaled(lower, down=(sigma[0],)),
         guaranteed_upper=linalg._rescaled(upper, up=(linalg.spectral_norm(k),), down=(sigma[-1],)),
-        system=_map_samples(system, _product(k, s_inv), [k]),
+        system=_map_samples(system, linalg._product(k, s_inv, what="the operator K S^-1"), [k]),
         rule="dual",
     )
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .biframe import BiframeSystem, BoundsReport, _claim_holds, optimal_bounds
 from .errors import FieldMismatchError, NotABiframeError
 from .linalg import DEFAULT_TOL
@@ -28,8 +29,18 @@ def kron(a, b) -> np.ndarray:
     product is norm-multiplicative, respects composition factorwise
     (``(A (x) B)(C (x) D) = AC (x) BD``), commutes with adjoints, and is
     invertible exactly when both factors are.
+
+    It is the :func:`~biframekit.linalg._product` of the two, each row of
+    each factor divided by its own power of two, and row ``(i, j)`` scaled
+    back once by ``2^(r_i + r'_j)``: so it is ``numpy.kron`` bit for bit
+    wherever that division, and the plain products, leave every entry
+    normal, a row far below the others keeps its bits, and a product that
+    float64 cannot hold raises ``OverflowError`` ("the Kronecker product's
+    entries lie outside the float64 range"), never an ``inf`` or a
+    ``RuntimeWarning``.
     """
-    return np.kron(np.asarray(a), np.asarray(b))
+    return linalg._product(np.asarray(a), np.asarray(b), what="the Kronecker product's entries",
+                           kron=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,9 +55,14 @@ class TensorSystem:
 def tensor_system(s1: BiframeSystem, s2: BiframeSystem) -> TensorSystem:
     """Combine two systems on the Kronecker coordinate space.
 
-    Sample families, weights and targets all combine by Kronecker product;
-    in particular the combined frame operator is ``S1 (x) S2``.  The factors'
-    bound pairs do not multiply into a valid pair in general: with
+    Sample families, weights and targets all combine by Kronecker product
+    (:func:`kron`, :func:`~biframekit.measure.product_measure`); in
+    particular the combined frame operator is ``S1 (x) S2``.  Each product
+    takes one power of two per row, so it is ``numpy.kron`` bit for bit
+    wherever that division, and the plain products, leave every entry
+    normal, and a product that float64 cannot hold raises ``OverflowError``
+    ("... outside the float64 range").  The factors' bound pairs do not
+    multiply into a valid pair in general: with
     ``S = H + iJ`` (``H``, ``J`` Hermitian), ``Herm(S1 (x) S2) = H1 (x) H2 -
     J1 (x) J2``, so :func:`product_law` is a theorem only when one factor is
     self-adjoint.

@@ -16,6 +16,8 @@ import sys
 import numpy as np
 import pytest
 
+from click.testing import CliRunner
+
 from biframekit import (
     BiframeSystem,
     DiscreteMeasure,
@@ -26,9 +28,13 @@ from biframekit import (
     linalg,
     opcalc,
     optimal_bounds,
+    tensor,
     validity_cross_check,
 )
+from biframekit.app import save
+from biframekit.app.cli import main
 from biframekit.app.fixtures import fixture
+from biframekit.measure import product_measure
 from biframekit.biframe import _herm_part, _herm_spectrum
 from biframekit.errors import BiframeError
 from helpers import random_target, random_valid_system
@@ -275,3 +281,106 @@ def test_ldexp_keeps_complex_parts_and_the_sign_of_zero():
     number = linalg._ldexp(0.75 - 0.25j, -2, "z")
     assert isinstance(number, complex) and number == 0.1875 - 0.0625j
     assert isinstance(linalg._ldexp(0.75, -2, "x"), float)
+
+
+# ---------------------------------------------------------------------------
+# the product rule: one power of two per row
+
+
+def _spread() -> BiframeSystem:
+    """``F = diag(1e200, 1e-200)``, ``G = diag(1e-200, 1e200)``, unit weights,
+    ``K = I``: ``S = I``, though the rows of each family lie 2^1329 apart."""
+    return BiframeSystem.from_samples(DiscreteMeasure(("a", "b"), np.ones(2)),
+                                      np.diag([1e200, 1e-200]), np.diag([1e-200, 1e200]), np.eye(2))
+
+
+def _huge() -> BiframeSystem:
+    """``F = 1e200 I``, ``G = 1e-200 I``, unit weights, ``K = I``: ``S = I``."""
+    return BiframeSystem.from_samples(DiscreteMeasure(("a", "b"), np.ones(2)),
+                                      1e200 * np.eye(2), 1e-200 * np.eye(2), np.eye(2))
+
+
+def test_rows_far_apart_keep_their_frame_operator_and_bounds():
+    # a whole-family power of two once flushed each family's small row to 0,
+    # so S read 0 and the system invalid
+    system = _spread()
+    assert np.array_equal(frame_operator(system), np.eye(2))
+    report = optimal_bounds(system)
+    assert (report.lower_opt, report.upper_opt, report.valid) == (1.0, 1.0, True)
+    assert biframe_form(system, [0.0, 1.0]) == 1.0
+
+
+def test_a_mapped_row_far_below_the_others_keeps_its_bits():
+    mapped = opcalc.apply_operator(_spread(), 2.0 * np.eye(2)).system
+    assert mapped.analysis.samples.tolist() == [[2e200, 0.0], [0.0, 2e-200]]
+    assert mapped.synthesis.samples.tolist() == [[2e-200, 0.0], [0.0, 2e200]]
+
+
+def test_kron_keeps_every_row_of_numpy_kron():
+    a = np.diag([1e200, 1e-200])
+    got = tensor.kron(a, [[1.0]])
+    assert np.array_equal(got, np.kron(a, [[1.0]])) and got[1, 1] == 1e-200
+
+
+@pytest.mark.parametrize("weight", [1e200, 1e-200])
+def test_product_weights_outside_the_float_range_raise_naming_them(weight):
+    # not the measure's "node weights must be finite and positive": the
+    # weights given are fine, their products are what float64 cannot hold
+    measure = DiscreteMeasure(("a", "b"), np.array([weight, 1.0]))
+    with pytest.raises(OverflowError, match=f"the product weights lie {_OUT_OF_RANGE}"):
+        product_measure(measure, measure)
+
+
+def test_a_tensor_product_outside_the_float_range_raises():
+    with pytest.raises(OverflowError, match=_OUT_OF_RANGE):
+        tensor.tensor_system(_huge(), _huge())
+
+
+def test_cli_tensor_outside_the_float_range_is_usage_error(tmp_path):
+    path = tmp_path / "huge.json"
+    save(_huge(), path)
+    run = CliRunner().invoke(main, ["tensor", str(path), str(path), "-o",
+                                    str(tmp_path / "out.json")])
+    assert run.exit_code == 2, run.output
+    assert run.exception is None or isinstance(run.exception, SystemExit)
+    assert _OUT_OF_RANGE in run.output
+
+
+def _rows_times(a: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Row ``i`` of ``a`` times ``2^j_i``, exactly."""
+    out = np.ldexp(a.real, j[:, None])
+    return out + 1j * np.ldexp(a.imag, j[:, None]) if np.iscomplexobj(a) else out
+
+
+def test_scaling_one_node_by_a_power_of_two_changes_no_bit():
+    # node i's analysis row times 2^j_i and its synthesis row times 2^-j_i
+    # leave every node term, so S, the bounds, the verdicts and a tensor
+    # product, unchanged bit for bit; a mapped row moves by exactly 2^j_i
+    rng = np.random.default_rng(26)
+    for trial in range(12):
+        dim, complex_ = 2 + trial % 3, trial % 2 == 1
+        second = random_valid_system(rng, 2, complex_=complex_)
+        system = random_valid_system(rng, dim, complex_=complex_, asym=0.3,
+                                     target=random_target(rng, dim, complex_))
+        j = rng.integers(-600, 601, size=len(system.measure))
+        moved = BiframeSystem.from_samples(system.measure, _rows_times(system.analysis.samples, j),
+                                           _rows_times(system.synthesis.samples, -j),
+                                           system.target)
+        assert np.array_equal(frame_operator(moved), frame_operator(system))
+        report, got = optimal_bounds(system), optimal_bounds(moved)
+        assert (got.lower_opt, got.upper_opt, got.valid) == (report.lower_opt, report.upper_opt,
+                                                              report.valid)
+        claims = ((report.lower_opt / 2.0, 2.0 * report.upper_opt),
+                  (2.0 * report.lower_opt, 2.0 * report.upper_opt))
+        verdicts = [[(v.ok, v.lower_ok, v.upper_ok) for v in (check_bounds(s, *claim)
+                                                            for claim in claims)]
+                    for s in (system, moved)]
+        assert verdicts[0] == verdicts[1] == [(True, True, True), (False, False, True)]
+        pair, moved_pair = (tensor.tensor_system(s, second).combined for s in (system, moved))
+        assert np.array_equal(frame_operator(moved_pair), frame_operator(pair))
+        a, b = optimal_bounds(pair), optimal_bounds(moved_pair)
+        assert (a.lower_opt, a.upper_opt, a.valid) == (b.lower_opt, b.upper_opt, b.valid)
+        u = random_target(rng, dim, complex_)
+        rows, moved_rows = (opcalc.apply_operator(s, u).system.analysis.samples
+                            for s in (system, moved))
+        assert np.array_equal(moved_rows, _rows_times(rows, j))

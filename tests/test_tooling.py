@@ -426,3 +426,39 @@ def test_only_the_scale_helpers_scale_by_a_power_of_two():
     assert not found, "\n".join(found)
     # each named site still needs its exception, and the helpers still scale
     assert seen >= {"_ldexp", *(function for _, function in _RANGE_RULE_EXCEPTIONS)}
+
+
+def _kron_calls_and_product_defs(source: str) -> tuple[list[int], list[int]]:
+    """Lines of ``source`` that use ``kron`` (``numpy.kron`` or an import of
+    it by name), and lines that define a function named ``_product``."""
+    krons, defs = [], []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "kron"
+                and not (isinstance(node.value, ast.Name) and node.value.id == "tensor")) or (
+                isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                and any(alias.name == "kron" for alias in node.names)):
+            krons.append(node.lineno)
+        if isinstance(node, ast.FunctionDef) and node.name == "_product":
+            defs.append(node.lineno)
+    return sorted(krons), defs
+
+
+def test_only_linalgs_product_helper_multiplies_samples_weights_and_targets():
+    """The product rule: every product of samples, weights and targets is
+    ``linalg._product``, one power of two per row.  A ``numpy.kron`` or a
+    ``_product`` anywhere else is a second rule, which can flush a row far
+    below the others to 0 or overflow where the product fits."""
+    probe = ("import numpy as np\nfrom numpy import kron\nx = np.kron(a, b)\n"
+             "y = tensor.kron(a, b)\ndef _product(a):\n    return a\n")
+    assert _kron_calls_and_product_defs(probe) == ([2, 3], [5]), "the walk no longer sees them"
+    tree = ast.parse((SRC / "linalg.py").read_text(encoding="utf-8"))
+    allowed = set(_function_lines(tree, "_product"))
+    found, seen = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        krons, defs = _kron_calls_and_product_defs(path.read_text(encoding="utf-8"))
+        for number in krons + defs:
+            hit = f"{name}:{number}"
+            (seen if name == "linalg.py" and number in allowed else found).append(hit)
+    assert seen, "the walk no longer sees the helper's own product"
+    assert not found, "\n".join(found)
