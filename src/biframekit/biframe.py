@@ -187,14 +187,17 @@ def _unit_samples(system: BiframeSystem) -> tuple[np.ndarray, np.ndarray, np.nda
     by their own powers of two ``2^a_i``, ``2^b_i``, ``2^c_i``
     (:func:`linalg._binary_normalised` by row), the node's exponent
     ``r_i = a_i + b_i + c_i`` carried by its weight, ``w'_i = (w_i / 2^a_i)
-    2^(r_i - e)`` (:func:`linalg._ldexp`), and ``e = max r_i``, which scales
-    a sum of their products back.  Node terms so stay in range at every
-    scale; a node more than ``2^1074`` below the largest flushes to 0, as it
-    would in a float sum of the terms."""
+    2^min(r_i - e, 0)`` (:func:`linalg._shift`), and ``e``, the largest
+    ``r_i`` of a node whose term can be nonzero, which scales a sum of their
+    products back.  A node with a zero sample row adds nothing, so it sets
+    no scale.  Node terms so stay in range at every scale; the weight of a
+    node term more than ``2^1022`` below the largest is subnormal and loses
+    bits, and one more than ``2^1074`` below flushes to 0."""
     (w, a), (f, b), (g, c) = (linalg._binary_normalised(x, rows=True) for x in (
         system.measure.weights, system.analysis.samples, system.synthesis.samples))
     r = a + b + c
-    return linalg._ldexp(w, r - r.max(), "the node weights"), f, g, int(r.max())
+    e = int(r[f.any(axis=1) & g.any(axis=1)].max(initial=r.min()))
+    return linalg._shift(w, np.minimum(r - e, 0)), f, g, e
 
 
 def _unit_frame(system: BiframeSystem) -> tuple[np.ndarray, int]:
@@ -209,11 +212,14 @@ def frame_operator(system: BiframeSystem) -> np.ndarray:
     node by node from :func:`_unit_samples` and scaled back once by
     :func:`linalg._ldexp`, so it is right wherever it fits, even where
     ``w_i F_i`` does not, or where one node's samples lie far below
-    another's.  It is the plain sum bit for bit wherever dividing each node's
-    weight and sample rows by their powers of two, and the plain
-    arithmetic, leave every entry normal.  An ``S`` whose largest entry
-    float64 cannot hold raises ``OverflowError`` ("the frame operator's sums
-    lie outside the float64 range")."""
+    another's.  It is the plain sum bit for bit wherever the plain
+    arithmetic, and the same arithmetic on the quotients, keep every entry
+    normal.  That fails, and bits are lost, where a node term lies more
+    than ``2^1022`` below the largest (its scaled weight is subnormal) or an
+    entry of ``S`` does (it is subnormal at the sum's scale): ``S =
+    diag(2^1000, 2^-50)`` keeps about 24 bits of its second entry.  An ``S``
+    whose largest entry float64 cannot hold raises ``OverflowError`` ("the
+    frame operator's sums lie outside the float64 range")."""
     return _cached(system, "frame_operator",
                    lambda: linalg._ldexp(*_unit_frame(system), "the frame operator's sums"))
 
@@ -240,9 +246,11 @@ def biframe_form(system: BiframeSystem, f, tol: float = DEFAULT_TOL) -> float:
 
     The sum and that test run on ``f / 2^e`` and :func:`_unit_samples`, node
     by node, and the form is scaled back once by :func:`linalg._ldexp`: it is
-    the plain sum bit for bit wherever that division, and the plain
-    arithmetic, leave every entry normal, and a form float64 cannot hold
-    raises ``OverflowError`` ("the form lies outside the float64 range").
+    the plain sum bit for bit wherever the plain arithmetic, and the same
+    arithmetic on the quotients, keep every entry normal (not so where a
+    node term lies more than ``2^1022`` below the largest, as in
+    :func:`frame_operator`), and a form float64 cannot hold raises
+    ``OverflowError`` ("the form lies outside the float64 range").
     """
     vec, e = linalg._binary_normalised(linalg.as_vector(f, dim=system.dim))
     w, fa, ga, exp = _unit_samples(system)
@@ -290,8 +298,9 @@ def _map_samples(system: BiframeSystem, u: np.ndarray,
     """Apply ``u`` to every sampled vector of both families (same measure);
     the new target is the product of ``target``, left to right.  Each is a
     :func:`linalg._product`, one power of two per sample row, so a row far
-    below the others keeps its bits, and samples or a target that leave
-    float64 raise ``OverflowError`` ("the constructed samples or target")."""
+    below the others keeps its bits, and samples or a target with a nonzero
+    row that float64 cannot hold, too large or rounding to 0, raise
+    ``OverflowError`` ("the constructed samples or target")."""
     mapped = (linalg._product(*factors, what="the constructed samples or target") for factors in
               ((system.analysis.samples, u.T), (system.synthesis.samples, u.T), target))
     return BiframeSystem.from_samples(system.measure, *mapped)
@@ -300,14 +309,11 @@ def _map_samples(system: BiframeSystem, u: np.ndarray,
 def gram_target(system: BiframeSystem, c: float = 1.0) -> np.ndarray:
     """``c K K*`` for the system's target ``K`` and ``c >= 0`` (``K K*``, the
     reference PSD matrix the lower bound is measured against, by default).
-    It is formed as the :func:`linalg._product` ``(sqrt(c) K)(sqrt(c) K)*``,
-    so it is right wherever the product fits, even where ``K K*`` would not,
-    and one that does not fit raises ``OverflowError``.  At ``c = 1`` it is
-    the plain ``K K*`` bit for bit wherever dividing each row of ``K``, and
-    ``K*``, by its power of two, and the plain arithmetic, leave every entry
-    normal."""
+    It is formed as ``(sqrt(c) K)(sqrt(c) K)*``, so it stays finite wherever
+    the product does, even where ``K K*`` would not; at ``c = 1`` that is
+    ``K K*`` bit for bit."""
     k = math.sqrt(c) * system.target
-    return linalg._product(k, linalg.adjoint(k), what="c K K*")
+    return k @ linalg.adjoint(k)
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,18 +42,19 @@ where nothing over- or underflows, and scaled back once by :func:`_ldexp`
 it).  A value float64 cannot hold raises ``OverflowError`` naming it, never
 an ``inf``, a false 0 or a ``RuntimeWarning``.  Every product of samples,
 weights and targets takes one power of two per row, because one row (a
-node's samples or weight) may lie far below another.  :func:`_product`
-forms mapped families, composed targets and Kronecker products so;
-``biframe.frame_operator`` and ``biframe.biframe_form`` sum node terms
-so.  Dividing by a power of two is exact where the quotient is
-normal, so a result is the plain arithmetic's bit for bit wherever
-dividing each row (or array) by its power of two, and the plain arithmetic
-itself, leave every entry normal.  An entry more than ``2^1074`` below the
-top of its own row, or a row or node term that far below the largest,
-still flushes to 0, as it would in float64 at that scale.  ``S``, mapped
-samples and targets, Kronecker products, eigenvalues, the form, the lower
-constant, the transfer ratio, ``||T||^n`` and every construction rule's
-constants are formed so.
+node's samples or weight) may lie far below another, and each nonzero row
+must fit: :func:`_product` forms mapped families and composed targets so,
+:func:`_kron` Kronecker products, and ``biframe.frame_operator`` and
+``biframe.biframe_form`` sum node terms so.  Dividing by a power of two is
+exact where the quotient is normal, so a result is the plain arithmetic's
+bit for bit wherever the plain arithmetic, and the same arithmetic on the
+quotients, keep every entry normal.  An entry more than ``2^1022`` below
+the top of its own row (or of the array, for one power of two), or a node
+term that far below the largest, turns subnormal and loses bits; one more
+than ``2^1074`` below flushes to 0, as it would in float64 at that scale.
+``S``, mapped samples and targets, Kronecker products, eigenvalues, the
+form, the lower constant, the transfer ratio, ``||T||^n`` and every
+construction rule's constants are formed so.
 
 The central routine is :func:`max_psd_shift`, which computes the largest
 ``a >= 0`` with ``s - a*k k*`` positive semidefinite.  That quantity is the
@@ -183,50 +184,61 @@ def unit_vector(v: np.ndarray) -> np.ndarray:
 def _top(a: np.ndarray, rows: bool = False):
     """The largest real or imaginary part of ``a`` in modulus (the parts, not
     the moduli, which may overflow): one float, or with ``rows`` an array
-    holding one per row (first axis)."""
+    holding one per row (first axis; 0 for an empty row)."""
     parts = np.maximum(np.abs(a.real), np.abs(a.imag)) if np.iscomplexobj(a) else np.abs(a)
-    return parts.reshape(len(a), -1).max(axis=1) if rows else float(parts.max())
+    return parts.max(axis=tuple(range(1, parts.ndim)), initial=0.0) if rows else float(parts.max())
 
 
 def _binary_normalised(a: np.ndarray, rows: bool = False) -> tuple[np.ndarray, int | np.ndarray]:
     """``(a / 2^e, e)``, where ``2^e`` is the largest power of two at most
     :func:`_top` of ``a``; with ``rows``, each row (first axis) is divided by
-    its own such power, and ``e`` holds one exponent per row.  The largest
-    part of ``a / 2^e`` (of each row) lies in ``[1, 2)``, so its norms neither
-    over- nor underflow, and dividing by a power of two is exact wherever
-    the quotient stays normal: arithmetic on ``a / 2^e`` is the arithmetic
-    on ``a``, scaled, bit for bit, wherever both keep every entry normal.
-    A part more than ``2^1074`` below its top (of the array, or of its row)
-    flushes to 0.  A subnormal ``2^e`` is divided out by :func:`_ldexp`, part
-    by part: numpy's complex division by it would overflow on its reciprocal.
+    its own such power, and ``e`` holds one exponent per row (``-1`` for a
+    zero row).  The largest part of ``a / 2^e`` (of each row) lies in
+    ``[1, 2)``, so its norms neither over- nor underflow, and the division
+    is exact wherever the quotient stays normal: arithmetic on ``a / 2^e``
+    is the arithmetic on ``a``, scaled, bit for bit, wherever both keep every
+    entry normal.  A part more than ``2^1022`` below its top (of the array,
+    or of its row) turns subnormal and loses bits, and one more than
+    ``2^1074`` below flushes to 0.  The rows, and a subnormal ``2^e``, are
+    divided out by :func:`_shift`, part by part and unchecked (a quotient by
+    its own top's power of two always fits): numpy's complex division by a
+    subnormal would overflow on its reciprocal.
     """
     e = (np.frexp(_top(a, rows=True))[1] if rows else math.frexp(_top(a))[1]) - 1
-    return (_ldexp(a, -e, "a") if rows or e < sys.float_info.min_exp - 1
-            else a / math.ldexp(1.0, e)), e
+    return (_shift(a, -e) if rows or e < sys.float_info.min_exp - 1 else a / math.ldexp(1.0, e)), e
 
 
-def _product(*factors: np.ndarray, what: str, kron: bool = False) -> np.ndarray:
-    """The matrix product of ``factors``, left to right, or with ``kron`` the
-    Kronecker product of two (left factor major): the one way the package
-    multiplies samples, weights and targets, with one power of two per row.
-
-    A row (first axis) is a node, a sample row or a weight.  The first
-    factor, and with ``kron`` both, are split by row
-    (:func:`_binary_normalised` with ``rows``), the other factors of a chain
-    whole; the product of the quotients is scaled back once per row by
-    :func:`_ldexp`, row ``i`` of a chain by ``r_i`` plus the other factors'
-    exponents, row ``(i, j)`` of a Kronecker product by ``r_i + r'_j``.  So a
-    row far below the others keeps its bits, and the result is the plain
-    product bit for bit wherever dividing each row by its power of two, and
-    the plain arithmetic, leave every entry normal.  A product whose largest
-    row float64 cannot hold raises ``OverflowError`` naming ``what``, never
-    an ``inf`` or a ``RuntimeWarning``; a row more than ``2^1074`` below it,
-    or an entry that far below its row's top, rounds as IEEE does.
+def _product(*factors: np.ndarray, what: str) -> np.ndarray:
+    """The matrix product of ``factors``, left to right: the one way the
+    package maps samples and composes targets, with one power of two per
+    row of the first factor (a row is a node's samples, or a row of a
+    target).  That factor is split by row and the others whole
+    (:func:`_binary_normalised`), and row ``i`` of the product of the
+    quotients is scaled back once by ``r_i`` plus the others' exponents
+    (:func:`_ldexp`).  So a row far below the others keeps its bits, and the
+    result is the plain product bit for bit wherever the division, the
+    products of the quotients and the plain arithmetic keep every entry
+    normal.  A product any of whose nonzero rows float64 cannot hold, too
+    large or rounding to 0, raises ``OverflowError`` naming ``what``, never
+    an ``inf``, a false 0 or a ``RuntimeWarning``; an entry more than
+    ``2^1074`` below its row's top still rounds to 0.
     """
-    units, exps = zip(*(_binary_normalised(x, rows=kron or not i) for i, x in enumerate(factors)))
-    if kron:
-        return _ldexp(np.kron(*units), np.add.outer(*exps).ravel(), what)
+    units, exps = zip(*(_binary_normalised(x, rows=not i) for i, x in enumerate(factors)))
     return _ldexp(functools.reduce(np.matmul, units), sum(exps), what)
+
+
+def _kron(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """The Kronecker product of ``a`` and ``b`` (left factor major): the one
+    way the package forms tensor samples, weights and targets.  Both factors
+    are split by row (:func:`_binary_normalised`), and row ``(i, j)`` of the
+    product of the quotients is scaled back once by ``2^(r_i + r'_j)``
+    (:func:`_ldexp`), with the same guarantees as :func:`_product`: the
+    plain ``numpy.kron`` bit for bit wherever the division and the plain
+    products keep every entry normal, and ``OverflowError`` naming ``what``
+    for a nonzero row (so for a weight) that float64 cannot hold.
+    """
+    (a, e), (b, f) = (_binary_normalised(np.asarray(x), rows=True) for x in (a, b))
+    return _ldexp(np.kron(a, b), np.add.outer(e, f).ravel(), what)
 
 
 def _rescaled(value: float, up=(), down=(), what: str = "a guaranteed constant") -> float:
@@ -251,29 +263,42 @@ def _ldexp(value, exp, what: str):
     """``value * 2^exp`` for a real or complex number or array, ``exp`` an
     integer or an array of one per row (first axis): the one way a value
     formed on :func:`_binary_normalised` operands is scaled back.  It is
-    exact wherever it is normal.  The entry that comes out largest decides
-    (the :func:`_top` entry, or of the rows, the top entry of the row that
-    scales largest): if float64 cannot hold it, a nonzero value that would
-    become 0 or ``inf``, this raises ``OverflowError`` naming ``what`` (a
-    number "lies", an array's entries "lie" outside the float64 range),
-    never a false 0, ``inf`` or ``RuntimeWarning``.  A subnormal top entry
-    ships, and the smaller entries and rows round as IEEE does, to
-    subnormals or 0.  A number comes back as a Python number."""
-    arr, exp = np.asarray(value), np.asarray(exp)
-    if exp.ndim:  # the nonzero row whose top scales largest: by binade, then mantissa
+    exact wherever it is normal.  The :func:`_top` entry decides, or with
+    one exponent per row, each row's top entry (a row is its own value, a
+    node's samples or weight): if float64 cannot hold it, a nonzero value
+    that would become 0 or ``inf``, this raises ``OverflowError`` naming
+    ``what`` (a number "lies", an array's entries "lie" outside the float64
+    range), never a false 0, ``inf`` or ``RuntimeWarning``.  A subnormal top
+    entry ships, and the smaller entries round as IEEE does, to subnormals
+    or 0.  A number comes back as a Python number."""
+    arr = np.asarray(value)
+    if np.ndim(exp):  # inf past the largest binade; 0 only where exp < 0 can shrink a top
         tops = _top(arr, rows=True)
-        mant, binade = np.frexp(tops)
-        pick = np.lexsort((mant, binade + exp, tops > 0.0))[-1]
-        top, shift, exp = tops[pick], int(exp[pick]), exp.reshape((-1,) + (1,) * (arr.ndim - 1))
+        bad = np.any((tops > 0.0) & ((np.frexp(tops)[1] + exp > sys.float_info.max_exp)
+                                     | (np.ldexp(tops, np.minimum(exp, 0)) == 0.0)))
     else:
-        top, shift = _top(arr), int(exp)
-    fits = shift + math.frexp(top)[1] <= sys.float_info.max_exp  # else ldexp raises
-    if top and (math.ldexp(top, shift) if fits else math.inf) in (0.0, math.inf):
+        top = _top(arr)
+        fits = exp + math.frexp(top)[1] <= sys.float_info.max_exp  # else ldexp raises
+        bad = top and (math.ldexp(top, exp) if fits else math.inf) in (0.0, math.inf)
+    if bad:
         raise OverflowError(f"{what} {'lie' if arr.ndim else 'lies'} outside the float64 range")
-    out = np.asarray(np.ldexp(arr.real, exp), dtype=np.result_type(arr, 1.0))
-    if np.iscomplexobj(arr):
-        out.imag = np.ldexp(arr.imag, exp)
+    out = _shift(arr, exp)
     return out if arr.ndim else out.item()
+
+
+def _shift(value, exp) -> np.ndarray:
+    """``value * 2^exp`` as an array, part by part, ``exp`` one integer or one
+    per row (first axis), unchecked: each entry rounds as IEEE does.  For
+    what cannot overflow, a division by a row's own power of two or a node
+    weight scaled down to the largest node's scale; :func:`_ldexp` checks
+    the rest."""
+    arr, exp = np.asarray(value), np.asarray(exp, dtype=np.int32)  # numpy's fast ldexp loop
+    exp = exp.reshape(exp.shape + (1,) * (arr.ndim - exp.ndim))
+    out = np.empty(arr.shape, np.result_type(arr, 1.0))
+    np.ldexp(arr.real, exp, out=out.real)
+    if np.iscomplexobj(arr):
+        np.ldexp(arr.imag, exp, out=out.imag)
+    return out
 
 
 def relative_gap(a, b) -> float:

@@ -105,16 +105,11 @@ def product_measure(left: DiscreteMeasure, right: DiscreteMeasure) -> DiscreteMe
     Node ``(i, j)`` of the product sits at flat index ``i * len(right) + j``
     with weight ``w_i * w'_j`` -- the same ordering the Kronecker product
     uses, so tensor systems can pair their sample lists positionally.  The
-    weights are a :func:`~biframekit.linalg._product`, so each is the plain
+    weights are a :func:`~biframekit.linalg._kron`, so each is the plain
     product bit for bit wherever it is normal, and a weight that float64
-    cannot hold, too large or a positive one that would be 0, raises
+    cannot hold, too large or one that would round to 0, raises
     ``OverflowError`` ("the product weights lie outside the float64 range"),
     not a misleading :class:`InvalidMassError`.
     """
-    ids = tuple(
-        f"({a},{b})" for a in left.ids for b in right.ids
-    )
-    weights = linalg._product(left.weights, right.weights, what="the product weights", kron=True)
-    if not weights.all():  # a weight far below the largest rounded to 0
-        raise OverflowError("the product weights lie outside the float64 range")
-    return DiscreteMeasure(ids=ids, weights=weights)
+    return DiscreteMeasure(ids=tuple(f"({a},{b})" for a in left.ids for b in right.ids),
+                           weights=linalg._kron(left.weights, right.weights, "the product weights"))

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .biframe import BiframeSystem, BoundsReport, _claim_holds, optimal_bounds
 from .errors import FieldMismatchError, NotABiframeError
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, _kron
 from .measure import product_measure
 
 
@@ -30,17 +29,17 @@ def kron(a, b) -> np.ndarray:
     (``(A (x) B)(C (x) D) = AC (x) BD``), commutes with adjoints, and is
     invertible exactly when both factors are.
 
-    It is the :func:`~biframekit.linalg._product` of the two, each row of
-    each factor divided by its own power of two, and row ``(i, j)`` scaled
-    back once by ``2^(r_i + r'_j)``: so it is ``numpy.kron`` bit for bit
-    wherever that division, and the plain products, leave every entry
-    normal, a row far below the others keeps its bits, and a product that
-    float64 cannot hold raises ``OverflowError`` ("the Kronecker product's
-    entries lie outside the float64 range"), never an ``inf`` or a
-    ``RuntimeWarning``.
+    It is :func:`~biframekit.linalg._kron`: each row of each factor divided
+    by its own power of two, and row ``(i, j)`` scaled back once by
+    ``2^(r_i + r'_j)``.  So it is ``numpy.kron`` bit for bit wherever that
+    division, and the plain products, keep every entry normal, a row far
+    below the others keeps its bits, an entry more than ``2^1074`` below its
+    row's top still rounds to 0, and a product with a nonzero row that
+    float64 cannot hold, too large or rounding to 0, raises
+    ``OverflowError`` ("the Kronecker product's entries lie outside the
+    float64 range"), never an ``inf``, a false 0 or a ``RuntimeWarning``.
     """
-    return linalg._product(np.asarray(a), np.asarray(b), what="the Kronecker product's entries",
-                           kron=True)
+    return _kron(a, b, "the Kronecker product's entries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,9 +58,10 @@ def tensor_system(s1: BiframeSystem, s2: BiframeSystem) -> TensorSystem:
     (:func:`kron`, :func:`~biframekit.measure.product_measure`); in
     particular the combined frame operator is ``S1 (x) S2``.  Each product
     takes one power of two per row, so it is ``numpy.kron`` bit for bit
-    wherever that division, and the plain products, leave every entry
-    normal, and a product that float64 cannot hold raises ``OverflowError``
-    ("... outside the float64 range").  The factors' bound pairs do not
+    wherever that division, and the plain products, keep every entry
+    normal, and a product with a nonzero row (a node's samples or weight)
+    that float64 cannot hold raises ``OverflowError`` ("... outside the
+    float64 range").  The factors' bound pairs do not
     multiply into a valid pair in general: with
     ``S = H + iJ`` (``H``, ``J`` Hermitian), ``Herm(S1 (x) S2) = H1 (x) H2 -
     J1 (x) J2``, so :func:`product_law` is a theorem only when one factor is

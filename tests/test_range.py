@@ -320,6 +320,7 @@ def test_kron_keeps_every_row_of_numpy_kron():
     a = np.diag([1e200, 1e-200])
     got = tensor.kron(a, [[1.0]])
     assert np.array_equal(got, np.kron(a, [[1.0]])) and got[1, 1] == 1e-200
+    assert tensor.kron(np.zeros((0, 2)), np.eye(2)).shape == (0, 4)  # as numpy.kron
 
 
 @pytest.mark.parametrize("weight", [1e200, 1e-200])
@@ -346,6 +347,40 @@ def test_cli_tensor_outside_the_float_range_is_usage_error(tmp_path):
     assert _OUT_OF_RANGE in run.output
 
 
+def test_a_node_with_a_zero_row_sets_no_scale():
+    # node 0 adds nothing (its analysis row is 0), yet its rows' powers of
+    # two sum to 2^999; taken as the sum's scale, they flushed node 1's term
+    # 2^-100 to 0
+    system = BiframeSystem.from_samples(DiscreteMeasure(("a", "b"), np.ones(2)),
+                                        np.array([[0.0], [2.0 ** -600]]),
+                                        np.array([[2.0 ** 1000], [2.0 ** 500]]), np.eye(1))
+    assert frame_operator(system).tolist() == [[2.0 ** -100]]
+    assert biframe_form(system, [1.0]) == 2.0 ** -100
+
+
+def _with_dead_node(system: BiframeSystem) -> BiframeSystem:
+    """``system`` with one more node, of weight ``2^100``, analysis row 0 and
+    synthesis row ``2^1000``: it adds nothing to any sum."""
+    measure = DiscreteMeasure(system.measure.ids + ("dead",),
+                              np.append(system.measure.weights, 2.0 ** 100))
+    f, g = system.analysis.samples, system.synthesis.samples
+    return BiframeSystem.from_samples(measure, np.vstack([f, np.zeros_like(f[:1])]),
+                                      np.vstack([g, np.full_like(g[:1], 2.0 ** 1000)]),
+                                      system.target)
+
+
+def test_a_mapped_or_kron_row_that_rounds_to_zero_raises():
+    # each row is its own value: a nonzero one that float64 cannot hold is
+    # no 0 to ship
+    system = BiframeSystem.from_samples(DiscreteMeasure(("a", "b"), np.ones(2)),
+                                        np.diag([1.0, 2.0 ** -1000]),
+                                        np.diag([1.0, 2.0 ** 1000]), np.eye(2))
+    with pytest.raises(OverflowError, match=f"the constructed samples or target lie {_OUT_OF_RANGE}"):
+        opcalc.apply_operator(system, 2.0 ** -100 * np.eye(2))
+    with pytest.raises(OverflowError, match=f"Kronecker product's entries lie {_OUT_OF_RANGE}"):
+        tensor.kron(np.diag([1.0, 2.0 ** -600]), [[2.0 ** -600]])
+
+
 def _rows_times(a: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Row ``i`` of ``a`` times ``2^j_i``, exactly."""
     out = np.ldexp(a.real, j[:, None])
@@ -355,7 +390,8 @@ def _rows_times(a: np.ndarray, j: np.ndarray) -> np.ndarray:
 def test_scaling_one_node_by_a_power_of_two_changes_no_bit():
     # node i's analysis row times 2^j_i and its synthesis row times 2^-j_i
     # leave every node term, so S, the bounds, the verdicts and a tensor
-    # product, unchanged bit for bit; a mapped row moves by exactly 2^j_i
+    # product, unchanged bit for bit; a mapped row moves by exactly 2^j_i.
+    # Every third system carries a node with a zero row and huge others
     rng = np.random.default_rng(26)
     for trial in range(12):
         dim, complex_ = 2 + trial % 3, trial % 2 == 1
@@ -363,6 +399,8 @@ def test_scaling_one_node_by_a_power_of_two_changes_no_bit():
         system = random_valid_system(rng, dim, complex_=complex_, asym=0.3,
                                      target=random_target(rng, dim, complex_))
         j = rng.integers(-600, 601, size=len(system.measure))
+        if trial % 3 == 0:  # a node that adds nothing sets no scale
+            system, j = _with_dead_node(system), np.append(j, 0)
         moved = BiframeSystem.from_samples(system.measure, _rows_times(system.analysis.samples, j),
                                            _rows_times(system.synthesis.samples, -j),
                                            system.target)

@@ -375,7 +375,7 @@ def test_only_the_traced_svd_helpers_call_lapacks_svd():
     assert not found, "\n".join(found)
 
 
-_SCALE_HELPERS = ("_top", "_binary_normalised", "_ldexp", "_rescaled")
+_SCALE_HELPERS = ("_top", "_binary_normalised", "_ldexp", "_shift", "_rescaled")
 # sites that step outside the range rule on purpose, and why
 _RANGE_RULE_EXCEPTIONS = {
     ("biframe.py", "_check_claim"): "the witness test compares form / 4^e with a claim: "
@@ -430,7 +430,8 @@ def test_only_the_scale_helpers_scale_by_a_power_of_two():
 
 def _kron_calls_and_product_defs(source: str) -> tuple[list[int], list[int]]:
     """Lines of ``source`` that use ``kron`` (``numpy.kron`` or an import of
-    it by name), and lines that define a function named ``_product``."""
+    it by name), and lines that define a function named ``_product`` or
+    ``_kron``."""
     krons, defs = [], []
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Attribute) and node.attr == "kron"
@@ -438,27 +439,30 @@ def _kron_calls_and_product_defs(source: str) -> tuple[list[int], list[int]]:
                 isinstance(node, ast.ImportFrom) and node.module == "numpy"
                 and any(alias.name == "kron" for alias in node.names)):
             krons.append(node.lineno)
-        if isinstance(node, ast.FunctionDef) and node.name == "_product":
+        if isinstance(node, ast.FunctionDef) and node.name in ("_product", "_kron"):
             defs.append(node.lineno)
-    return sorted(krons), defs
+    return sorted(krons), sorted(defs)
 
 
-def test_only_linalgs_product_helper_multiplies_samples_weights_and_targets():
+def test_only_linalgs_product_helpers_multiply_samples_weights_and_targets():
     """The product rule: every product of samples, weights and targets is
-    ``linalg._product``, one power of two per row.  A ``numpy.kron`` or a
-    ``_product`` anywhere else is a second rule, which can flush a row far
-    below the others to 0 or overflow where the product fits."""
+    ``linalg._product`` or ``linalg._kron``, one power of two per row.  A
+    ``numpy.kron``, a ``_product`` or a ``_kron`` anywhere else is a second
+    rule, which can flush a row far below the others to 0 or overflow where
+    the product fits."""
     probe = ("import numpy as np\nfrom numpy import kron\nx = np.kron(a, b)\n"
-             "y = tensor.kron(a, b)\ndef _product(a):\n    return a\n")
-    assert _kron_calls_and_product_defs(probe) == ([2, 3], [5]), "the walk no longer sees them"
+             "y = tensor.kron(a, b)\ndef _product(a):\n    return a\n"
+             "def _kron(a):\n    return a\n")
+    assert _kron_calls_and_product_defs(probe) == ([2, 3], [5, 7]), "the walk no longer sees them"
     tree = ast.parse((SRC / "linalg.py").read_text(encoding="utf-8"))
-    allowed = set(_function_lines(tree, "_product"))
+    kron_lines = set(_function_lines(tree, "_kron"))
     found, seen = [], []
     for path in sorted(SRC.rglob("*.py")):
         name = str(path.relative_to(SRC))
         krons, defs = _kron_calls_and_product_defs(path.read_text(encoding="utf-8"))
-        for number in krons + defs:
-            hit = f"{name}:{number}"
-            (seen if name == "linalg.py" and number in allowed else found).append(hit)
-    assert seen, "the walk no longer sees the helper's own product"
+        hits = [(number, name == "linalg.py" and number in kron_lines) for number in krons]
+        hits += [(number, name == "linalg.py") for number in defs]
+        for number, allowed in hits:
+            (seen if allowed else found).append(f"{name}:{number}")
+    assert len(seen) == 3, "the walk no longer sees the helpers and their own product"
     assert not found, "\n".join(found)
