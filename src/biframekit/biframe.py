@@ -26,6 +26,7 @@ strictly positive lower bound exists.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -93,9 +94,9 @@ class BiframeSystem:
     analysis: SampledField
     synthesis: SampledField
     target: np.ndarray
-    # what the samples alone determine: S, Herm(S), its spectrum, ||S|| and
-    # the asymmetry, each made once by _cached; nothing here depends on the
-    # target, so with_target shares the dict
+    # what the samples determine: S, Herm(S), its spectrum, ||S|| and the
+    # asymmetry, each made once by _cached, and the shift of each (target,
+    # tol), keyed by both; with_target shares the dict
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -139,8 +140,8 @@ class BiframeSystem:
         """Same samples and weights, different target operator.
 
         The new system shares this one's cache: ``S``, ``Herm(S)``, its
-        spectrum, ``||S||`` and the asymmetry, computed on either system,
-        serve both."""
+        spectrum, ``||S||``, the asymmetry and the shift of each (target,
+        tol), computed on either system, serve both."""
         return BiframeSystem(
             measure=self.measure,
             analysis=self.analysis,
@@ -168,13 +169,15 @@ def synthesis(field_: SampledField, measure: DiscreteMeasure, coeffs) -> np.ndar
     return (measure.weights * c) @ field_.samples
 
 
-def _cached(system: BiframeSystem, key: str, make):
+def _cached(system: BiframeSystem, key: str | tuple, make):
     """``system._cache[key]``, made by ``make()`` on first use: the one door
-    to the cache.  A stored array, or the arrays of a stored spectrum, are
-    made read-only, so what one caller reads no other can change."""
+    to the cache.  A stored array, or the arrays of a stored spectrum or
+    shift, are made read-only, so what one caller reads no other can
+    change."""
     if key not in system._cache:
         value = make()
-        arrays = vars(value).values() if isinstance(value, linalg.EigenDecomposition) else [value]
+        records = (linalg.EigenDecomposition, linalg.ShiftResult)
+        arrays = vars(value).values() if isinstance(value, records) else [value]
         for arr in arrays:
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
@@ -183,21 +186,24 @@ def _cached(system: BiframeSystem, key: str, make):
 
 
 def _unit_samples(system: BiframeSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """``(w', F / 2^b, G / 2^c, e)``: each node's weight and samples divided
-    by their own powers of two ``2^a_i``, ``2^b_i``, ``2^c_i``
-    (:func:`linalg._binary_normalised` by row), the node's exponent
-    ``r_i = a_i + b_i + c_i`` carried by its weight, ``w'_i = (w_i / 2^a_i)
-    2^min(r_i - e, 0)`` (:func:`linalg._shift`), and ``e``, the largest
-    ``r_i`` of a node whose term can be nonzero, which scales a sum of their
-    products back.  A node with a zero sample row adds nothing, so it sets
-    no scale.  Node terms so stay in range at every scale; the weight of a
-    node term more than ``2^1022`` below the largest is subnormal and loses
-    bits, and one more than ``2^1074`` below flushes to 0."""
-    (w, a), (f, b), (g, c) = (linalg._binary_normalised(x, rows=True) for x in (
-        system.measure.weights, system.analysis.samples, system.synthesis.samples))
+    """``(w', F / 2^b, G / 2^c, e)``: each node's samples divided by their own
+    powers of two ``2^b_i``, ``2^c_i`` (:func:`linalg._binary_normalised` by
+    row), the node's exponent ``r_i = a_i + b_i + c_i``, with ``2^a_i`` the
+    power of two of its weight (``frexp``), carried by its weight, ``w'_i =
+    w_i 2^(min(r_i - e, 0) - a_i)`` (one :func:`linalg._shift`, one
+    rounding), and ``e``, the largest ``r_i`` of a node whose term can be
+    nonzero, which scales a sum of their products back.  A node with a zero
+    sample row adds nothing, so it sets no scale.  Node terms so stay in
+    range at every scale; the weight of a node term more than ``2^1022``
+    below the largest is subnormal and loses bits, and one more than
+    ``2^1074`` below flushes to 0."""
+    w = system.measure.weights
+    (f, b), (g, c) = (linalg._binary_normalised(x, rows=True) for x in (
+        system.analysis.samples, system.synthesis.samples))
+    a = np.frexp(w)[1] - 1
     r = a + b + c
     e = int(r[f.any(axis=1) & g.any(axis=1)].max(initial=r.min()))
-    return linalg._shift(w, np.minimum(r - e, 0)), f, g, e
+    return linalg._shift(w, np.minimum(r - e, 0) - a), f, g, e
 
 
 def _unit_frame(system: BiframeSystem) -> tuple[np.ndarray, int]:
@@ -347,22 +353,30 @@ def optimal_bounds(system: BiframeSystem, tol: float = DEFAULT_TOL) -> BoundsRep
     of samples: its spectrum is cached on the system, handed to
     ``max_psd_shift`` (which takes no matrix), and read for both constants
     and the negative-form witness; ``K K*`` is never decomposed.  The
-    asymmetry is cached beside it.
+    asymmetry is cached beside it, and so is the shift of each (target,
+    ``tol``), keyed by the SHA-256 digest of the target's bytes and ``tol``
+    (one set of samples fixes the target's shape and field); each report
+    holds fresh copies of the cached witnesses.
 
     Eigensolves per call: 1 on a system whose spectrum is not yet cached,
-    whatever the target; 0 once it is.  SVDs outside ``max_psd_shift``:
-    the two of :func:`linalg.asymmetry` on a cold system, none on a warm one.
+    whatever the target; 0 once it is.  SVDs per call: the two or three of
+    ``max_psd_shift`` for a (target, ``tol``) not yet seen, and the two of
+    :func:`linalg.asymmetry` on a cold system; none on a repeat.
 
     A positive lower constant outside the float64 range (a target of
     extreme scale) raises ``OverflowError`` (:func:`linalg.max_psd_shift`).
     """
     eig = _herm_spectrum(system)
-    shift = linalg.max_psd_shift(eig, system.target, tol=tol)
+    # a digest of the target, not its bytes: the cache lives as long as any
+    # system sharing it, and would hold a copy of every target it has seen
+    target = hashlib.sha256(system.target.tobytes()).digest()
+    shift = _cached(system, ("shift", target, tol),
+                    lambda: linalg.max_psd_shift(eig, system.target, tol=tol))
     return BoundsReport(
         lower_opt=shift.amount,
         upper_opt=eig.max,
         valid=shift.amount is not None and shift.amount > 0.0,
-        witness_lower=shift.witness,
+        witness_lower=None if shift.witness is None else shift.witness.copy(),
         witness_negative_form=None if eig.is_psd(tol) else eig.vectors[:, 0].copy(),
         asymmetry=_cached(system, "asymmetry",
                           lambda: linalg.asymmetry(frame_operator(system))),

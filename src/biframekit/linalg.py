@@ -4,16 +4,15 @@ Everything here operates on plain ``numpy`` matrices of modest size (a few
 hundred rows at most).  The Hermitian eigensolver is a cyclic Jacobi
 iteration: it is accurate to a few ulps for the symmetric eigenproblem and
 gives us eigenvectors we fully control (deterministic ordering and sign),
-but its loop is pure Python and dominates the package's run time.  One
-:func:`hermitian_eigen` of a dense real matrix takes about 5.2 / 22 / 118 ms
-at dim 16 / 32 / 64, where ``numpy.linalg.eigh`` takes 0.04 / 0.10 / 0.34 ms
-(one BLAS thread, best of five runs on a shared 2-core x86 box).  So
-eigensolves are not spent twice.  :func:`hermitian_eigen` is the one door
-from a matrix to a spectrum: :func:`max_psd_shift` and :func:`sqrt_psd` take
-the :class:`EigenDecomposition` itself, never the matrix, and one cache per
-set of samples holds the spectrum of ``Herm(S)`` that its systems hand them.
+but its loop is pure Python and dominates the package's run time, so
+eigensolves are not spent twice, nor where an SVD answers.
+:func:`hermitian_eigen` is the one door from a matrix to a spectrum:
+:func:`max_psd_shift` and :func:`sqrt_psd` take the
+:class:`EigenDecomposition` itself, never the matrix, and one cache per set
+of samples holds the spectrum of ``Herm(S)`` that its systems hand them.
 ``Herm(S)`` is decomposed once, however many bounds, checks and quotients
-read it, under however many targets.
+read it, under however many targets; the only other matrix decomposed is a
+positive perturbation's ``T``.
 Singular-value based helpers (pseudo-inverse, spectral norm, rank,
 range/null bases, :func:`invert`) sit on ``numpy.linalg.svd`` with explicit
 rank thresholding, and they are the one door to an SVD: no other code in
@@ -28,7 +27,8 @@ Every verdict in the package has one tolerance rule: a quantity counts as
 zero when it is at most ``tol`` times a norm of the problem the verdict is
 about, with no absolute floor, so scaling a problem leaves its verdicts
 unchanged.  PSD tests use ``max|lambda|`` (:meth:`EigenDecomposition.cutoff`),
-rank decisions ``sigma_max`` (at :data:`DEFAULT_TOL`), every equality verdict
+rank decisions ``sigma_max`` (at :data:`DEFAULT_TOL`, or a quotient's
+caller's ``tol``), every equality verdict
 ``||a||_F``, as ``relative_gap(a, b) <= tol`` (:func:`relative_gap`), and
 bound claims the optimal bound they are compared with: a claimed pair holds
 iff ``lower <= lower_opt + tol * lower_opt`` and
@@ -270,18 +270,29 @@ def _ldexp(value, exp, what: str):
     ``what`` (a number "lies", an array's entries "lie" outside the float64
     range), never a false 0, ``inf`` or ``RuntimeWarning``.  A subnormal top
     entry ships, and the smaller entries round as IEEE does, to subnormals
-    or 0.  A number comes back as a Python number."""
-    arr = np.asarray(value)
-    if np.ndim(exp):  # inf past the largest binade; 0 only where exp < 0 can shrink a top
-        tops = _top(arr, rows=True)
-        bad = np.any((tops > 0.0) & ((np.frexp(tops)[1] + exp > sys.float_info.max_exp)
-                                     | (np.ldexp(tops, np.minimum(exp, 0)) == 0.0)))
+    or 0.  A number comes back as a Python number, scaled by ``math.ldexp``
+    part by part with no trip through numpy: the same bits as the array."""
+    number = isinstance(value, (int, float, complex))
+    if number:
+        z = complex(value)
+        top = max(abs(z.real), abs(z.imag))
     else:
+        arr = np.asarray(value)
+        if np.ndim(exp):  # inf past the largest binade; 0 only where exp < 0 can shrink a top
+            tops = _top(arr, rows=True)
+            if np.any((tops > 0.0) & ((np.frexp(tops)[1] + exp > sys.float_info.max_exp)
+                                      | (np.ldexp(tops, np.minimum(exp, 0)) == 0.0))):
+                raise OverflowError(f"{what} lie outside the float64 range")
+            return _shift(arr, exp)
         top = _top(arr)
-        fits = exp + math.frexp(top)[1] <= sys.float_info.max_exp  # else ldexp raises
-        bad = top and (math.ldexp(top, exp) if fits else math.inf) in (0.0, math.inf)
-    if bad:
-        raise OverflowError(f"{what} {'lie' if arr.ndim else 'lies'} outside the float64 range")
+    fits = exp + math.frexp(top)[1] <= sys.float_info.max_exp  # else ldexp raises
+    if top and (math.ldexp(top, exp) if fits else math.inf) in (0.0, math.inf):
+        raise OverflowError(f"{what} {'lies' if number or not arr.ndim else 'lie'} "
+                            "outside the float64 range")
+    if number:
+        if isinstance(value, complex):
+            return complex(math.ldexp(z.real, exp), math.ldexp(z.imag, exp))
+        return math.ldexp(value, exp)
     out = _shift(arr, exp)
     return out if arr.ndim else out.item()
 
@@ -486,9 +497,9 @@ def sqrt_psd(eig: EigenDecomposition, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (root + adjoint(root)) / 2.0
 
 
-def _rank(sigma: np.ndarray) -> int:
-    """Count of singular values (descending) above ``DEFAULT_TOL * sigma_max``."""
-    return int(np.count_nonzero(sigma > DEFAULT_TOL * sigma[0]))
+def _rank(sigma: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """Count of singular values (descending) above ``tol * sigma_max``."""
+    return int(np.count_nonzero(sigma > tol * sigma[0]))
 
 
 def pseudo_inverse(a) -> np.ndarray:
@@ -522,15 +533,15 @@ def orthonormal_range(a) -> tuple[np.ndarray, np.ndarray]:
     return u[:, :_rank(sigma)], sigma
 
 
-def orthonormal_nullspace(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def orthonormal_nullspace(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(basis, sigma, coimage)``: an orthonormal basis of the kernel, as
-    matrix columns, the singular values (descending) it was cut by, and the
-    right singular vectors of the ``r`` kept ones, an orthonormal basis of
-    ``range(a*)``: ``a^+ = coimage diag(1 / sigma[:r]) u_r*`` for the left
-    singular vectors ``u_r``, so the pseudo-inverse's action costs no second
-    SVD."""
+    matrix columns, the singular values (descending) it was cut by, at
+    ``tol * sigma_max``, and the right singular vectors of the ``r`` kept
+    ones, an orthonormal basis of ``range(a*)``: ``a^+ = coimage diag(1 /
+    sigma[:r]) u_r*`` for the left singular vectors ``u_r``, so the
+    pseudo-inverse's action costs no second SVD."""
     _, sigma, vh = np.linalg.svd(as_matrix(a), full_matrices=True)
-    right, rank = adjoint(vh), _rank(sigma)
+    right, rank = adjoint(vh), _rank(sigma, tol)
     return right[:, rank:], sigma, right[:, :rank]
 
 

@@ -60,6 +60,7 @@ from .errors import (
     ZeroOperatorError,
 )
 from .linalg import DEFAULT_TOL
+from .quotient import quotient_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,29 +345,40 @@ def max_transfer_ratio(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) ->
 
     Requires ``range(U) <= range(K)``, checked against the target's
     orthonormal range basis at ``tol * (||U|| + ||K||)`` (a ``U`` that is
-    round-off of zero has no scale of its own).  The ratio is the square
-    root of the maximal PSD shift of ``U U*`` along ``K K*``; it is strictly
+    round-off of zero has no scale of its own).  The ratio is ``1 /
+    ||[K*/U*]||`` (:func:`~biframekit.quotient.quotient_norm` at ``tol``):
+    0 when that quotient does not exist, since then some ``f`` has ``U* f =
+    0`` but ``K* f != 0``, and ``inf`` for ``U = K = 0``.  It is strictly
     positive exactly when pushing the system through ``U``
     (:func:`apply_operator`, but keeping the *original* target ``K``) again
-    yields a valid system.  ``U U*`` and the shift are formed from ``U / 2^e``
-    and ``K / 2^f`` (:func:`linalg._binary_normalised`) and the ratio is
-    scaled back by ``2^(e - f)`` once, by :func:`linalg._ldexp`, so it stays
-    right at any scale of ``U`` and ``K``, and in range it is the plain one
-    bit for bit; a ratio float64 cannot hold raises ``OverflowError``.  Its
-    one eigensolve gives ``||U||`` as well, as ``2^e sqrt(lambda_max)``.
+    yields a valid system.  The rank of ``U`` is decided on its singular
+    values, at ``tol * ||U||`` (the quotient's null basis of ``U*``).  The
+    quotient is taken of ``K / 2^f`` and ``U / 2^e``
+    (:func:`linalg._binary_normalised`), ``delta`` is formed from its
+    singular value and scaled back by ``2^(e - f)`` once, by
+    :func:`linalg._ldexp`, so it stays right at any scale of ``U`` and
+    ``K``; a ratio float64 cannot hold raises ``OverflowError``.
+
+    Eigensolves per call: 0.  SVDs per call: 6, or 7 when a nonzero ``U``
+    has a kernel that ``K*`` annihilates, each by a :mod:`~biframekit.linalg`
+    helper: ``range(K)`` with ``||K||``, ``||U||`` and the residual's norm
+    for the range check, then the quotient's: ``U*``, ``||K*||``, ``K*`` on
+    ``null(U*)`` when there is one, and the whitened ``K*`` when the
+    quotient exists and ``U`` is nonzero.
     """
     mat = _as_operator(u, system.dim)
     (unit, e), (k_unit, f) = map(linalg._binary_normalised, (mat, system.target))
-    gram = linalg.hermitian_eigen(unit @ linalg.adjoint(unit), tol=tol)
     basis, sigma = linalg.orthonormal_range(system.target)
     residual = mat - basis @ (linalg.adjoint(basis) @ mat)
-    scale = linalg._ldexp(math.sqrt(gram.max), e, "the norm of U") + float(sigma[0])
+    scale = linalg._ldexp(linalg.spectral_norm(unit), e, "the norm of U") + float(sigma[0])
     if linalg.spectral_norm(residual) > tol * scale:
         raise RangeNotContainedError("operator range is not contained in the target range")
-    shift = linalg.max_psd_shift(gram, k_unit, tol=tol)  # U U* is PSD: amount None or > 0
-    if shift.degenerate:  # U = K = 0
+    quot = quotient_norm(linalg.adjoint(k_unit), linalg.adjoint(unit), tol=tol)
+    if not quot.exists:
+        return 0.0
+    if quot.norm == 0.0:  # U = K = 0
         return math.inf
-    return linalg._ldexp(math.sqrt(shift.amount or 0.0), e - f, "the transfer ratio")
+    return linalg._ldexp(1.0 / quot.norm, e - f, "the transfer ratio")
 
 
 def commuting_transform(system: BiframeSystem, t, *, tol: float = DEFAULT_TOL) -> ConstructionResult:

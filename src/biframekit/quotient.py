@@ -51,15 +51,15 @@ class QuotientResult:
     achiever: np.ndarray | None
 
 
-def quotient_norm(u, v) -> QuotientResult:
+def quotient_norm(u, v, tol: float = DEFAULT_TOL) -> QuotientResult:
     """Decide whether ``[U/V]`` exists and compute its norm if so.
 
-    One SVD of ``V = U_r Sigma_r V_r*`` gives its null basis, ``||V||`` and
-    the action of ``V^+ = V_r Sigma_r^-1 U_r*``.  The quotient exists iff
-    ``U`` annihilates the null basis to within ``DEFAULT_TOL * ||U||``.  Its
-    norm is ``||U V^+|| = ||U V_r Sigma_r^-1||``, since ``U_r*`` has
-    orthonormal rows, and it is attained at ``V_r Sigma_r^-1 y`` for the top
-    right singular vector ``y`` of ``U V_r Sigma_r^-1``.
+    One SVD of ``V = U_r Sigma_r V_r*`` gives its null basis, cut at ``tol *
+    ||V||``, ``||V||`` and the action of ``V^+ = V_r Sigma_r^-1 U_r*``.  The
+    quotient exists iff ``U`` annihilates the null basis to within ``tol *
+    ||U||``.  Its norm is ``||U V^+|| = ||U V_r Sigma_r^-1||``, since
+    ``U_r*`` has orthonormal rows, and it is attained at ``V_r Sigma_r^-1 y``
+    for the top right singular vector ``y`` of ``U V_r Sigma_r^-1``.
 
     SVDs per call: at most 4, each taken by :func:`linalg.orthonormal_nullspace`
     or :func:`linalg.spectral_norm`: ``V``, ``||U||``, ``U`` on the null basis
@@ -81,11 +81,11 @@ def quotient_norm(u, v) -> QuotientResult:
     u_mat, e = linalg._binary_normalised(u_mat)
     v_mat, f = linalg._binary_normalised(v_mat)
 
-    null_basis, v_sigma, coimage = linalg.orthonormal_nullspace(v_mat)
+    null_basis, v_sigma, coimage = linalg.orthonormal_nullspace(v_mat, tol)
     u_scale = linalg.spectral_norm(u_mat)
     if null_basis.shape[1]:
         _, top, right = linalg.orthonormal_nullspace(u_mat @ null_basis)
-        if top[0] > DEFAULT_TOL * u_scale:
+        if top[0] > tol * u_scale:
             witness = linalg.canonical_sign(null_basis @ right[:, 0])
             return QuotientResult(False, None, witness, None)
 
@@ -97,7 +97,7 @@ def quotient_norm(u, v) -> QuotientResult:
 
     whitened = coimage / v_sigma[:rank]  # V_r Sigma_r^-1
     _, sigma, right = linalg.orthonormal_nullspace(u_mat @ whitened)
-    if sigma[0] * v_sigma[0] <= DEFAULT_TOL * u_scale:
+    if sigma[0] * v_sigma[0] <= tol * u_scale:
         # U vanishes on range(V*): the ratio is 0 along any non-null input,
         # reported at V's top right singular vector.
         return QuotientResult(True, 0.0, None, linalg.canonical_sign(coimage[:, 0]))
@@ -135,11 +135,12 @@ def validity_cross_check(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> 
     Requires the Hermitian part of the frame operator to be PSD (the upper
     estimate alone); its PSD square root is the quotient's denominator, and
     :func:`~biframekit.linalg.sqrt_psd` raises
-    :class:`~biframekit.errors.NotPSDError` otherwise.
+    :class:`~biframekit.errors.NotPSDError` otherwise.  The pencil, the
+    root's clamp and the quotient's null basis are all decided at ``tol``.
     """
     root = linalg.sqrt_psd(_herm_spectrum(system), tol=tol)
     report = optimal_bounds(system, tol=tol)
-    quot = quotient_norm(linalg.adjoint(system.target), root)
+    quot = quotient_norm(linalg.adjoint(system.target), root, tol=tol)
     agree = bool(report.valid) == bool(quot.exists)
     return ValidityCrossCheck(
         pencil_valid=bool(report.valid),
@@ -185,7 +186,7 @@ def transform_equivalences(system: BiframeSystem, t, *,
     pushed = _map_samples(system, t_mat, [t_mat, system.target])
     # the pencil and [(T K)* / (T H T*)^{1/2}], on the pushed system
     check = validity_cross_check(pushed, tol=tol)
-    plain = quotient_norm(linalg.adjoint(pushed.target), root @ linalg.adjoint(t_mat))
+    plain = quotient_norm(linalg.adjoint(pushed.target), root @ linalg.adjoint(t_mat), tol=tol)
     return TransformEquivalences(
         pushed_valid=check.pencil_valid,
         quotient_plain=bool(plain.exists),

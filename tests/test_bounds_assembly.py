@@ -137,8 +137,9 @@ def test_no_bound_computation_decomposes_the_gram_target(monkeypatch, target, va
     assert optimal_bounds(system).valid is valid
     classify(system)
     opcalc.max_transfer_ratio(system, u)
-    # Herm(S), decomposed once and cached, and U U* at least: the recorder sees them
-    assert len(seen) >= 2
+    # Herm(S), decomposed once and cached; the transfer ratio is a quotient
+    # norm, read off SVDs
+    assert len(seen) == 1
     for m in seen:
         assert m.shape != gram.shape or not np.allclose(m, gram, rtol=1e-12, atol=0.0)
 

@@ -19,7 +19,7 @@ from biframekit import errors, linalg, opcalc
 from biframekit.app import save
 from biframekit.app.cli import main
 from biframekit.app.fixtures import fixture
-from helpers import random_psd, random_system, random_valid_system
+from helpers import random_matrix, random_psd, random_system, random_valid_system
 
 
 @pytest.fixture
@@ -485,6 +485,56 @@ class TestMaxTransferRatio:
         assert base > 0.0
         assert opcalc.max_transfer_ratio(promoted_diagonal, math.ldexp(1.0, j) * u) \
             == math.ldexp(base, j)
+
+    @staticmethod
+    def _pencil_ratio(u, k):
+        """``delta`` by numpy alone: on an orthonormal basis ``Q`` of
+        ``range(K)``, ``delta^2`` is the least eigenvalue of the pencil
+        ``(Q* U U* Q, Q* K K* Q)``, whitened by a Cholesky factor of the
+        second matrix (``K*`` is injective on ``range(K)``, and ``U*`` vanishes
+        on its complement because ``range(U) <= range(K)``)."""
+        left, sigma, _ = np.linalg.svd(k)
+        q = left[:, sigma > 1e-9 * sigma[0]]
+        qh = q.conj().T
+        inv = np.linalg.inv(np.linalg.cholesky(qh @ k @ k.conj().T @ q))
+        whitened = inv @ (qh @ u @ u.conj().T @ q) @ inv.conj().T
+        return math.sqrt(np.linalg.eigvalsh(whitened)[0])
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("kind", ["identity", "dense", "rank-deficient"])
+    def test_ratio_matches_an_eigvalsh_pencil(self, kind, complex_):
+        # U = K M with M invertible, so range(U) = range(K); K and M are well
+        # conditioned, so the oracle holds about 14 digits
+        rng = np.random.default_rng([27, len(kind), complex_])
+        for trial in range(6):
+            dim = 2 + trial % 4
+            q1, _ = np.linalg.qr(random_matrix(rng, dim, dim, complex_))
+            q2, _ = np.linalg.qr(random_matrix(rng, dim, dim, complex_))
+            sing = rng.uniform(0.5, 2.0, dim)
+            if kind == "rank-deficient":
+                sing[dim // 2:] = 0.0
+            k = (np.eye(dim) if kind == "identity" else q1 @ np.diag(sing) @ q2).astype(q1.dtype)
+            m = np.eye(dim) + 0.3 * random_matrix(rng, dim, dim, complex_) / np.sqrt(dim)
+            system = random_valid_system(rng, dim, complex_=complex_, target=k)
+            u = k @ m
+            ratio = opcalc.max_transfer_ratio(system, u)
+            assert ratio == pytest.approx(self._pencil_ratio(u, k), rel=1e-10, abs=0.0)
+            if kind == "identity":
+                assert ratio == pytest.approx(np.linalg.svd(u, compute_uv=False)[-1],
+                                              rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("u_exp, k_exp", [(600, -600), (-600, 600)])
+    def test_a_ratio_beyond_float64_raises_naming_it(self, u_exp, k_exp):
+        # delta = 2^(u_exp - k_exp) sigma_min: 2^1200 overflows, 2^-1200 rounds to 0
+        m = bk.DiscreteMeasure(tuple("abc"), np.ones(3))
+        k = math.ldexp(1.0, k_exp) * np.eye(3)
+        system = bk.BiframeSystem.from_samples(m, np.eye(3), np.eye(3), k)
+        u = math.ldexp(1.0, u_exp) * np.diag([1.0, 0.5, 2.0])
+        with pytest.raises(OverflowError, match="the transfer ratio lies outside the float64 range"):
+            opcalc.max_transfer_ratio(system, u)
+        # with U's exponent halved the ratio fits, scaled exactly
+        small = math.ldexp(1.0, -u_exp // 2) * u
+        assert opcalc.max_transfer_ratio(system, small) == math.ldexp(0.5, u_exp // 2 - k_exp)
 
 
 # ---------------------------------------------------------------------------

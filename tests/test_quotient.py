@@ -194,3 +194,36 @@ class TestTransformEquivalences:
     def test_dimension_mismatch(self):
         with pytest.raises(errors.DimensionMismatchError):
             quotient.transform_equivalences(fixture("example-3-11"), np.eye(2))
+
+
+class TestCallersTolerance:
+    """``validity_cross_check``, ``transform_equivalences`` and
+    ``max_transfer_ratio`` hand their own ``tol`` to the quotient: a singular
+    value ``s`` with ``1e-22 < s < 1e-9`` (relative) counts at the smaller
+    tolerance and is a kernel at the larger, in every caller alike."""
+
+    S = 1e-10
+
+    def _system(self):
+        samples = np.diag([1.0, 1.0, self.S])  # Herm(S) = diag(1, 1, s^2), root diag(1, 1, s)
+        return bk.BiframeSystem.from_samples(bk.DiscreteMeasure(tuple("abc"), np.ones(3)),
+                                             samples, samples, np.eye(3))
+
+    @pytest.mark.parametrize("tol, exists", [(1e-22, True), (1e-9, False)])
+    def test_a_singular_value_between_two_tolerances_flips_every_quotient(self, tol, exists):
+        system = self._system()
+        cross = quotient.validity_cross_check(system, tol=tol)
+        assert (cross.pencil_valid, cross.quotient_bounded, cross.verdict) == (exists,) * 3
+        if exists:
+            assert cross.quotient_norm == pytest.approx(1.0 / self.S, rel=1e-12)
+        pushed = quotient.transform_equivalences(system, np.diag([1.0, 2.0, 4.0]), tol=tol)
+        assert (pushed.pushed_valid, pushed.quotient_plain, pushed.quotient_pushed) \
+            == (exists,) * 3
+        ratio = bk.opcalc.max_transfer_ratio(system, np.diag([1.0, 1.0, self.S]), tol=tol)
+        assert ratio == (pytest.approx(self.S, rel=1e-12) if exists else 0.0)
+
+    def test_quotient_norm_decides_at_the_tol_it_is_given(self):
+        # sigma / sigma_max = 1e-10 lies below DEFAULT_TOL: a kernel
+        res = quotient.quotient_norm(np.eye(3), np.diag([1.0, 1.0, self.S]))
+        assert not res.exists
+        assert quotient.quotient_norm(np.eye(3), np.diag([1.0, 1.0, self.S]), tol=1e-12).exists

@@ -35,7 +35,7 @@ from biframekit.app import save
 from biframekit.app.cli import main
 from biframekit.app.fixtures import fixture
 from biframekit.measure import product_measure
-from biframekit.biframe import _herm_part, _herm_spectrum
+from biframekit.biframe import _herm_part, _herm_spectrum, _unit_samples
 from biframekit.errors import BiframeError
 from helpers import random_target, random_valid_system
 
@@ -281,6 +281,72 @@ def test_ldexp_keeps_complex_parts_and_the_sign_of_zero():
     number = linalg._ldexp(0.75 - 0.25j, -2, "z")
     assert isinstance(number, complex) and number == 0.1875 - 0.0625j
     assert isinstance(linalg._ldexp(0.75, -2, "x"), float)
+
+
+_LDEXP_VALUES = (1.5, -1e-300, 3e-310, 0.0, -0.0, np.float64(0.1), 7, 0.75 - 0.25j,
+                 -0.0 + 3e-310j, 1e300 - 1e-300j, complex(-0.0, 0.0))
+
+
+@pytest.mark.parametrize("exp", [0, 3, -3, 1000, -1000, -1022, -1070, -1074, -1076, 1023,
+                                 1024, 2000, -2000])
+def test_ldexp_scales_a_number_as_it_scales_an_array(exp):
+    # a Python number takes math.ldexp, a 0-d array numpy: the same bits and
+    # the same type back, or the same OverflowError
+    for value in _LDEXP_VALUES:
+        outcomes = []
+        for operand in (value, np.array(value)):
+            try:
+                got = linalg._ldexp(operand, exp, "v")
+            except OverflowError as exc:
+                got = str(exc)
+            outcomes.append((type(got), np.asarray(got).tobytes()))
+        assert outcomes[0] == outcomes[1], (value, exp)
+    assert linalg._ldexp(3e-310, 1, "v") == 6e-310  # a subnormal top ships
+    with pytest.raises(OverflowError, match=f"the number lies {_OUT_OF_RANGE}"):
+        linalg._ldexp(3e-310, -60, "the number")
+
+
+def _old_unit_samples(system: BiframeSystem):
+    """``biframe._unit_samples`` as it was, splitting the weights by row too."""
+    (w, a), (f, b), (g, c) = (linalg._binary_normalised(x, rows=True) for x in (
+        system.measure.weights, system.analysis.samples, system.synthesis.samples))
+    r = a + b + c
+    e = int(r[f.any(axis=1) & g.any(axis=1)].max(initial=r.min()))
+    return linalg._shift(w, np.minimum(r - e, 0)), f, g, e
+
+
+def _per_node_systems():
+    """The per-node fixtures above, and seeded systems with rows and weights
+    scaled node by node, some with a dead node."""
+    yield _spread()
+    yield _huge()
+    yield BiframeSystem.from_samples(DiscreteMeasure(("a", "b"), np.ones(2)),
+                                     np.array([[0.0], [2.0 ** -600]]),
+                                     np.array([[2.0 ** 1000], [2.0 ** 500]]), np.eye(1))
+    rng = np.random.default_rng(2626)
+    for trial in range(12):
+        dim, complex_ = 2 + trial % 3, trial % 2 == 1
+        system = random_valid_system(rng, dim, complex_=complex_, asym=0.3,
+                                     target=random_target(rng, dim, complex_))
+        if trial % 3 == 0:
+            system = _with_dead_node(system)
+        nodes = len(system.measure)
+        j = rng.integers(-600, 601, size=nodes)
+        weights = np.ldexp(system.measure.weights, rng.integers(-1070, 901, size=nodes))
+        yield BiframeSystem.from_samples(DiscreteMeasure(system.measure.ids, weights),
+                                         _rows_times(system.analysis.samples, j),
+                                         _rows_times(system.synthesis.samples, -j // 2),
+                                         system.target)
+
+
+def test_unit_samples_scale_the_weights_as_the_row_split_did():
+    # one shift of w by min(r - e, 0) - a rounds the same value once: the
+    # same bits as dividing by 2^a first
+    for system in _per_node_systems():
+        new, old = _unit_samples(system), _old_unit_samples(system)
+        assert new[3] == old[3]
+        for got, want in zip(new[:3], old[:3]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -166,25 +166,30 @@ def test_traced_transform_equivalences_cross_checks_the_pushed_system_once():
 
 @pytest.mark.parametrize("rule", ["max_transfer_ratio", "perturb_positive"])
 def test_traced_operator_rules_decompose_their_operator_once(rule):
+    # perturb_positive decomposes T once; the transfer ratio is a quotient
+    # norm, read off SVDs, with no eigensolve at all
     system = _system()
     assert biframe.optimal_bounds(system).valid
     u = np.diag([1.0, 0.5, 0.25, 2.0])
 
     names = _traced(lambda: getattr(opcalc, rule)(system, u))
-    assert names.count("linalg.hermitian_eigen") == 1
+    assert names.count("linalg.hermitian_eigen") == {"max_transfer_ratio": 0,
+                                                      "perturb_positive": 1}[rule]
 
 
 def test_traced_bounds_on_a_warm_system_run_no_svd_helper():
-    # the asymmetry's two spectral norms are cached with the spectrum, so a
-    # warm system, or a retargeted copy sharing its cache, spends none: its
-    # only SVDs are max_psd_shift's two
+    # the asymmetry's two spectral norms are cached with the spectrum, and
+    # the shift with its (target, tol), so a warm system spends none; a
+    # retargeted copy sharing its cache spends max_psd_shift's two on its
+    # new target, once
     system = _system()
     assert biframe.optimal_bounds(system).valid
     dense = np.diag([1.0, 2.0, 3.0, 4.0]) + np.triu(np.ones((4, 4)), 1)
-    for warm in (system, system.with_target(dense)):
+    retargeted = system.with_target(dense)
+    for warm, svds in ((system, 0), (retargeted, 2), (retargeted, 0)):
         names = _traced(lambda: biframe.optimal_bounds(warm))
         assert names.count("biframe.optimal_bounds") == 1
-        assert names.count("linalg.svd") == 2
+        assert names.count("linalg.svd") == svds
         assert names.count("linalg.asymmetry") == 0
 
 
@@ -211,38 +216,35 @@ def _lapack_svds(monkeypatch, call) -> int:
 
 
 @pytest.mark.parametrize("rule, svds", [
-    # max_psd_shift's two on a warm system: sigma_max(W) and the whitened
-    # pencil; Herm(S) has no null directions, so no range test
-    ("optimal_bounds", 2),
-    # one SVD of K: its range basis and ||K^+|| = 1 / sigma_r; the input's
-    # bounds are max_psd_shift's two
-    ("restrict_to_range", 3),
-    # range(K) with ||K|| = sigma_0, the residual's norm, and max_psd_shift's
-    # three: sigma_max(W), the range test on the null directions of U U*,
-    # the whitened pencil; ||U|| comes from the eigensolve of U U*
-    ("max_transfer_ratio", 5),
-    # the same without null directions
-    ("max_transfer_ratio-identity", 4),
+    # the systems are warm: the spectrum and the shift of each (target, tol)
+    # are cached, so bounds of an input cost no SVD
+    ("optimal_bounds", 0),
+    # one SVD of K: its range basis and ||K^+|| = 1 / sigma_r
+    ("restrict_to_range", 1),
+    # range(K) with ||K|| = sigma_0, ||U||, the residual's norm, and the
+    # quotient [K*/U*]'s four: U*, ||K*||, K* on null(U*), the whitened K*
+    # (so U and K are each taken twice, by the range check and the quotient)
+    ("max_transfer_ratio", 7),
+    # the same without a kernel of U*
+    ("max_transfer_ratio-identity", 6),
     # V's null basis, ||V|| = sigma_0 and V^+ from one SVD, ||U||, U on
     # null(V), and U V_r Sigma_r^-1
     ("quotient_norm", 4),
-    # invert(S), ||K|| of the new target, and max_psd_shift's two
-    ("canonical_dual", 4),
-    # invert(U), whose singular values give ||U|| and ||U^-1||, and
-    # max_psd_shift's two
-    ("inverse_conjugate", 3),
-    # invert(T) for ||T|| and ||T^-1||, and max_psd_shift's two;
-    # commutation is a relative_gap
-    ("commuting_transform", 3),
-    # max_psd_shift's two: the perturbation is an eigensolve
-    ("perturb_positive", 2),
-    # max_psd_shift's two, then V's SVD, ||K*|| and U V_r Sigma_r^-1
-    ("validity_cross_check", 5),
+    # invert(S) and ||K|| of the new target
+    ("canonical_dual", 2),
+    # invert(U), whose singular values give ||U|| and ||U^-1||
+    ("inverse_conjugate", 1),
+    # invert(T) for ||T|| and ||T^-1||; commutation is a relative_gap
+    ("commuting_transform", 1),
+    # none: the perturbation is an eigensolve
+    ("perturb_positive", 0),
+    # V's SVD, ||K*|| and U V_r Sigma_r^-1; the pencil is cached
+    ("validity_cross_check", 3),
 ])
 def test_every_lapack_svd_of_a_rule_is_a_traced_span(monkeypatch, rule, svds):
     # the bench's linalg.svd counts the traced helpers; no LAPACK SVD may run
-    # outside them, so the two counts agree, and each operator is
-    # decomposed once
+    # outside them, so the two counts agree, and each rule's count is
+    # pinned, so a new SVD shows
     rng = np.random.default_rng(8)
     k = rng.normal(size=(4, 2)) @ rng.normal(size=(2, 4))
     system, u = _system(), np.diag([1.0, 0.5, 0.25, 2.0])
@@ -373,6 +375,54 @@ def test_only_the_traced_svd_helpers_call_lapacks_svd():
             (seen if (name, number) in allowed else found).append(f"{name}:{number}")
     assert seen, "the walk no longer sees the helpers' own SVDs"
     assert not found, "\n".join(found)
+
+
+# the only matrices the Jacobi eigensolver decomposes: Herm(S), once per set
+# of samples, and a positive perturbation's T; linalg's two wrappers around
+# it have no caller in the package
+_EIGENSOLVERS = {("biframe.py", "_herm_spectrum"), ("opcalc.py", "perturb_positive"),
+                 ("linalg.py", "min_eigenpair"), ("linalg.py", "is_psd")}
+
+
+def _eigensolves(source: str) -> list[int]:
+    """Lines of ``source`` that call ``hermitian_eigen``, ``min_eigenpair`` or
+    ``is_psd`` by name or as an attribute of ``linalg`` (not a spectrum's
+    ``is_psd`` method)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name) and func.value.id == "linalg"
+                else None)
+        if name in ("hermitian_eigen", "min_eigenpair", "is_psd"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_herm_s_and_a_perturbation_are_decomposed():
+    """Every other operator is read off SVDs (the transfer ratio as the
+    quotient norm ``1 / ||[K*/U*]||``); a new ``hermitian_eigen`` call would
+    put the pure-Python Jacobi loop back on a rule's path."""
+    probe = ("x = linalg.hermitian_eigen(a)\ny = hermitian_eigen(a)\nz = eig.is_psd(tol)\n"
+             "w = linalg.is_psd(a)\nv = linalg.sqrt_psd(e)\n")
+    assert _eigensolves(probe) == [1, 2, 4], "the walk no longer sees an eigensolve"
+    allowed = {}
+    for name, function in _EIGENSOLVERS:
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        allowed.update({(name, number): function for number in _function_lines(tree, function)})
+    found, seen = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        for number in _eigensolves(path.read_text(encoding="utf-8")):
+            if (name, number) in allowed:
+                seen.add(allowed[name, number])
+            else:
+                found.append(f"{name}:{number}")
+    assert not found, "\n".join(found)
+    assert seen == {function for _, function in _EIGENSOLVERS}
 
 
 _SCALE_HELPERS = ("_top", "_binary_normalised", "_ldexp", "_shift", "_rescaled")
