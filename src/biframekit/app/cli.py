@@ -30,7 +30,6 @@ import numpy as np
 
 from .. import linalg
 from ..biframe import (
-    _check_claim,
     _claim_holds,
     biframe_form,
     check_bounds,
@@ -406,7 +405,7 @@ def demo(ctx: click.Context, name: str) -> None:
         description = record.description
 
     report = optimal_bounds(system, tol=tol)
-    outcome = _check_claim(system, report, *claim, tol)
+    outcome = check_bounds(system, *claim, tol=tol)
     rows = [
         ("name", name, f"{name}: {description}"),
         ("description", description, None),
@@ -418,7 +417,7 @@ def demo(ctx: click.Context, name: str) -> None:
     ]
     if outcome.witness is not None:
         scaled = outcome.witness / np.max(np.abs(outcome.witness))
-        value = biframe_form(system, scaled)
+        value = biframe_form(system, scaled, tol)
         rows += [("witness_scaled", scaled, _vec_line("witness (scaled)", scaled)),
                  ("form_at_witness", value, f"form at witness: {_num(value)}")]
     _emit(ctx, rows, 0 if outcome.ok else 1)

@@ -439,21 +439,16 @@ def check_bounds(system: BiframeSystem, lower: float, upper: float,
     stays within tolerance of zero, ``w`` is reported only when it refutes
     the claim, ``<Herm S w, w> < lower ||K* w||^2`` (decided on ``K / 2^e``,
     so at any target scale); otherwise the refuted claim carries no witness.
-    A refuted upper claim is witnessed by the top eigenvector of ``Herm(S)``."""
+    A refuted upper claim is witnessed by the top eigenvector of ``Herm(S)``.
+    A caller that prints the report too (the CLI's ``demo``) pays nothing
+    for the second: its spectrum and shift are cached."""
     if not (np.isfinite(lower) and np.isfinite(upper)):
         raise MalformedBoundsError("bounds must be finite numbers")
     if not (0.0 < lower <= upper):
         raise MalformedBoundsError(
             f"need 0 < lower <= upper, got lower={lower!r} upper={upper!r}"
         )
-    return _check_claim(system, optimal_bounds(system, tol=tol), lower, upper, tol)
-
-
-def _check_claim(system: BiframeSystem, report: BoundsReport, lower: float, upper: float,
-                 tol: float) -> BoundsVerification:
-    """:func:`check_bounds` on a well-formed claim, decided against ``report =
-    optimal_bounds(system, tol=tol)``: a caller that holds the report (the
-    CLI's ``demo``, which prints it) pays for no second one."""
+    report = optimal_bounds(system, tol=tol)
     lower_ok, upper_ok = _claim_holds(report, lower, upper, tol)
     witness = None
     if not lower_ok:

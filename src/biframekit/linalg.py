@@ -26,9 +26,11 @@ needs no second SVD for a norm or a pseudo-inverse.
 Every verdict in the package has one tolerance rule: a quantity counts as
 zero when it is at most ``tol`` times a norm of the problem the verdict is
 about, with no absolute floor, so scaling a problem leaves its verdicts
-unchanged.  PSD tests use ``max|lambda|`` (:meth:`EigenDecomposition.cutoff`),
-rank decisions ``sigma_max`` (at :data:`DEFAULT_TOL`, or a quotient's
-caller's ``tol``), every equality verdict
+unchanged, and every verdict a call takes decides at the caller's ``tol``.
+PSD tests use ``max|lambda|`` (:meth:`EigenDecomposition.cutoff`), rank,
+range and invertibility decisions ``sigma_max`` (only :func:`pseudo_inverse`
+and :func:`operator_rank`, which no package function calls, take no ``tol``
+and cut at :data:`DEFAULT_TOL`), every equality verdict
 ``||a||_F``, as ``relative_gap(a, b) <= tol`` (:func:`relative_gap`), and
 bound claims the optimal bound they are compared with: a claimed pair holds
 iff ``lower <= lower_opt + tol * lower_opt`` and
@@ -82,8 +84,8 @@ from .errors import (
     SingularOperatorError,
 )
 
-#: The one tolerance: verdicts compare against it (or a caller's ``tol``)
-#: times a norm of their problem, as the module docstring lists.
+#: The default of every ``tol``: a verdict compares against its caller's
+#: ``tol`` times a norm of its problem, as the module docstring lists.
 DEFAULT_TOL = 1e-9
 
 _MAX_JACOBI_SWEEPS = 60
@@ -297,6 +299,15 @@ def _ldexp(value, exp, what: str):
     return out if arr.ndim else out.item()
 
 
+def _at_top_scale(values, exps) -> np.ndarray:
+    """``values * 2^(exps - max(exps))``: numbers formed on power-of-two
+    quotients (:func:`_binary_normalised`), each with its own exponent,
+    brought to the largest of their scales by :func:`_shift`, so they add
+    and compare with no overflow.  Exact for the ones at that scale; one
+    more than ``2^1074`` below it flushes to 0, as it would beside it."""
+    return _shift(np.asarray(values, dtype=float), np.subtract(exps, max(exps)))
+
+
 def _shift(value, exp) -> np.ndarray:
     """``value * 2^exp`` as an array, part by part, ``exp`` one integer or one
     per row (first axis), unchecked: each entry rounds as IEEE does.  For
@@ -497,7 +508,7 @@ def sqrt_psd(eig: EigenDecomposition, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (root + adjoint(root)) / 2.0
 
 
-def _rank(sigma: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+def _rank(sigma: np.ndarray, tol: float) -> int:
     """Count of singular values (descending) above ``tol * sigma_max``."""
     return int(np.count_nonzero(sigma > tol * sigma[0]))
 
@@ -505,11 +516,12 @@ def _rank(sigma: np.ndarray, tol: float = DEFAULT_TOL) -> int:
 def pseudo_inverse(a) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via SVD with explicit rank thresholding.
 
-    Singular values at or below the rank cutoff are treated as exact zeros.
+    Singular values at or below ``DEFAULT_TOL * sigma_max`` are treated as
+    exact zeros.
     The zero matrix maps to the (transposed) zero matrix.
     """
     u, sigma, vh = np.linalg.svd(as_matrix(a), full_matrices=False)
-    r = _rank(sigma)
+    r = _rank(sigma, DEFAULT_TOL)
     return adjoint(vh[:r]) @ ((1.0 / sigma[:r])[:, None] * adjoint(u[:, :r]))
 
 
@@ -520,17 +532,18 @@ def spectral_norm(a) -> float:
 
 
 def operator_rank(a) -> int:
-    """Numerical rank at the package-wide singular-value cutoff."""
-    return _rank(np.linalg.svd(as_matrix(a), compute_uv=False))
+    """Numerical rank: the singular values above ``DEFAULT_TOL * sigma_max``."""
+    return _rank(np.linalg.svd(as_matrix(a), compute_uv=False), DEFAULT_TOL)
 
 
-def orthonormal_range(a) -> tuple[np.ndarray, np.ndarray]:
+def orthonormal_range(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """``(basis, sigma)``: an orthonormal basis of the column space, as matrix
     columns (``(m, 0)`` for rank-0 input), and the singular values
-    (descending) it was cut by, so ``||a|| = sigma[0]`` and, at rank ``r``,
-    ``||a^+|| = 1 / sigma[r - 1]`` cost no further SVD."""
+    (descending) it was cut by, at ``tol * sigma_max``, so ``||a|| =
+    sigma[0]`` and, at rank ``r``, ``||a^+|| = 1 / sigma[r - 1]`` cost no
+    further SVD."""
     u, sigma, _ = np.linalg.svd(as_matrix(a), full_matrices=False)
-    return u[:, :_rank(sigma)], sigma
+    return u[:, :_rank(sigma, tol)], sigma
 
 
 def orthonormal_nullspace(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -545,17 +558,17 @@ def orthonormal_nullspace(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.n
     return right[:, rank:], sigma, right[:, :rank]
 
 
-def invert(a) -> tuple[np.ndarray, np.ndarray]:
+def invert(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """``(inverse, sigma)`` of a square matrix: ``sigma`` holds its singular
     values (descending), which decide invertibility, so ``||a|| = sigma[0]``
     and ``||a^-1|| = 1 / sigma[-1]`` cost no further SVD.
-    :class:`SingularOperatorError` when the smallest singular value sits at
-    or below the rank cutoff."""
+    :class:`SingularOperatorError`, naming ``tol``, when the smallest
+    singular value sits at or below ``tol * sigma_max``."""
     m = as_matrix(a, square=True)
     sigma = np.linalg.svd(m, compute_uv=False)
-    if _rank(sigma) < m.shape[0]:
+    if _rank(sigma, tol) < m.shape[0]:
         raise SingularOperatorError(
-            f"matrix is singular at rank tolerance {DEFAULT_TOL:.1e} (sigma_min={sigma[-1]:.3e})"
+            f"matrix is singular at rank tolerance {tol:.1e} (sigma_min={sigma[-1]:.3e})"
         )
     return np.linalg.inv(m), sigma
 
@@ -665,7 +678,7 @@ def max_psd_shift(s_eig: EigenDecomposition, k, tol: float = DEFAULT_TOL) -> Shi
     p_max = spectral_norm(w) ** 2
     null = lam <= cutoff
     if null.any():  # the range test
-        basis, sigma = orthonormal_range(w[null])
+        basis, sigma = orthonormal_range(w[null], tol)
         if sigma[0] ** 2 > tol * p_max:
             return ShiftResult(None, unit_vector(v[:, null] @ basis[:, 0]))
     floored = (lam + np.maximum(lam, cutoff)) / 2.0
@@ -674,7 +687,7 @@ def max_psd_shift(s_eig: EigenDecomposition, k, tol: float = DEFAULT_TOL) -> Shi
     if blocked.any():
         return ShiftResult(None, v[:, np.argmax(blocked)].copy())
     root = np.sqrt(floored[live])
-    basis, sigma = orthonormal_range(w[live] / root[:, None])
+    basis, sigma = orthonormal_range(w[live] / root[:, None], tol)
     amount, witness = 1.0 / float(sigma[0]) ** 2, unit_vector(v[:, live] @ (basis[:, 0] / root))
     if amount * p_max <= cutoff:
         return ShiftResult(None, witness)

@@ -145,10 +145,11 @@ def restrict_to_range(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> Con
     On ``range(K)`` the target satisfies ``||K* f|| >= ||f|| / ||K^+||``, so
     the compressed system (families projected onto an orthonormal range
     basis, identity target of the reduced dimension) is a plain biframe with
-    guaranteed bounds ``(A / ||K^+||^2, B)``.
+    guaranteed bounds ``(A / ||K^+||^2, B)``.  The range basis is cut at
+    ``tol * ||K||``, the rank rule of the call.
     """
     lower, upper = _valid_bounds(system, tol, "restriction input")
-    basis, sigma = linalg.orthonormal_range(system.target)
+    basis, sigma = linalg.orthonormal_range(system.target, tol)
     rank = basis.shape[1]
     eye = np.eye(rank, dtype=basis.dtype)
     if np.array_equal(basis, eye):
@@ -283,14 +284,15 @@ def canonical_dual(system: BiframeSystem, new_target, *, tol: float = DEFAULT_TO
 
     The construction needs the true frame operator (not just its Hermitian
     part) to be invertible; validity of the input guarantees that, since a
-    positive-definite Hermitian part forces ``S f != 0``.  Guaranteed bounds
+    positive-definite Hermitian part forces ``S f != 0``, and ``S`` is
+    inverted at the same ``tol`` (:func:`linalg.invert`).  Guaranteed bounds
     are ``(A / ||S||^2, B ||S^{-1}||^2 ||K||^2)``.
     """
     _require_identity_target(system, tol, "canonical_dual")
     lower, upper = _valid_bounds(system, tol, "dual input")
     k = _as_operator(new_target, system.dim, "new target")
     try:
-        s_inv, sigma = linalg.invert(frame_operator(system))
+        s_inv, sigma = linalg.invert(frame_operator(system), tol)
     except SingularOperatorError as exc:
         raise SingularFrameOperatorError(
             "frame operator is numerically singular; no canonical dual exists"
@@ -327,10 +329,11 @@ def inverse_conjugate(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) -> 
 
     The input is read as an already-transformed system ``(U F, U G)`` whose
     original is being recovered; guaranteed bounds ``(A / ||U||^2,
-    B ||U^{-1}||^2)``.  ``U`` must be invertible.
+    B ||U^{-1}||^2)``.  ``U`` must be invertible at ``tol``
+    (:func:`linalg.invert`).
     """
     mat = _as_operator(u, system.dim)
-    inv, sigma = linalg.invert(mat)  # SingularOperatorError for defective u
+    inv, sigma = linalg.invert(mat, tol)  # SingularOperatorError for defective u
     lower, upper = _valid_bounds(system, tol, "inverse_conjugate input")
     return ConstructionResult(
         guaranteed_lower=linalg._rescaled(lower, down=(sigma[0],)),
@@ -343,10 +346,13 @@ def inverse_conjugate(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) -> 
 def max_transfer_ratio(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) -> float:
     """Largest ``delta`` with ``||U* f|| >= delta ||K* f||`` for all ``f``.
 
-    Requires ``range(U) <= range(K)``, checked against the target's
-    orthonormal range basis at ``tol * (||U|| + ||K||)`` (a ``U`` that is
-    round-off of zero has no scale of its own).  The ratio is ``1 /
-    ||[K*/U*]||`` (:func:`~biframekit.quotient.quotient_norm` at ``tol``):
+    Requires ``range(U) <= range(K)``: the residual of ``U / 2^e`` off the
+    orthonormal range basis of ``K / 2^f``, cut at ``tol * ||K||``, is
+    compared with ``tol * (||U|| + ||K||)`` (a ``U`` that is round-off of
+    zero has no scale of its own), all at the larger of the two scales
+    (:func:`linalg._at_top_scale`), so no norm or projection overflows.
+    The ratio is ``1 / ||[K*/U*]||``
+    (:func:`~biframekit.quotient.quotient_norm` at ``tol``):
     0 when that quotient does not exist, since then some ``f`` has ``U* f =
     0`` but ``K* f != 0``, and ``inf`` for ``U = K = 0``.  It is strictly
     positive exactly when pushing the system through ``U``
@@ -368,10 +374,11 @@ def max_transfer_ratio(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) ->
     """
     mat = _as_operator(u, system.dim)
     (unit, e), (k_unit, f) = map(linalg._binary_normalised, (mat, system.target))
-    basis, sigma = linalg.orthonormal_range(system.target)
-    residual = mat - basis @ (linalg.adjoint(basis) @ mat)
-    scale = linalg._ldexp(linalg.spectral_norm(unit), e, "the norm of U") + float(sigma[0])
-    if linalg.spectral_norm(residual) > tol * scale:
+    basis, sigma = linalg.orthonormal_range(k_unit, tol)
+    residual = unit - basis @ (linalg.adjoint(basis) @ unit)
+    gap, u_norm, k_norm = linalg._at_top_scale(
+        [linalg.spectral_norm(residual), linalg.spectral_norm(unit), sigma[0]], [e, e, f])
+    if gap > tol * (u_norm + k_norm):
         raise RangeNotContainedError("operator range is not contained in the target range")
     quot = quotient_norm(linalg.adjoint(k_unit), linalg.adjoint(unit), tol=tol)
     if not quot.exists:
@@ -382,7 +389,8 @@ def max_transfer_ratio(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) ->
 
 
 def commuting_transform(system: BiframeSystem, t, *, tol: float = DEFAULT_TOL) -> ConstructionResult:
-    """Push the families through an invertible ``T`` that commutes with the target.
+    """Push the families through a ``T`` that commutes with the target and is
+    invertible at ``tol`` (:func:`linalg.invert`).
 
     Commutation makes ``||K* T* f|| = ||T* K* f|| >= ||K* f|| / ||T^{-1}||``,
     so the target survives unchanged with guaranteed bounds
@@ -391,7 +399,7 @@ def commuting_transform(system: BiframeSystem, t, *, tol: float = DEFAULT_TOL) -
     (:func:`linalg._binary_normalised`), so neither product overflows.
     """
     mat = _as_operator(t, system.dim)
-    _, sigma = linalg.invert(mat)
+    _, sigma = linalg.invert(mat, tol)
     t_unit, k_unit = (linalg._binary_normalised(m)[0] for m in (mat, system.target))
     defect = linalg.relative_gap(t_unit @ k_unit, k_unit @ t_unit)
     if defect > tol:

@@ -84,7 +84,7 @@ def quotient_norm(u, v, tol: float = DEFAULT_TOL) -> QuotientResult:
     null_basis, v_sigma, coimage = linalg.orthonormal_nullspace(v_mat, tol)
     u_scale = linalg.spectral_norm(u_mat)
     if null_basis.shape[1]:
-        _, top, right = linalg.orthonormal_nullspace(u_mat @ null_basis)
+        _, top, right = linalg.orthonormal_nullspace(u_mat @ null_basis, tol)
         if top[0] > tol * u_scale:
             witness = linalg.canonical_sign(null_basis @ right[:, 0])
             return QuotientResult(False, None, witness, None)
@@ -96,7 +96,7 @@ def quotient_norm(u, v, tol: float = DEFAULT_TOL) -> QuotientResult:
         return QuotientResult(True, 0.0, None, None)
 
     whitened = coimage / v_sigma[:rank]  # V_r Sigma_r^-1
-    _, sigma, right = linalg.orthonormal_nullspace(u_mat @ whitened)
+    _, sigma, right = linalg.orthonormal_nullspace(u_mat @ whitened, tol)
     if sigma[0] * v_sigma[0] <= tol * u_scale:
         # U vanishes on range(V*): the ratio is 0 along any non-null input,
         # reported at V's top right singular vector.

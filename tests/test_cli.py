@@ -267,6 +267,18 @@ class TestConstruct:
         assert payload["dominated"] is biframekit.check_bounds(load(out).system, gl, gu).ok
         assert result.exit_code == (0 if payload["dominated"] else 1)
 
+    @pytest.mark.parametrize("tol, code", [("1e-12", 0), ("1e-9", 1)])
+    def test_dual_decides_invertibility_at_the_given_tol(self, runner, tmp_path, tol, code):
+        # S = diag(1, 1, 1e-11): valid and invertible at 1e-12, singular at 1e-9
+        root = np.diag([1.0, 1.0, 10 ** -5.5])
+        path = tmp_path / "ill.json"
+        save(biframekit.BiframeSystem.from_samples(
+            biframekit.DiscreteMeasure(tuple("abc"), np.ones(3)), root, root, np.eye(3)), path)
+        result = runner.invoke(main, ["--tol", tol, "construct", str(path), "--op", "dual",
+                                      "--operator", json.dumps(np.eye(3).tolist())])
+        assert result.exit_code == code
+        assert ("dominance: ok" in result.output) is (code == 0)
+
     def test_perturb_rejects_indefinite_operator(self, runner, manifests):
         result = runner.invoke(main, ["construct", manifests["example-3-11"],
                                       "--op", "perturb",
@@ -378,7 +390,7 @@ class TestDemo:
         refuted = biframekit.BoundsVerification(ok=False, lower_ok=False, upper_ok=True,
                                                 lower_margin=-1.0, upper_margin=1.0,
                                                 witness=None)
-        monkeypatch.setattr(cli, "_check_claim", lambda *args, **kwargs: refuted)
+        monkeypatch.setattr(cli, "check_bounds", lambda *args, **kwargs: refuted)
         result = runner.invoke(main, ["demo", "example-3-3"])
         assert result.exit_code == 1
         assert result.output.splitlines()[-1] == "verdict: FAIL"

@@ -9,6 +9,7 @@ the perturbation's stated law is refuted outright by a 2x2 counterexample.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -468,6 +469,27 @@ class TestMaxTransferRatio:
         sys_ = bk.BiframeSystem.from_samples(m, np.eye(2), np.eye(2), np.diag([1.0, 0.0]))
         with pytest.raises(errors.RangeNotContainedError):
             opcalc.max_transfer_ratio(sys_, np.diag([0.0, 1.0]))
+
+    def test_a_zero_operator_on_a_zero_target_has_no_finite_ratio(self):
+        # U = K = 0: ||U* f|| >= delta ||K* f|| holds for every delta
+        m = bk.DiscreteMeasure(("a", "b"), np.ones(2))
+        sys_ = bk.BiframeSystem.from_samples(m, np.eye(2), np.eye(2), np.zeros((2, 2)))
+        assert opcalc.max_transfer_ratio(sys_, np.zeros((2, 2))) == math.inf
+
+    @pytest.mark.parametrize("k, u, ratio", [
+        # ||U|| = 3e308 and U's range projection overflow; delta fits
+        (np.ones((2, 2)), 1.5e308 * np.ones((2, 2)), 1.5e308),
+        # K lies 2^600 below U: each operator takes its own power of two
+        (math.ldexp(1.0, -600) * np.eye(2), np.eye(2), math.ldexp(1.0, 600)),
+    ])
+    def test_the_range_check_holds_at_any_pair_of_scales(self, k, u, ratio):
+        # the residual is formed on U / 2^e against K / 2^f's basis, and
+        # compared with tol (||U|| + ||K||) at the larger of the two scales
+        m = bk.DiscreteMeasure(("a", "b"), np.ones(2))
+        sys_ = bk.BiframeSystem.from_samples(m, np.eye(2), np.eye(2), k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert opcalc.max_transfer_ratio(sys_, u) == pytest.approx(ratio, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("c", [1e-300, 1e-160, 1e160, 1e300])
     def test_ratio_at_any_operator_scale(self, c):

@@ -200,7 +200,8 @@ class TestCallersTolerance:
     """``validity_cross_check``, ``transform_equivalences`` and
     ``max_transfer_ratio`` hand their own ``tol`` to the quotient: a singular
     value ``s`` with ``1e-22 < s < 1e-9`` (relative) counts at the smaller
-    tolerance and is a kernel at the larger, in every caller alike."""
+    tolerance and is a kernel at the larger, in every caller alike.  So do
+    the rules' range bases and inverses."""
 
     S = 1e-10
 
@@ -221,6 +222,38 @@ class TestCallersTolerance:
             == (exists,) * 3
         ratio = bk.opcalc.max_transfer_ratio(system, np.diag([1.0, 1.0, self.S]), tol=tol)
         assert ratio == (pytest.approx(self.S, rel=1e-12) if exists else 0.0)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9])
+    def test_a_relative_singular_value_of_1e_11_flips_every_rank_verdict(self, tol):
+        # each rule decides its rank, range or invertibility at its own tol:
+        # a relative singular value of 1e-11 counts at 1e-12 and is a kernel
+        # at 1e-9
+        small, eye = np.diag([1.0, 1.0, 1e-11]), np.eye(3)
+        measure = bk.DiscreteMeasure(tuple("abc"), np.ones(3))
+        plain = bk.BiframeSystem.from_samples(measure, eye, eye, eye)
+        root = np.diag([1.0, 1.0, 10 ** -5.5])  # S = diag(1, 1, 1e-11)
+        ill = bk.BiframeSystem.from_samples(measure, root, root, eye)
+        restricted = bk.opcalc.restrict_to_range(plain.with_target(small), tol=tol)
+        if tol < 1e-11:
+            assert restricted.system.dim == 3
+            assert restricted.guaranteed_lower == pytest.approx(1e-22, rel=1e-12)
+            assert bk.opcalc.max_transfer_ratio(plain.with_target(small), eye, tol=tol) \
+                == pytest.approx(1.0, rel=1e-12)
+            dual = bk.opcalc.canonical_dual(ill, eye, tol=tol)
+            assert dual.guaranteed_lower == pytest.approx(1e-11, rel=1e-12)
+            conjugated = bk.opcalc.inverse_conjugate(plain, small, tol=tol)
+            assert conjugated.guaranteed_upper == pytest.approx(1e22, rel=1e-12)
+            commuted = bk.opcalc.commuting_transform(plain, small, tol=tol)
+            assert commuted.guaranteed_lower == pytest.approx(1e-22, rel=1e-12)
+            return
+        assert restricted.system.dim == 2
+        with pytest.raises(errors.RangeNotContainedError):
+            bk.opcalc.max_transfer_ratio(plain.with_target(small), eye, tol=tol)
+        with pytest.raises(errors.NotABiframeError):  # S is singular at 1e-9: no valid input
+            bk.opcalc.canonical_dual(ill, eye, tol=tol)
+        for rule in (bk.opcalc.inverse_conjugate, bk.opcalc.commuting_transform):
+            with pytest.raises(errors.SingularOperatorError, match="rank tolerance 1.0e-09"):
+                rule(plain, small, tol=tol)
 
     def test_quotient_norm_decides_at_the_tol_it_is_given(self):
         # sigma / sigma_max = 1e-10 lies below DEFAULT_TOL: a kernel

@@ -2,8 +2,10 @@
 others, the benchmark's tracer must find every name it wraps, and it must
 see a cached spectrum, norm or asymmetry as no eigensolve or SVD.  Every
 LAPACK SVD a rule runs is a traced ``linalg.svd`` span: only the SVD
-helpers of ``linalg`` call ``numpy.linalg``'s SVD family.  The package
-imports nothing beyond its declared dependencies."""
+helpers of ``linalg`` call ``numpy.linalg``'s SVD family, and only
+``linalg.hermitian_eigen`` its eigensolvers.  Every verdict decides at its
+caller's ``tol``.  The package imports nothing beyond its declared
+dependencies."""
 
 import ast
 import importlib
@@ -59,8 +61,9 @@ def _tracing():
     return tracing
 
 
-def _traced(call) -> list[str]:
-    """Names of the spans the bench's tracer records while ``call`` runs."""
+def _spans(call) -> list[list]:
+    """The spans ``[name, start, end, parent, bytes]`` the bench's tracer
+    records while ``call`` runs, in the order they open."""
     tracing = _tracing()
     tracer = tracing.Tracer()
     undo = tracing.install(tracer)
@@ -70,7 +73,21 @@ def _traced(call) -> list[str]:
     finally:
         tracer.active = False
         tracing.uninstall(undo)
-    return [span[0] for span in tracer.spans]
+    return tracer.spans
+
+
+def _below(spans: list[list], root: int) -> list[int]:
+    """Indices of the spans that open inside span ``root``."""
+    inside = {root}
+    for i in range(root + 1, len(spans)):
+        if spans[i][3] in inside:
+            inside.add(i)
+    return sorted(inside - {root})
+
+
+def _traced(call) -> list[str]:
+    """Names of the spans the bench's tracer records while ``call`` runs."""
+    return [span[0] for span in _spans(call)]
 
 
 def _system() -> BiframeSystem:
@@ -269,12 +286,19 @@ def test_every_lapack_svd_of_a_rule_is_a_traced_span(monkeypatch, rule, svds):
 
 
 def test_traced_demo_computes_one_bound_report():
-    # demo prints the optimal pair and decides the claim against the same report
+    # demo prints the optimal pair, and check_bounds decides the claim against
+    # a second report read off the cache: no SVD and no eigensolve under it
     runner = CliRunner()
     for name in ("example-3-4", "example-5-3"):
-        names = _traced(lambda: runner.invoke(main, ["demo", name], catch_exceptions=False))
+        spans = _spans(lambda: runner.invoke(main, ["demo", name], catch_exceptions=False))
+        names = [span[0] for span in spans]
         assert names.count("app.cli.command") == 1
-        assert names.count("biframe.optimal_bounds") == 1
+        reports = [i for i, name in enumerate(names) if name == "biframe.optimal_bounds"]
+        assert len(reports) == 2
+        assert spans[reports[1]][3] == names.index("biframe.check_bounds")
+        first, second = ({spans[i][0] for i in _below(spans, r)} for r in reports)
+        assert "linalg.svd" in first
+        assert not {"linalg.svd", "linalg.hermitian_eigen"} & second
 
 
 def _function_lines(tree: ast.AST, name: str) -> range:
@@ -428,7 +452,7 @@ def test_only_herm_s_and_a_perturbation_are_decomposed():
 _SCALE_HELPERS = ("_top", "_binary_normalised", "_ldexp", "_shift", "_rescaled")
 # sites that step outside the range rule on purpose, and why
 _RANGE_RULE_EXCEPTIONS = {
-    ("biframe.py", "_check_claim"): "the witness test compares form / 4^e with a claim: "
+    ("biframe.py", "check_bounds"): "the witness test compares form / 4^e with a claim: "
                                     "an infinite quotient correctly refutes nothing",
     ("opcalc.py", "parseval_check"): "a 2^-2e beyond float64 is a verdict (K is nowhere "
                                      "near unitary), not a value to form",
@@ -515,4 +539,120 @@ def test_only_linalgs_product_helpers_multiply_samples_weights_and_targets():
         for number, allowed in hits:
             (seen if allowed else found).append(f"{name}:{number}")
     assert len(seen) == 3, "the walk no longer sees the helpers and their own product"
+    assert not found, "\n".join(found)
+
+
+_EIGH_FAMILY = {"eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def _raw_eigensolves(source: str) -> list[int]:
+    """Lines of ``source`` that call ``numpy.linalg``'s ``eig``, ``eigh``,
+    ``eigvals`` or ``eigvalsh``, or import one of them by name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            if any(alias.name in _EIGH_FAMILY for alias in node.names):
+                lines.append(node.lineno)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "linalg" and node.func.attr in _EIGH_FAMILY):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_hermitian_eigen_calls_lapacks_eigensolver():
+    """``linalg.hermitian_eigen`` is the one door from a matrix to a
+    spectrum, traced as ``linalg.hermitian_eigen``: a LAPACK eigensolve
+    anywhere else would run where the tracer cannot count it, and outside
+    the spectrum cache."""
+    probe = ("import numpy as np\nfrom numpy.linalg import eigh\nx = np.linalg.eigvalsh(a)\n"
+             "y = numpy.linalg.eig(a)\nz = linalg.hermitian_eigen(a)\nw = eig.is_psd(tol)\n")
+    assert _raw_eigensolves(probe) == [2, 3, 4], "the walk no longer sees a raw eigensolve"
+    tree = ast.parse((SRC / "linalg.py").read_text(encoding="utf-8"))
+    allowed = {("linalg.py", number) for number in _function_lines(tree, "hermitian_eigen")}
+    found = [f"{path.relative_to(SRC)}:{number}" for path in sorted(SRC.rglob("*.py"))
+             for number in _raw_eigensolves(path.read_text(encoding="utf-8"))
+             if (str(path.relative_to(SRC)), number) not in allowed]
+    assert not found, "\n".join(found)
+
+
+# the two helpers with no caller in the package, which cut at DEFAULT_TOL
+_DEFAULT_TOL_READERS = ("pseudo_inverse", "operator_rank")
+
+
+def _takes_tol(node: ast.AST) -> bool:
+    """Whether ``node`` is a function with a parameter named ``tol``."""
+    return isinstance(node, ast.FunctionDef) and "tol" in {
+        arg.arg for arg in node.args.args + node.args.kwonlyargs}
+
+
+def _holds_tol(node: ast.AST) -> bool:
+    """Whether ``node`` is a function that takes ``tol`` or binds it (the
+    CLI's commands read it off their context)."""
+    return _takes_tol(node) or isinstance(node, ast.FunctionDef) and any(
+        isinstance(target, ast.Name) and target.id == "tol"
+        for assign in ast.walk(node) if isinstance(assign, ast.Assign)
+        for target in assign.targets)
+
+
+def _tol_leaks(source: str, takers: set[str]) -> list[int]:
+    """Lines of ``source`` where a function that holds ``tol`` calls one of
+    ``takers`` (functions and methods that take ``tol``, by name) without
+    handing it ``tol`` itself, positionally or as ``tol=tol``; and lines that
+    read ``DEFAULT_TOL`` other than as a default: of a parameter, or the
+    ``default=`` of a CLI option."""
+    tree = ast.parse(source)
+    defaults = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for node in fn.args.defaults + fn.args.kw_defaults if node is not None}
+    defaults |= {id(node.value) for node in ast.walk(tree)
+                 if isinstance(node, ast.keyword) and node.arg == "default"}
+    lines = set()
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Name) and node.id == "DEFAULT_TOL"
+             and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Attribute) and node.attr == "DEFAULT_TOL")) \
+                and id(node) not in defaults:
+            lines.add(node.lineno)
+    calls = {call for fn in ast.walk(tree) if _holds_tol(fn)
+             for call in ast.walk(fn) if isinstance(call, ast.Call)}
+    for call in calls:
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        values = call.args + [kw.value for kw in call.keywords if kw.arg == "tol"]
+        if name in takers and not any(isinstance(v, ast.Name) and v.id == "tol" for v in values):
+            lines.add(call.lineno)
+    return sorted(lines)
+
+
+def _tol_takers(source: str) -> set[str]:
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and _takes_tol(node)}
+
+
+def test_every_verdict_decides_at_the_callers_tol():
+    """One tolerance per call: a function that holds ``tol`` hands it to
+    every package function it calls that takes one, so no rank, range or
+    invertibility verdict below it falls back to ``DEFAULT_TOL``, and
+    ``DEFAULT_TOL`` itself is only a default, but in the two helpers that
+    no package function calls."""
+    probe = ("def f(a, tol=DEFAULT_TOL):\n    g(a, tol)\n    g(a, tol=tol)\n    g(a)\n"
+             "    x.g(a, tol=2 * tol)\n    h(a)\n    return DEFAULT_TOL\n"
+             "def g(a, *, tol=linalg.DEFAULT_TOL):\n    return a\n"
+             "def k(a):\n    return g(a)\n"
+             "@click.option('--tol', default=linalg.DEFAULT_TOL)\ndef m(ctx):\n"
+             "    tol = ctx.obj['tol']\n    return g(a)\n")
+    assert _tol_leaks(probe, _tol_takers(probe)) == [4, 5, 7, 15], \
+        "the walk no longer sees a dropped tol"
+    sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+               for path in sorted(SRC.rglob("*.py"))}
+    takers = set().union(*map(_tol_takers, sources.values()))
+    assert {"orthonormal_range", "orthonormal_nullspace", "invert", "quotient_norm"} <= takers
+    tree = ast.parse(sources["linalg.py"])
+    allowed = {("linalg.py", number) for name in _DEFAULT_TOL_READERS
+               for number in _function_lines(tree, name)}
+    found, seen = [], []
+    for name, source in sources.items():
+        for number in _tol_leaks(source, takers):
+            (seen if (name, number) in allowed else found).append(f"{name}:{number}")
+    assert len(seen) == len(_DEFAULT_TOL_READERS), "the helpers no longer read DEFAULT_TOL"
     assert not found, "\n".join(found)
