@@ -359,7 +359,7 @@ def optimal_bounds(system: BiframeSystem, tol: float = DEFAULT_TOL) -> BoundsRep
     holds fresh copies of the cached witnesses.
 
     Eigensolves per call: 1 on a system whose spectrum is not yet cached,
-    whatever the target; 0 once it is.  SVDs per call: the two or three of
+    whatever the target; 0 once it is.  SVDs per call: the one to three of
     ``max_psd_shift`` for a (target, ``tol``) not yet seen, and the two of
     :func:`linalg.asymmetry` on a cold system; none on a repeat.
 

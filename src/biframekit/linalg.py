@@ -46,11 +46,13 @@ an ``inf``, a false 0 or a ``RuntimeWarning``.  Every product of samples,
 weights and targets takes one power of two per row, because one row (a
 node's samples or weight) may lie far below another, and each nonzero row
 must fit: :func:`_product` forms mapped families and composed targets so,
-:func:`_kron` Kronecker products, and ``biframe.frame_operator`` and
-``biframe.biframe_form`` sum node terms so.  Dividing by a power of two is
-exact where the quotient is normal, so a result is the plain arithmetic's
-bit for bit wherever the plain arithmetic, and the same arithmetic on the
-quotients, keep every entry normal.  An entry more than ``2^1022`` below
+:func:`_kron` Kronecker products (deciding most rows from their exponents
+alone, and only the rows at the edge of the range by :func:`_ldexp`), and
+``biframe.frame_operator`` and ``biframe.biframe_form`` sum node terms so.
+Dividing by a power of two is exact where the quotient is normal, so a
+result is the plain arithmetic's bit for bit wherever the plain
+arithmetic, and the same arithmetic on the quotients, keep every entry
+normal.  An entry more than ``2^1022`` below
 the top of its own row (or of the array, for one power of two), or a node
 term that far below the largest, turns subnormal and loses bits; one more
 than ``2^1074`` below flushes to 0, as it would in float64 at that scale.
@@ -62,7 +64,7 @@ The central routine is :func:`max_psd_shift`, which computes the largest
 ``a >= 0`` with ``s - a*k k*`` positive semidefinite.  That quantity is the
 optimal lower bound of every sampled system in this package; it is the
 quotient constant ``1 / ||[k* / s^{1/2}]||^2``, read off the SVD of ``k``
-whitened in the eigenbasis of ``s`` (two or three SVDs, all through the
+whitened in the eigenbasis of ``s`` (one to three SVDs, all through the
 helpers above), and its contract (tolerance semantics, witness vector) is
 spelled out in detail below.
 """
@@ -95,15 +97,28 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
     """Validate ``a`` as a 2-D matrix with finite entries and return a copy.
 
     Real input comes back as ``float64``, complex input as ``complex128``.
+    A read-only array of that type which owns its memory comes back as
+    itself: nothing writes to it, as nothing writes to a system's samples,
+    so a copy would only repeat it.
     """
+    arr = _matrix(a, square)
+    if arr is a and not a.flags.writeable and a.flags.owndata:
+        return arr
+    return arr.copy(order="K")
+
+
+def _matrix(a, square: bool = False) -> np.ndarray:
+    """``a`` validated and typed as :func:`as_matrix` does, with no copy where
+    it is a ``float64`` or ``complex128`` array already: the input of a
+    helper that only reads it, as the SVD helpers and :func:`max_psd_shift`
+    read theirs."""
     arr = np.asarray(a)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.size == 0:
         raise DimensionMismatchError("empty matrices are not supported")
-    # astype copies even when the dtype already matches: the one copy
-    arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
-    if not np.all(np.isfinite(arr)):
+    arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
+    if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     if square and arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
@@ -131,7 +146,7 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 def hermitian_part(a) -> np.ndarray:
     """Hermitian part ``(a + a*) / 2`` of a square matrix, halved before the
     sum so that it stays finite wherever ``a`` is."""
-    m = as_matrix(a, square=True)
+    m = _matrix(a, square=True)
     return m / 2.0 + adjoint(m) / 2.0
 
 
@@ -143,7 +158,7 @@ def asymmetry(a) -> float:
     on ``a / 2^e`` (:func:`_binary_normalised`), so ``a - a*`` cannot
     overflow, and in range the ratio is the plain one bit for bit.
     """
-    m, _ = _binary_normalised(as_matrix(a, square=True))
+    m, _ = _binary_normalised(_matrix(a, square=True))
     denom = spectral_norm(m)
     if denom == 0.0:
         return 0.0
@@ -159,6 +174,13 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     if not v.size:
         return v.copy()
+    if v.ndim == 1:  # the same arithmetic on numpy scalars: the same bits, fewer passes
+        mags = np.abs(v)
+        i = int(np.argmax(mags > 1e-12 * mags.max()))
+        pivot, size = v[i], mags[i]
+        out = v * (1.0 if pivot == size else np.conj(pivot) / size) + 0.0
+        out[i] = size
+        return out
     cols = v.reshape(v.shape[0], -1)
     mags = np.abs(cols)
     pick = (np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0), np.arange(cols.shape[1]))
@@ -187,7 +209,12 @@ def _top(a: np.ndarray, rows: bool = False):
     """The largest real or imaginary part of ``a`` in modulus (the parts, not
     the moduli, which may overflow): one float, or with ``rows`` an array
     holding one per row (first axis; 0 for an empty row)."""
-    parts = np.maximum(np.abs(a.real), np.abs(a.imag)) if np.iscomplexobj(a) else np.abs(a)
+    if not np.iscomplexobj(a):
+        parts = np.abs(a)
+    elif rows and a.ndim < 2:
+        parts = np.maximum(np.abs(a.real), np.abs(a.imag))
+    else:  # each row's parts side by side, so one pass takes them all
+        parts = np.abs(np.ascontiguousarray(a).view(np.float64))
     return parts.max(axis=tuple(range(1, parts.ndim)), initial=0.0) if rows else float(parts.max())
 
 
@@ -233,14 +260,29 @@ def _kron(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     """The Kronecker product of ``a`` and ``b`` (left factor major): the one
     way the package forms tensor samples, weights and targets.  Both factors
     are split by row (:func:`_binary_normalised`), and row ``(i, j)`` of the
-    product of the quotients is scaled back once by ``2^(r_i + r'_j)``
-    (:func:`_ldexp`), with the same guarantees as :func:`_product`: the
-    plain ``numpy.kron`` bit for bit wherever the division and the plain
+    product of the quotients is scaled back once by ``2^s``, ``s = r_i +
+    r'_j`` (:func:`_shift`), with the same guarantees as :func:`_product`:
+    the plain ``numpy.kron`` bit for bit wherever the division and the plain
     products keep every entry normal, and ``OverflowError`` naming ``what``
     for a nonzero row (so for a weight) that float64 cannot hold.
+
+    Two passes over the product, one to form it and one to scale it back:
+    the range is decided from the exponents.  The top part of a nonzero
+    quotient row lies in ``[1, 2)``, so that of a product row of two lies in
+    ``[1/2, 8)`` (a complex product's parts are at least its modulus over
+    ``sqrt(2)``), and its scaled top in ``[2^(s-1), 2^(s+3))``.  A row whose
+    bracket lies inside the float64 range fits; only the nonzero rows whose
+    bracket reaches past it are measured, and decided, by :func:`_ldexp`.
     """
     (a, e), (b, f) = (_binary_normalised(np.asarray(x), rows=True) for x in (a, b))
-    return _ldexp(np.kron(a, b), np.add.outer(e, f).ravel(), what)
+    product, exps = np.kron(a, b), np.add.outer(e, f).ravel()
+    # 2^(s-1) may round to 0 at s <= low, and 2^(s+3) overflow at s > high
+    low, high = sys.float_info.min_exp - sys.float_info.mant_dig, sys.float_info.max_exp - 3
+    if exps.size and (exps.min() <= low or exps.max() > high):
+        live = np.logical_and.outer(*(x.any(axis=tuple(range(1, x.ndim))) for x in (a, b)))
+        edge = live.ravel() & ((exps <= low) | (exps > high))
+        _ldexp(product[edge], exps[edge], what)  # raises for a row float64 cannot hold
+    return _shift(product, exps)
 
 
 def _rescaled(value: float, up=(), down=(), what: str = "a guaranteed constant") -> float:
@@ -351,11 +393,16 @@ class EigenDecomposition:
     def cutoff(self, tol: float) -> float:
         """Eigenvalues within this distance of zero count as zero:
         ``tol * max|lambda|``, the rule of every PSD verdict in the package."""
-        return tol * float(np.max(np.abs(self.values)))
+        return _cutoff(self.values, tol)
 
     def is_psd(self, tol: float) -> bool:
         """Whether the matrix is positive semidefinite at tolerance."""
         return self.min >= -self.cutoff(tol)
+
+
+def _cutoff(values: np.ndarray, tol: float) -> float:
+    """``tol * max|lambda|`` of ascending eigenvalues, read off their two ends."""
+    return tol * max(abs(float(values[0])), abs(float(values[-1])))
 
 
 def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
@@ -407,7 +454,7 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> EigenDecomposition:
         (a matrix whose entries fit may have one up to ``n`` times larger);
         the message names the eigenvalues.  Small ones round as IEEE does.
     """
-    m, e = _binary_normalised(as_matrix(a, square=True))
+    m, e = _binary_normalised(_matrix(a, square=True))
     defect = relative_gap(m, adjoint(m))
     if defect > tol:
         raise NotHermitianError(
@@ -520,20 +567,20 @@ def pseudo_inverse(a) -> np.ndarray:
     exact zeros.
     The zero matrix maps to the (transposed) zero matrix.
     """
-    u, sigma, vh = np.linalg.svd(as_matrix(a), full_matrices=False)
+    u, sigma, vh = np.linalg.svd(_matrix(a), full_matrices=False)
     r = _rank(sigma, DEFAULT_TOL)
     return adjoint(vh[:r]) @ ((1.0 / sigma[:r])[:, None] * adjoint(u[:, :r]))
 
 
 def spectral_norm(a) -> float:
     """Largest singular value."""
-    m = as_matrix(a)
+    m = _matrix(a)
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def operator_rank(a) -> int:
     """Numerical rank: the singular values above ``DEFAULT_TOL * sigma_max``."""
-    return _rank(np.linalg.svd(as_matrix(a), compute_uv=False), DEFAULT_TOL)
+    return _rank(np.linalg.svd(_matrix(a), compute_uv=False), DEFAULT_TOL)
 
 
 def orthonormal_range(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -542,7 +589,7 @@ def orthonormal_range(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     (descending) it was cut by, at ``tol * sigma_max``, so ``||a|| =
     sigma[0]`` and, at rank ``r``, ``||a^+|| = 1 / sigma[r - 1]`` cost no
     further SVD."""
-    u, sigma, _ = np.linalg.svd(as_matrix(a), full_matrices=False)
+    u, sigma, _ = np.linalg.svd(_matrix(a), full_matrices=False)
     return u[:, :_rank(sigma, tol)], sigma
 
 
@@ -553,7 +600,7 @@ def orthonormal_nullspace(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.n
     ones, an orthonormal basis of ``range(a*)``: ``a^+ = coimage diag(1 /
     sigma[:r]) u_r*`` for the left singular vectors ``u_r``, so the
     pseudo-inverse's action costs no second SVD."""
-    _, sigma, vh = np.linalg.svd(as_matrix(a), full_matrices=True)
+    _, sigma, vh = np.linalg.svd(_matrix(a), full_matrices=True)
     right, rank = adjoint(vh), _rank(sigma, tol)
     return right[:, rank:], sigma, right[:, :rank]
 
@@ -564,7 +611,7 @@ def invert(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     and ``||a^-1|| = 1 / sigma[-1]`` cost no further SVD.
     :class:`SingularOperatorError`, naming ``tol``, when the smallest
     singular value sits at or below ``tol * sigma_max``."""
-    m = as_matrix(a, square=True)
+    m = _matrix(a, square=True)
     sigma = np.linalg.svd(m, compute_uv=False)
     if _rank(sigma, tol) < m.shape[0]:
         raise SingularOperatorError(
@@ -638,9 +685,18 @@ def max_psd_shift(s_eig: EigenDecomposition, k, tol: float = DEFAULT_TOL) -> Shi
     exactly zero.
 
     Eigensolves per call: 0, whatever ``k`` is; the spectrum of ``s`` is
-    read, not computed.  SVDs per call: 2, or 3 when ``s`` has eigenvalues
-    within its cutoff: ``sigma_max(W)`` by :func:`spectral_norm`, then the
-    range test and the whitened ``W``, each by :func:`orthonormal_range`.
+    read, not computed.  SVDs per call: 1 when the smallest eigenvalue of
+    ``s`` exceeds twice its cutoff, the whitened ``W`` by
+    :func:`orthonormal_range`; below that also ``sigma_max(W)`` by
+    :func:`spectral_norm`, for the zero tests, and 3 when ``s`` has
+    eigenvalues within its cutoff, with the range test's
+    :func:`orthonormal_range`.  The whitened shift times ``sigma_max(W)^2``
+    is at least the smallest floored eigenvalue (``||Lambda_f^{-1/2} W|| <=
+    ||W|| / sqrt(lambda_min)``), so above twice the cutoff the shift cannot
+    count as zero and ``sigma_max(W)`` decides nothing.  Around the SVDs, a
+    few passes over ``k`` and ``W``: ``k`` is read in place, not copied, the
+    cutoffs are read off the ends of the ascending spectrum, and with no
+    eigenvalue within the cutoff the spectrum is not floored.
 
     Returns
     -------
@@ -656,7 +712,7 @@ def max_psd_shift(s_eig: EigenDecomposition, k, tol: float = DEFAULT_TOL) -> Shi
         When a positive shift exists but ``amount * 2^f / 4^e`` overflows or
         underflows to zero in float64; the message names both scales.
     """
-    k_m = as_matrix(k)
+    k_m = _matrix(k)
     n = s_eig.values.shape[0]
     if n != k_m.shape[0]:
         raise DimensionMismatchError(
@@ -672,24 +728,30 @@ def max_psd_shift(s_eig: EigenDecomposition, k, tol: float = DEFAULT_TOL) -> Shi
 
     # s / 2^f for an even f, so the roots below scale by exactly 2^(f/2)
     (lam, f), v = _binary_normalised(s_eig.values), s_eig.vectors
-    lam, f = lam * 2.0 ** (f % 2), f - f % 2
-    cutoff = EigenDecomposition(lam, v).cutoff(tol)
+    if f % 2:
+        lam, f = lam * 2.0, f - 1
+    cutoff = _cutoff(lam, tol)
     w = adjoint(v) @ k_unit
-    p_max = spectral_norm(w) ** 2
-    null = lam <= cutoff
-    if null.any():  # the range test
-        basis, sigma = orthonormal_range(w[null], tol)
+    # sigma_max(W)^2 scales the two zero tests; the whitened shift times it
+    # is at least the smallest (floored) eigenvalue, so above twice the
+    # cutoff neither test can pass, and no SVD is spent on it
+    p_max = spectral_norm(w) ** 2 if lam[0] <= 2.0 * cutoff else None
+    if lam[0] <= cutoff:  # ascending: some eigenvalue is within the cutoff
+        null = lam <= cutoff
+        basis, sigma = orthonormal_range(w[null], tol)  # the range test
         if sigma[0] ** 2 > tol * p_max:
             return ShiftResult(None, unit_vector(v[:, null] @ basis[:, 0]))
-    floored = (lam + np.maximum(lam, cutoff)) / 2.0
-    live = floored > 0.0  # false only at lambda = -cutoff
-    blocked = ~live & w.any(axis=1)
-    if blocked.any():
-        return ShiftResult(None, v[:, np.argmax(blocked)].copy())
-    root = np.sqrt(floored[live])
-    basis, sigma = orthonormal_range(w[live] / root[:, None], tol)
-    amount, witness = 1.0 / float(sigma[0]) ** 2, unit_vector(v[:, live] @ (basis[:, 0] / root))
-    if amount * p_max <= cutoff:
+        floored = (lam + np.maximum(lam, cutoff)) / 2.0
+        live = floored > 0.0  # false only at lambda = -cutoff
+        blocked = ~live & w.any(axis=1)
+        if blocked.any():
+            return ShiftResult(None, v[:, np.argmax(blocked)].copy())
+        lam, w, v = floored[live], w[live], v[:, live]
+    # above the cutoff, the floor (lambda + lambda) / 2 is lambda itself
+    root = np.sqrt(lam)
+    basis, sigma = orthonormal_range(w / root[:, None], tol)
+    amount, witness = 1.0 / float(sigma[0]) ** 2, unit_vector(v @ (basis[:, 0] / root))
+    if p_max is not None and amount * p_max <= cutoff:
         return ShiftResult(None, witness)
     # s - a*k k* = 2^f (s / 2^f - (a * 4^e / 2^f) * k_unit k_unit*)
     return ShiftResult(_ldexp(amount, f - 2 * e, f"the shift for a spectrum of scale 2^{f} "

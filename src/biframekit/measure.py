@@ -30,11 +30,14 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
+        weights = np.asarray(self.weights)
+        if weights.dtype.kind == "c":  # a cast would keep the real part
+            raise InvalidMassError("node weights must be real, not complex")
         # a private read-only copy: systems cache results derived from it
-        weights = np.array(self.weights, dtype=np.float64, copy=True)
+        weights = np.array(weights, dtype=np.float64, copy=True)
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "ids", tuple(str(i) for i in self.ids))
+        object.__setattr__(self, "ids", tuple([str(i) for i in self.ids]))
         if weights.ndim != 1:
             raise InvalidMassError("weights must form a 1-D array")
         if len(self.ids) != weights.shape[0]:
@@ -47,6 +50,19 @@ class DiscreteMeasure:
             raise InvalidMassError("node ids must be unique")
         if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
             raise InvalidMassError("node weights must be finite and positive")
+
+    @classmethod
+    def _from_valid(cls, ids: tuple[str, ...], weights: np.ndarray) -> "DiscreteMeasure":
+        """The measure on ``ids`` and ``weights`` that are valid by
+        construction, unchecked: unique strings, and a fresh 1-D ``float64``
+        array of as many finite positive weights, which it makes read-only
+        and keeps uncopied.  A product measure's are, and checking its fresh
+        ids again would cost about as much as forming them."""
+        weights.flags.writeable = False
+        measure = object.__new__(cls)
+        object.__setattr__(measure, "ids", ids)
+        object.__setattr__(measure, "weights", weights)
+        return measure
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -99,17 +115,30 @@ def integrate(rule: QuadratureRule, fn) -> float:
     return float(rule.measure.weights @ values)
 
 
+# a backslash before each character that delimits a product id, and before
+# the backslash itself, so a product id reads back as one pair of factor ids
+_ESCAPES = str.maketrans({c: "\\" + c for c in "\\,()"})
+
+
 def product_measure(left: DiscreteMeasure, right: DiscreteMeasure) -> DiscreteMeasure:
     """Product node set in row-major order.
 
     Node ``(i, j)`` of the product sits at flat index ``i * len(right) + j``
     with weight ``w_i * w'_j`` -- the same ordering the Kronecker product
-    uses, so tensor systems can pair their sample lists positionally.  The
-    weights are a :func:`~biframekit.linalg._kron`, so each is the plain
-    product bit for bit wherever it is normal, and a weight that float64
-    cannot hold, too large or one that would round to 0, raises
-    ``OverflowError`` ("the product weights lie outside the float64 range"),
-    not a misleading :class:`InvalidMassError`.
+    uses, so tensor systems can pair their sample lists positionally.  Its
+    id is ``(a,b)`` for the factor ids ``a`` and ``b``, each with ``\\``,
+    ``,``, ``(`` and ``)`` escaped by a backslash, so distinct pairs get
+    distinct ids: unescaped, ``('x,y', 'x')`` and ``('z', 'y,z')`` would
+    both pair to ``(x,y,z)``.  The weights are a
+    :func:`~biframekit.linalg._kron`, so each is the plain product bit for
+    bit wherever it is normal, and a weight that float64 cannot hold, too
+    large or one that would round to 0, raises ``OverflowError`` ("the
+    product weights lie outside the float64 range"), not a misleading
+    :class:`InvalidMassError`.  Unique ids and positive weights make the
+    product valid by construction, so it is not checked again.
     """
-    return DiscreteMeasure(ids=tuple(f"({a},{b})" for a in left.ids for b in right.ids),
-                           weights=linalg._kron(left.weights, right.weights, "the product weights"))
+    heads = [f"({a.translate(_ESCAPES)}," for a in left.ids]
+    tails = [f"{b.translate(_ESCAPES)})" for b in right.ids]
+    return DiscreteMeasure._from_valid(
+        tuple([head + tail for head in heads for tail in tails]),
+        linalg._kron(left.weights, right.weights, "the product weights"))

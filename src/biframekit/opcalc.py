@@ -60,7 +60,7 @@ from .errors import (
     ZeroOperatorError,
 )
 from .linalg import DEFAULT_TOL
-from .quotient import quotient_norm
+from .quotient import _unit_quotient
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,22 +365,25 @@ def max_transfer_ratio(system: BiframeSystem, u, *, tol: float = DEFAULT_TOL) ->
     :func:`linalg._ldexp`, so it stays right at any scale of ``U`` and
     ``K``; a ratio float64 cannot hold raises ``OverflowError``.
 
-    Eigensolves per call: 0.  SVDs per call: 6, or 7 when a nonzero ``U``
+    Eigensolves per call: 0.  SVDs per call: 4, or 5 when a nonzero ``U``
     has a kernel that ``K*`` annihilates, each by a :mod:`~biframekit.linalg`
-    helper: ``range(K)`` with ``||K||``, ``||U||`` and the residual's norm
-    for the range check, then the quotient's: ``U*``, ``||K*||``, ``K*`` on
-    ``null(U*)`` when there is one, and the whitened ``K*`` when the
+    helper, and ``U`` and ``K`` are each decomposed once: ``range(K)`` with
+    ``||K|| = ||K*||``, ``U*`` with ``||U||`` and ``null(U*)``, which serve
+    both the range check and the quotient, the residual's norm, then ``K*``
+    on ``null(U*)`` when there is one, and the whitened ``K*`` when the
     quotient exists and ``U`` is nonzero.
     """
     mat = _as_operator(u, system.dim)
     (unit, e), (k_unit, f) = map(linalg._binary_normalised, (mat, system.target))
     basis, sigma = linalg.orthonormal_range(k_unit, tol)
+    u_svd = linalg.orthonormal_nullspace(linalg.adjoint(unit), tol)
     residual = unit - basis @ (linalg.adjoint(basis) @ unit)
     gap, u_norm, k_norm = linalg._at_top_scale(
-        [linalg.spectral_norm(residual), linalg.spectral_norm(unit), sigma[0]], [e, e, f])
+        [linalg.spectral_norm(residual), u_svd[1][0], sigma[0]], [e, e, f])
     if gap > tol * (u_norm + k_norm):
         raise RangeNotContainedError("operator range is not contained in the target range")
-    quot = quotient_norm(linalg.adjoint(k_unit), linalg.adjoint(unit), tol=tol)
+    # [K* / U*] of the unit operands, at the scale the ratio is scaled back from
+    quot = _unit_quotient(linalg.adjoint(k_unit), sigma[0], u_svd, 0, 0, tol)
     if not quot.exists:
         return 0.0
     if quot.norm == 0.0:  # U = K = 0

@@ -80,9 +80,17 @@ def quotient_norm(u, v, tol: float = DEFAULT_TOL) -> QuotientResult:
         )
     u_mat, e = linalg._binary_normalised(u_mat)
     v_mat, f = linalg._binary_normalised(v_mat)
+    v_svd = linalg.orthonormal_nullspace(v_mat, tol)
+    return _unit_quotient(u_mat, linalg.spectral_norm(u_mat), v_svd, e, f, tol)
 
-    null_basis, v_sigma, coimage = linalg.orthonormal_nullspace(v_mat, tol)
-    u_scale = linalg.spectral_norm(u_mat)
+
+def _unit_quotient(u_mat: np.ndarray, u_scale: float, v_svd, e: int, f: int,
+                   tol: float) -> QuotientResult:
+    """:func:`quotient_norm` of ``U = u_mat * 2^e`` and ``V``, given
+    ``||u_mat||`` and ``v_svd``, the :func:`linalg.orthonormal_nullspace` of
+    ``V / 2^f``: a caller that holds both already, as the transfer ratio
+    does, spends no second SVD on them."""
+    null_basis, v_sigma, coimage = v_svd
     if null_basis.shape[1]:
         _, top, right = linalg.orthonormal_nullspace(u_mat @ null_basis, tol)
         if top[0] > tol * u_scale:

@@ -71,16 +71,14 @@ def tensor_system(s1: BiframeSystem, s2: BiframeSystem) -> TensorSystem:
         raise FieldMismatchError(
             f"cannot combine a {s1.field_name} system with a {s2.field_name} one"
         )
-    return TensorSystem(
-        left=s1,
-        right=s2,
-        combined=BiframeSystem.from_samples(
-            product_measure(s1.measure, s2.measure),
-            kron(s1.analysis.samples, s2.analysis.samples),
-            kron(s1.synthesis.samples, s2.synthesis.samples),
-            kron(s1.target, s2.target),
-        ),
-    )
+    measure = product_measure(s1.measure, s2.measure)
+    products = [kron(a, b) for a, b in ((s1.analysis.samples, s2.analysis.samples),
+                                         (s1.synthesis.samples, s2.synthesis.samples),
+                                         (s1.target, s2.target))]
+    for product in products:  # fresh and read-only, so the system takes them uncopied
+        product.flags.writeable = False
+    return TensorSystem(left=s1, right=s2,
+                        combined=BiframeSystem.from_samples(measure, *products))
 
 
 def factor_bounds_check(ts: TensorSystem, *, tol: float = DEFAULT_TOL) -> bool:

@@ -1,8 +1,8 @@
 """Shared random generators and reference implementations for the test suite.
 
 The references (``bisection_shift``, ``reference_optimal_bounds``,
-``reference_check_bounds``, ``reference_dumps``, ``reference_parse_matrix``)
-are the slower, plainer algorithms that the library's fast paths must agree
+``reference_check_bounds``, ``reference_dumps``, ``reference_parse_matrix``,
+``reference_kron``) are the slower, plainer algorithms that the library's fast paths must agree
 with.  Everything random takes an explicit ``numpy.random.Generator`` so
 tests stay reproducible; seeds are fixed in the tests themselves.
 """
@@ -172,6 +172,15 @@ def bisection_shift(s: np.ndarray, p: np.ndarray, tol: float = 1e-9) -> float | 
         if abs(candidate - amount) <= 1e-6 * amount and _psd_up_to_roundoff(s, p, candidate):
             amount = candidate
     return None if amount * p_max <= s_cutoff else amount
+
+
+def reference_kron(a, b, what: str) -> np.ndarray:
+    """Reference for ``linalg._kron``: the row-split product scaled back by
+    ``linalg._ldexp``, which measures the top of every row of the product
+    to decide whether float64 holds it, where ``_kron`` decides from the
+    exponents and measures only the rows at the edge of the range."""
+    (a, e), (b, f) = (linalg._binary_normalised(np.asarray(x), rows=True) for x in (a, b))
+    return linalg._ldexp(np.kron(a, b), np.add.outer(e, f).ravel(), what)
 
 
 def reference_optimal_bounds(system: BiframeSystem, tol: float = linalg.DEFAULT_TOL) -> BoundsReport:

@@ -556,6 +556,25 @@ def test_as_matrix_shares_no_memory_with_its_input(a):
     assert not np.shares_memory(linalg.as_vector(a[0]), a)
 
 
+def test_as_matrix_takes_a_read_only_array_that_owns_its_memory_as_is():
+    frozen = np.eye(3)
+    frozen.flags.writeable = False
+    assert linalg.as_matrix(frozen) is frozen
+    # a read-only view may change through its writable base, and an integer
+    # array is converted: both are copied
+    base = np.eye(3)
+    view = base[:]
+    view.flags.writeable = False
+    ints = np.eye(3, dtype=int)
+    ints.flags.writeable = False
+    for a in (view, ints):
+        assert not np.shares_memory(linalg.as_matrix(a), a)
+    with pytest.raises(ValueError):
+        frozen_nan = np.array([[np.nan]])
+        frozen_nan.flags.writeable = False
+        linalg.as_matrix(frozen_nan)
+
+
 def test_as_matrix_rejects_non_finite():
     with pytest.raises(ValueError):
         linalg.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))

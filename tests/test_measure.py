@@ -30,6 +30,13 @@ class TestDiscreteMeasure:
         with pytest.raises(errors.InvalidMassError):
             DiscreteMeasure(("a",), np.array([np.inf]))
 
+    def test_rejects_complex_weights(self):
+        # a cast to float64 would keep the weight 1.0 of 1 + 5j
+        with pytest.raises(errors.InvalidMassError, match="real"):
+            DiscreteMeasure(("a",), np.array([1 + 5j]))
+        with pytest.raises(errors.InvalidMassError, match="real"):
+            DiscreteMeasure(("a", "b"), [2.0, 1 + 0j])
+
     def test_keeps_a_read_only_copy_of_its_weights(self):
         w = np.ones(3)
         m = DiscreteMeasure(ids=("a", "b", "c"), weights=w)
@@ -124,6 +131,30 @@ class TestProductMeasure:
         assert prod.ids == ("(a,x)", "(a,y)", "(a,z)", "(b,x)", "(b,y)", "(b,z)")
         assert prod.weights == pytest.approx([2.0, 20.0, 200.0, 3.0, 30.0, 300.0])
         assert prod.weights == pytest.approx(np.kron(left.weights, right.weights))
+
+    def test_ids_that_hold_the_delimiters_pair_to_distinct_ids(self):
+        # unescaped, ("x,y", "z") and ("x", "y,z") both paired to "(x,y,z)"
+        left = DiscreteMeasure(("x,y", "x"), np.ones(2))
+        right = DiscreteMeasure(("z", "y,z"), np.ones(2))
+        assert product_measure(left, right).ids == (
+            "(x\\,y,z)", "(x\\,y,y\\,z)", "(x,z)", "(x,y\\,z)")
+        # a backslash and the brackets are escaped too, so a product of
+        # products stays unique
+        odd = DiscreteMeasure(("\\", "(a", "a)", "(a,b)"), np.ones(4))
+        assert product_measure(odd, odd).ids[1:3] == ("(\\\\,\\(a)", "(\\\\,a\\))")
+        nested = product_measure(product_measure(odd, odd), odd)
+        assert len(set(nested.ids)) == len(nested) == 64
+
+    def test_a_product_is_valid_by_construction(self):
+        # it skips the checks, so the checked constructor must accept what it
+        # builds, and its weights are as read-only as a checked measure's
+        left = DiscreteMeasure(("a,", "b"), np.array([0.5, 2.0 ** -1000]))
+        right = from_partition([1.0, 3.0, 2.0 ** 1000])
+        prod = product_measure(left, right)
+        checked = DiscreteMeasure(prod.ids, prod.weights)
+        assert checked.ids == prod.ids and np.array_equal(checked.weights, prod.weights)
+        with pytest.raises(ValueError):
+            prod.weights[0] = 1.0
 
     def test_total_mass_multiplies(self):
         left = from_partition([0.5, 1.5])

@@ -37,7 +37,7 @@ from biframekit.app.fixtures import fixture
 from biframekit.measure import product_measure
 from biframekit.biframe import _herm_part, _herm_spectrum, _unit_samples
 from biframekit.errors import BiframeError
-from helpers import random_target, random_valid_system
+from helpers import random_matrix, random_target, random_valid_system, reference_kron
 
 _OUT_OF_RANGE = "outside the float64 range"
 
@@ -445,6 +445,54 @@ def test_a_mapped_or_kron_row_that_rounds_to_zero_raises():
         opcalc.apply_operator(system, 2.0 ** -100 * np.eye(2))
     with pytest.raises(OverflowError, match=f"Kronecker product's entries lie {_OUT_OF_RANGE}"):
         tensor.kron(np.diag([1.0, 2.0 ** -600]), [[2.0 ** -600]])
+
+
+def _bits(call) -> tuple:
+    """``call()`` as its dtype, shape and bytes, or the message of the
+    ``OverflowError`` it raises."""
+    try:
+        out = call()
+    except OverflowError as exc:
+        return (str(exc),)
+    return out.dtype.str, out.shape, out.tobytes()
+
+
+# the rows' powers of two, left and right: their sums s straddle the edges
+# of _kron's bracket [2^(s-1), 2^(s+3)), s > 1021 and s <= -1074, and the
+# subnormal range between -1074 and -1022
+@pytest.mark.parametrize("left, right", [(511, 511), (511, 509), (1018, 0), (1016, 3),
+                                         (-511, -511), (-1022, 0), (-537, -537), (-536, -539),
+                                         (-1050, -20), (-1068, -5)])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_kron_and_product_weights_decide_range_as_every_row_measured(left, right, complex_):
+    # tensor.kron and the product weights have the bits, or raise the error,
+    # of the reference that measures every row's top; each row sits 2^-4 to
+    # 2^3 off its factor's power, and one of each factor's rows is 0
+    rng = np.random.default_rng([abs(left), abs(right), complex_])
+    a, b = (random_matrix(rng, 8, 3, complex_) for _ in range(2))
+    a[2], b[5] = 0.0, 0.0
+    a, b = (_rows_times(x, np.int64(j) + rng.integers(-4, 4, size=8)) for x, j in ((a, left),
+                                                                                 (b, right)))
+    what = "the Kronecker product's entries"
+    want = _bits(lambda: reference_kron(a, b, what))
+    assert _bits(lambda: tensor.kron(a, b)) == want
+    assert _bits(lambda: tensor.kron(a[:, :1], b[:, :1])) == _bits(
+        lambda: reference_kron(a[:, :1], b[:, :1], what))
+    v, w = (np.abs(x[x != 0.0].real) for x in (a[:, 0], b[:, 0]))
+    measures = [DiscreteMeasure(tuple(f"{name}{i}" for i in range(len(x))), x)
+                for name, x in (("a", v), ("b", w))]
+    assert _bits(lambda: product_measure(*measures).weights) == _bits(
+        lambda: reference_kron(v, w, "the product weights"))
+
+
+def test_a_complex_kron_row_overflows_at_the_top_of_its_bracket():
+    # a complex product row's top part reaches 8 times its power of two where
+    # a real one stays below 4: at 2^1022, (1.875 + 1.875i)^2 = 7.03i no
+    # longer fits, while 1.875^2 = 3.5 does
+    corner = 2.0 ** 511 * np.array([[1.875, 1.0]])
+    assert np.array_equal(tensor.kron(corner, corner), np.kron(corner, corner))
+    with pytest.raises(OverflowError, match=f"Kronecker product's entries lie {_OUT_OF_RANGE}"):
+        tensor.kron(corner * (1 + 1j), corner * (1 + 1j))
 
 
 def _rows_times(a: np.ndarray, j: np.ndarray) -> np.ndarray:
