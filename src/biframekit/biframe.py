@@ -26,7 +26,6 @@ strictly positive lower bound exists.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -95,9 +94,11 @@ class BiframeSystem:
     synthesis: SampledField
     target: np.ndarray
     # what the samples determine: S, Herm(S), its spectrum, ||S|| and the
-    # asymmetry, each made once by _cached, and the shift of each (target,
-    # tol), keyed by both; with_target shares the dict
+    # asymmetry, each made once by _cached; with_target shares the dict
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # what the target determines too: the shift of each tol, made by
+    # _cached; the system's own, so it dies with the system
+    _shifts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         k = linalg.as_matrix(self.target, square=True)
@@ -140,8 +141,9 @@ class BiframeSystem:
         """Same samples and weights, different target operator.
 
         The new system shares this one's cache: ``S``, ``Herm(S)``, its
-        spectrum, ``||S||``, the asymmetry and the shift of each (target,
-        tol), computed on either system, serve both."""
+        spectrum, ``||S||`` and the asymmetry, computed on either system,
+        serve both.  The shift of each ``tol`` depends on the target, so
+        each system keeps its own."""
         return BiframeSystem(
             measure=self.measure,
             analysis=self.analysis,
@@ -169,20 +171,23 @@ def synthesis(field_: SampledField, measure: DiscreteMeasure, coeffs) -> np.ndar
     return (measure.weights * c) @ field_.samples
 
 
-def _cached(system: BiframeSystem, key: str | tuple, make):
-    """``system._cache[key]``, made by ``make()`` on first use: the one door
-    to the cache.  A stored array, or the arrays of a stored spectrum or
-    shift, are made read-only, so what one caller reads no other can
-    change."""
-    if key not in system._cache:
+def _cached(system: BiframeSystem, key, make, *, shared: bool = True):
+    """The value cached under ``key``, made by ``make()`` on first use: the
+    one door to the caches.  What the samples determine is kept in
+    ``_cache``, which ``with_target`` shares; a value the target determines
+    too (``shared=False``, a shift) in the system's own ``_shifts``.  A
+    stored array, or the arrays of a stored spectrum or shift, are made
+    read-only, so what one caller reads no other can change."""
+    store = system._cache if shared else system._shifts
+    if key not in store:
         value = make()
         records = (linalg.EigenDecomposition, linalg.ShiftResult)
         arrays = vars(value).values() if isinstance(value, records) else [value]
         for arr in arrays:
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
-        system._cache[key] = value
-    return system._cache[key]
+        store[key] = value
+    return store[key]
 
 
 def _unit_samples(system: BiframeSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -314,12 +319,47 @@ def _map_samples(system: BiframeSystem, u: np.ndarray,
 
 def gram_target(system: BiframeSystem, c: float = 1.0) -> np.ndarray:
     """``c K K*`` for the system's target ``K`` and ``c >= 0`` (``K K*``, the
-    reference PSD matrix the lower bound is measured against, by default).
-    It is formed as ``(sqrt(c) K)(sqrt(c) K)*``, so it stays finite wherever
-    the product does, even where ``K K*`` would not; at ``c = 1`` that is
-    ``K K*`` bit for bit."""
-    k = math.sqrt(c) * system.target
-    return k @ linalg.adjoint(k)
+    reference PSD matrix the lower bound is measured against, by default):
+    the one place the package forms it.
+
+    ``c`` is split by ``frexp`` into a mantissa ``m`` in ``[1/2, 2)`` and an
+    even power of two ``4^j``; ``X = sqrt(m) K / 2^e``
+    (:func:`linalg._binary_normalised`) is multiplied as ``X X*`` and scaled
+    back once by ``4^(j + e)`` (:func:`linalg._ldexp`), so nothing
+    overflows on the way to a product that fits, and wherever the plain
+    ``(sqrt(c) K)(sqrt(c) K)*`` keeps every entry normal the result is that
+    product bit for bit (at ``c = 1``, ``K K*``).  A non-finite ``c``, or a
+    product float64 cannot hold, raises ``OverflowError`` naming ``c·KK*``.
+    """
+    if not math.isfinite(c):
+        raise OverflowError(f"c·KK* is not finite for c = {c!r}")
+    m, p = math.frexp(c)  # c = m 2^(p % 2) 4^(p // 2)
+    k_unit, e = linalg._binary_normalised(system.target)
+    x = math.sqrt(m * 2.0 ** (p % 2)) * k_unit
+    return linalg._ldexp(x @ linalg.adjoint(x), p - p % 2 + 2 * e, "the entries of c·KK*")
+
+
+def _tight_defect(system: BiframeSystem, c: float) -> float:
+    """``relative_gap(Herm(S), c K K*)``: the one decider of ``Herm(S) = c K
+    K*`` (it holds iff this is at most ``tol``), ``inf`` where
+    :func:`gram_target` cannot form ``c K K*`` in float64, which a finite
+    ``Herm(S)`` then does not equal."""
+    herm = _herm_part(system)
+    try:
+        return linalg.relative_gap(herm, gram_target(system, c))
+    except OverflowError:
+        return math.inf
+
+
+def _gram_is_identity(system: BiframeSystem, c: float, tol: float) -> bool:
+    """Whether ``c K K* = I`` at ``tol``, as ``relative_gap(c K K*, I) <=
+    tol``: the one decider of that equation.  A ``c K K*`` that
+    :func:`gram_target` cannot form in float64 (a non-finite ``c`` among
+    them) is no identity."""
+    try:
+        return linalg.relative_gap(gram_target(system, c), np.eye(system.dim)) <= tol
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,25 +393,23 @@ def optimal_bounds(system: BiframeSystem, tol: float = DEFAULT_TOL) -> BoundsRep
     of samples: its spectrum is cached on the system, handed to
     ``max_psd_shift`` (which takes no matrix), and read for both constants
     and the negative-form witness; ``K K*`` is never decomposed.  The
-    asymmetry is cached beside it, and so is the shift of each (target,
-    ``tol``), keyed by the SHA-256 digest of the target's bytes and ``tol``
-    (one set of samples fixes the target's shape and field); each report
-    holds fresh copies of the cached witnesses.
+    asymmetry is cached beside it, shared by every ``with_target`` system;
+    the shift of each ``tol`` is cached on the system itself, whose target
+    it depends on, and dies with it; each report holds fresh copies of the
+    cached witnesses.
 
     Eigensolves per call: 1 on a system whose spectrum is not yet cached,
     whatever the target; 0 once it is.  SVDs per call: the one to three of
-    ``max_psd_shift`` for a (target, ``tol``) not yet seen, and the two of
-    :func:`linalg.asymmetry` on a cold system; none on a repeat.
+    ``max_psd_shift`` for a ``tol`` this system has not yet seen, and the
+    two of :func:`linalg.asymmetry` on a cold set of samples; none on a
+    repeat.
 
     A positive lower constant outside the float64 range (a target of
     extreme scale) raises ``OverflowError`` (:func:`linalg.max_psd_shift`).
     """
     eig = _herm_spectrum(system)
-    # a digest of the target, not its bytes: the cache lives as long as any
-    # system sharing it, and would hold a copy of every target it has seen
-    target = hashlib.sha256(system.target.tobytes()).digest()
-    shift = _cached(system, ("shift", target, tol),
-                    lambda: linalg.max_psd_shift(eig, system.target, tol=tol))
+    shift = _cached(system, tol, lambda: linalg.max_psd_shift(eig, system.target, tol=tol),
+                    shared=False)
     return BoundsReport(
         lower_opt=shift.amount,
         upper_opt=eig.max,
@@ -511,8 +549,7 @@ def classify(system: BiframeSystem, tol: float = DEFAULT_TOL) -> Classification:
                                          system.synthesis.samples) <= tol
     report = optimal_bounds(system, tol=tol)
     a = report.lower_opt
-    tight = report.valid and not report.degenerate and linalg.relative_gap(
-        _herm_part(system), gram_target(system, a)) <= tol
+    tight = report.valid and not report.degenerate and _tight_defect(system, a) <= tol
     return Classification(
         families_equal=families_equal,
         tight=tight,

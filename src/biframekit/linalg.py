@@ -56,9 +56,10 @@ normal.  An entry more than ``2^1022`` below
 the top of its own row (or of the array, for one power of two), or a node
 term that far below the largest, turns subnormal and loses bits; one more
 than ``2^1074`` below flushes to 0, as it would in float64 at that scale.
-``S``, mapped samples and targets, Kronecker products, eigenvalues, the
-form, the lower constant, the transfer ratio, ``||T||^n`` and every
-construction rule's constants are formed so.
+``S``, mapped samples and targets, Kronecker products, ``c K K*``
+(``biframe.gram_target``), eigenvalues, the form, the lower constant, the
+transfer ratio, ``||T||^n`` and every construction rule's constants are
+formed so.
 
 The central routine is :func:`max_psd_shift`, which computes the largest
 ``a >= 0`` with ``s - a*k k*`` positive semidefinite.  That quantity is the
@@ -208,13 +209,11 @@ def unit_vector(v: np.ndarray) -> np.ndarray:
 def _top(a: np.ndarray, rows: bool = False):
     """The largest real or imaginary part of ``a`` in modulus (the parts, not
     the moduli, which may overflow): one float, or with ``rows`` an array
-    holding one per row (first axis; 0 for an empty row)."""
-    if not np.iscomplexobj(a):
-        parts = np.abs(a)
-    elif rows and a.ndim < 2:
-        parts = np.maximum(np.abs(a.real), np.abs(a.imag))
-    else:  # each row's parts side by side, so one pass takes them all
-        parts = np.abs(np.ascontiguousarray(a).view(np.float64))
+    holding one per row (first axis; 0 for an empty row).  A complex
+    array's parts are read as a trailing axis, so one pass takes them all."""
+    if np.iscomplexobj(a):
+        a = np.ascontiguousarray(a).view(np.float64).reshape(a.shape + (2,))
+    parts = np.abs(a)
     return parts.max(axis=tuple(range(1, parts.ndim)), initial=0.0) if rows else float(parts.max())
 
 

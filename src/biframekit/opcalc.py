@@ -41,10 +41,11 @@ from .biframe import (
     BiframeSystem,
     BoundsReport,
     _as_operator,
+    _gram_is_identity,
     _herm_part,
     _map_samples,
+    _tight_defect,
     frame_operator,
-    gram_target,
     optimal_bounds,
 )
 from .errors import (
@@ -464,32 +465,33 @@ def tight_scaling_check(system: BiframeSystem, tight_constant: float,
     """Whether a tight targeted system is also tight as a plain system.
 
     The input must be tight against its target with constant
-    ``tight_constant`` (``Herm(S) = A_1 K K*``, verified).  Tightness as a
-    plain system with constant ``A_2`` is then equivalent to
-    ``(A_1/A_2) K K* = I``, which is what this checks (Frobenius, by
-    ``linalg.relative_gap``, as is the tightness check).
+    ``tight_constant`` (``Herm(S) = A_1 K K*``, verified, else
+    :class:`NotTightError`).  Tightness as a plain system with constant
+    ``A_2`` is then equivalent to ``(A_1/A_2) K K* = I``, which is what this
+    checks.  Each equation has its one decider, ``biframe._tight_defect``
+    and ``biframe._gram_is_identity`` (Frobenius, by
+    ``linalg.relative_gap``), on ``c K K*`` formed by
+    :func:`~biframekit.biframe.gram_target`, right at any scale of ``K``.
+    A ``c K K*`` float64 cannot hold, among them one with a ratio
+    ``A_1/A_2`` beyond float64, reads as "not equal", never as an
+    ``inf``, a false 0 or a ``RuntimeWarning``.
     """
     if not (tight_constant > 0.0 and plain_constant > 0.0):
         raise MalformedBoundsError("tightness constants must be positive")
-    defect = linalg.relative_gap(_herm_part(system), gram_target(system, tight_constant))
+    defect = _tight_defect(system, tight_constant)
     if defect > tol:
         raise NotTightError(
             f"system is not tight with constant {tight_constant!r} (relative defect {defect:.3e})"
         )
-    ratio = tight_constant / plain_constant
-    return linalg.relative_gap(gram_target(system, ratio), np.eye(system.dim)) <= tol
+    return _gram_is_identity(system, tight_constant / plain_constant, tol)
 
 
 def parseval_check(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> bool:
     """True when the system is Parseval: ``Herm(S) = K K* = I`` at tolerance.
 
-    ``K K* = I`` is decided as ``(K/2^e)(K/2^e)* = 2^-2e I``
-    (:func:`linalg._binary_normalised`): bit for bit the plain comparison
-    wherever ``K K*`` is in range, and no overflow beyond it.  A ``K`` whose
-    entries all lie below ``2^-511``, where ``2^-2e`` is no float, is
-    nowhere near unitary."""
-    eye = np.eye(system.dim)
-    k, e = linalg._binary_normalised(system.target)
-    return (linalg.relative_gap(_herm_part(system), eye) <= tol
-            and -2 * e < sys.float_info.max_exp
-            and linalg.relative_gap(k @ linalg.adjoint(k), eye * math.ldexp(1.0, -2 * e)) <= tol)
+    ``K K* = I`` is decided by ``biframe._gram_is_identity``, the decider
+    :func:`tight_scaling_check` uses too, on ``K K*`` formed by
+    :func:`~biframekit.biframe.gram_target`: a ``K K*`` float64 cannot
+    hold, too large or rounding to 0, is nowhere near the identity."""
+    return (linalg.relative_gap(_herm_part(system), np.eye(system.dim)) <= tol
+            and _gram_is_identity(system, 1.0, tol))

@@ -62,6 +62,8 @@ def test_analysis_synthesis_adjoint_pair():
     lhs = np.sum(sys_.measure.weights * analysis(sys_.analysis, f) * np.conj(c))
     rhs = np.vdot(synthesis(sys_.analysis, sys_.measure, c), f)
     assert lhs == pytest.approx(rhs, abs=1e-10)
+    with pytest.raises(errors.DimensionMismatchError):
+        synthesis(sys_.analysis, bk.DiscreteMeasure(tuple("abc"), np.ones(3)), c)
 
 
 def test_form_equals_frame_operator_quadratic():

@@ -314,6 +314,7 @@ def test_canonical_sign_fixes_phase():
     assert v[0] > 0
     w = linalg.canonical_sign(np.array([1j, 0.0], dtype=complex))
     assert w[0].real > 0 and abs(w[0].imag) < 1e-15
+    assert linalg.canonical_sign(np.zeros(0)).shape == (0,)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -578,8 +579,15 @@ def test_as_matrix_takes_a_read_only_array_that_owns_its_memory_as_is():
 def test_as_matrix_rejects_non_finite():
     with pytest.raises(ValueError):
         linalg.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    for no_matrix in (np.ones(3), np.zeros((0, 3))):
+        with pytest.raises(errors.DimensionMismatchError):
+            linalg.as_matrix(no_matrix)
 
 
 def test_as_vector_checks_dimension():
     with pytest.raises(errors.DimensionMismatchError):
         linalg.as_vector([1.0, 2.0, 3.0], dim=2)
+    with pytest.raises(errors.DimensionMismatchError):
+        linalg.as_vector(np.eye(2))
+    with pytest.raises(ValueError):
+        linalg.as_vector([1.0, np.inf])

@@ -54,6 +54,8 @@ class TestDiscreteMeasure:
             DiscreteMeasure((), np.array([]))
         with pytest.raises(errors.InvalidMassError):
             DiscreteMeasure(("a", "b"), np.array([1.0]))
+        with pytest.raises(errors.InvalidMassError, match="1-D"):
+            DiscreteMeasure(("a", "b"), np.ones((2, 1)))
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(errors.InvalidMassError):

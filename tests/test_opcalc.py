@@ -289,6 +289,16 @@ class TestCanonicalDual:
         with pytest.raises(errors.NotABiframeError):
             opcalc.canonical_dual(promoted_diagonal, np.eye(3))
 
+    def test_numerically_singular_frame_operator_refused(self):
+        # valid, Herm(S) = diag(1, 2e-9, 1), but sigma_min / sigma_max of S is
+        # about 2e-12: no inverse at tol 1e-9
+        s = np.array([[1.0, 0.0, 1e3], [0.0, 2e-9, 0.0], [-1e3, 0.0, 1.0]])
+        m = bk.DiscreteMeasure(("a", "b", "c"), np.ones(3))
+        sys_ = bk.BiframeSystem.from_samples(m, np.eye(3), s.T, np.eye(3))
+        assert bk.optimal_bounds(sys_).valid
+        with pytest.raises(errors.SingularFrameOperatorError):
+            opcalc.canonical_dual(sys_, np.eye(3))
+
     def test_rank_deficient_input_refused(self):
         # A singular frame operator can never carry a positive lower bound
         # against the identity, so the validity precondition trips first.

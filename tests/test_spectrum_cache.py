@@ -8,6 +8,8 @@ reports, verdicts and witnesses of a freshly built one.  The cached arrays
 are read-only, and every witness handed out is a writable copy.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -195,3 +197,26 @@ def test_a_round_of_every_rule_decomposes_the_base_once(monkeypatch, complex_, f
     assert quotient.validity_cross_check(base).verdict is True
     assert quotient.transform_equivalences(base, u).all_agree
     assert len(seen) == 1
+
+
+def test_dropped_retargets_hold_no_memory():
+    # a shift depends on its target, so it is kept on its own system and
+    # dies with it: a sweep of targets over one set of samples holds nothing
+    # per target once each retargeted system is dropped
+    rng = np.random.default_rng(12)
+    base = random_valid_system(rng, 12)
+    step = random_matrix(rng, 12, 12, False) / 4000.0
+
+    def sweep(count):
+        for j in range(count):
+            assert optimal_bounds(base.with_target(np.eye(12) + j * step)).valid
+
+    sweep(10)  # the spectrum and the asymmetry are cached on the samples now
+    tracemalloc.start()
+    try:
+        sweep(2000)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # a shift kept per (target, tol) for the samples' lifetime holds ~700 B each
+    assert held < 64_000

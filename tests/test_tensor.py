@@ -13,6 +13,12 @@ def test_kron_identity_blocks():
     np.testing.assert_allclose(tensor.kron(np.eye(2), np.eye(3)), np.eye(6))
 
 
+def test_kron_of_complex_vectors_is_numpys_bit_for_bit():
+    # 1-D complex factors: each entry is its own row
+    a, b = np.array([1 + 2j, 3e-300j, 0.5]), np.array([2 - 1j, 1e200])
+    assert tensor.kron(a, b).tobytes() == np.kron(a, b).tobytes()
+
+
 def test_kron_diagonal_golden():
     got = tensor.kron(np.diag([2.0, 1.0]), np.diag([3.0, 1.0]))
     np.testing.assert_allclose(got, np.diag([6.0, 2.0, 3.0, 1.0]))

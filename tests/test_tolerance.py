@@ -25,6 +25,7 @@ from biframekit import (
     biframe_form,
     check_bounds,
     classify,
+    gram_target,
     linalg,
     opcalc,
     optimal_bounds,
@@ -286,6 +287,34 @@ def test_parseval_check_decides_an_extreme_target_without_overflow(c):
                                        np.eye(3), np.eye(3), np.eye(3))
     assert opcalc.parseval_check(plain)
     assert opcalc.parseval_check(plain.with_target(c * np.eye(3))) is False
+
+
+def _tiny_target_system() -> BiframeSystem:
+    """Unit weights, ``F = G = I`` and ``K = 2^-500 I``: tight, with
+    ``Herm(S) = I = 2^1000 K K*``."""
+    return BiframeSystem.from_samples(DiscreteMeasure(("a", "b"), np.ones(2)),
+                                      np.eye(2), np.eye(2), 2.0**-500 * np.eye(2))
+
+
+def test_tight_scaling_check_decides_where_c_kk_leaves_float64():
+    # A_1 / A_2 = 2^1030 is no float; (A_1 / A_2) K K* = 2^30 I is no
+    # identity, and is decided so with no inf * 0 on the way
+    system = _tiny_target_system()
+    assert np.array_equal(gram_target(system, 2.0**1000), np.eye(2))
+    assert opcalc.tight_scaling_check(system, 2.0**1000, 2.0**-30) is False
+    assert opcalc.tight_scaling_check(system, 2.0**1000, 1.0) is True
+    # A_1 K K* = 2^1100 I is no float, so Herm(S) = I is not A_1 K K*
+    with pytest.raises(NotTightError, match="relative defect inf"):
+        opcalc.tight_scaling_check(system.with_target(2.0**500 * np.eye(2)), 2.0**100, 1.0)
+
+
+@pytest.mark.parametrize("c, scale", [(math.inf, -500), (math.inf, 0), (2.0**100, 500),
+                                      (2.0**-100, -500)])
+def test_gram_target_raises_naming_c_kk_outside_float64(c, scale):
+    # an infinite c, and c K K* = 2^1100 I and 2^-1100 I, which float64 cannot hold
+    system = _tiny_target_system().with_target(2.0**scale * np.eye(2))
+    with pytest.raises(OverflowError, match=r"c·KK\*"):
+        gram_target(system, c)
 
 
 def test_relative_gap_is_the_plain_ratio_and_scale_free():

@@ -332,13 +332,14 @@ def _function_lines(tree: ast.AST, name: str) -> range:
 
 
 def test_only_the_cache_door_touches_the_cache():
-    """Every cached quantity goes through ``biframe._cached``; ``with_target``
-    hands its dict on.  Any other read or write of ``._cache`` in the package
-    would be a second cache protocol."""
+    """Every cached quantity goes through ``biframe._cached``, into the
+    shared ``_cache`` or the system's own ``_shifts``; ``with_target`` hands
+    the shared dict on.  Any other read or write of ``._cache`` or
+    ``._shifts`` in the package would be a second cache protocol."""
     tree = ast.parse((SRC / "biframe.py").read_text(encoding="utf-8"))
     allowed = {("biframe.py", number) for name in ("_cached", "with_target")
                for number in _function_lines(tree, name)}
-    cache = re.compile(r"\._cache\b")
+    cache = re.compile(r"\._(cache|shifts)\b")
     found, seen = [], []
     for path in sorted(SRC.rglob("*.py")):
         name = str(path.relative_to(SRC))
@@ -479,8 +480,6 @@ _SCALE_HELPERS = ("_top", "_binary_normalised", "_ldexp", "_shift", "_rescaled")
 _RANGE_RULE_EXCEPTIONS = {
     ("biframe.py", "check_bounds"): "the witness test compares form / 4^e with a claim: "
                                     "an infinite quotient correctly refutes nothing",
-    ("opcalc.py", "parseval_check"): "a 2^-2e beyond float64 is a verdict (K is nowhere "
-                                     "near unitary), not a value to form",
 }
 
 
@@ -564,6 +563,51 @@ def test_only_linalgs_product_helpers_multiply_samples_weights_and_targets():
         for number, allowed in hits:
             (seen if allowed else found).append(f"{name}:{number}")
     assert len(seen) == 3, "the walk no longer sees the helpers and their own product"
+    assert not found, "\n".join(found)
+
+
+def _adjoint_of(node: ast.AST) -> ast.AST | None:
+    """The operand ``x`` of ``linalg.adjoint(x)``, ``adjoint(x)`` or
+    ``x.conj().T``, else ``None``."""
+    if (isinstance(node, ast.Call) and len(node.args) == 1
+            and (isinstance(node.func, ast.Name) and node.func.id == "adjoint"
+                 or isinstance(node.func, ast.Attribute) and node.func.attr == "adjoint")):
+        return node.args[0]
+    if (isinstance(node, ast.Attribute) and node.attr == "T" and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute) and node.value.func.attr == "conj"
+            and not node.value.args):
+        return node.value.func.value
+    return None
+
+
+def _gram_products(source: str) -> list[int]:
+    """Lines of ``source`` that form a Gram product ``x @ adjoint(x)``: the
+    same expression on both sides of ``@``, the right one as an adjoint."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            inner = _adjoint_of(node.right)
+            if inner is not None and ast.dump(inner) == ast.dump(node.left):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_gram_target_forms_a_gram_product():
+    """``c K K*`` has one former, ``biframe.gram_target``, on ``K / 2^e`` and
+    scaled back once: a hand-formed ``x @ adjoint(x)`` elsewhere would
+    overflow or flush where ``c K K*`` fits, outside the range rule."""
+    probe = ("g = k @ linalg.adjoint(k)\nh = k @ adjoint(k)\ni = (a * k) @ (a * k).conj().T\n"
+             "j = (v * d) @ adjoint(v)\nm = k @ adjoint(j)\nn = adjoint(k) @ k\n"
+             "o = k @ k.T\n")
+    assert _gram_products(probe) == [1, 2, 3], "the walk no longer sees a Gram product"
+    tree = ast.parse((SRC / "biframe.py").read_text(encoding="utf-8"))
+    allowed = {("biframe.py", number) for number in _function_lines(tree, "gram_target")}
+    found, seen = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        for number in _gram_products(path.read_text(encoding="utf-8")):
+            (seen if (name, number) in allowed else found).append(f"{name}:{number}")
+    assert seen, "the walk no longer sees gram_target's own product"
     assert not found, "\n".join(found)
 
 
