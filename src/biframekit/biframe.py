@@ -99,6 +99,8 @@ class BiframeSystem:
     # what the target determines too: the shift of each tol, made by
     # _cached; the system's own, so it dies with the system
     _shifts: dict = field(default_factory=dict, repr=False, compare=False)
+    # the two systems a tensor product is formed from, whose S it multiplies
+    _factors: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         k = linalg.as_matrix(self.target, square=True)
@@ -129,6 +131,26 @@ class BiframeSystem:
             target=np.asarray(target),
         )
 
+    @classmethod
+    def _from_valid(cls, measure: DiscreteMeasure, analysis: SampledField,
+                    synthesis: SampledField, target: np.ndarray,
+                    factors: tuple["BiframeSystem", "BiframeSystem"]) -> "BiframeSystem":
+        """The product of the systems ``factors`` on parts that are valid by
+        construction, unchecked: a measure and two fields of as many nodes,
+        fields of one dimension and scalar field, and a fresh square
+        ``float64`` or ``complex128`` target of that dimension and field with
+        finite entries, which it makes read-only and keeps uncopied.  Its
+        ``S`` is formed from the factors' (:func:`frame_operator`).  A tensor
+        system's parts are; checking fresh products again would cost about as
+        much as forming them."""
+        target.flags.writeable = False
+        system = object.__new__(cls)
+        for name, value in (("measure", measure), ("analysis", analysis),
+                            ("synthesis", synthesis), ("target", target),
+                            ("_cache", {}), ("_shifts", {}), ("_factors", factors)):
+            object.__setattr__(system, name, value)
+        return system
+
     @property
     def dim(self) -> int:
         return self.analysis.dim
@@ -142,14 +164,16 @@ class BiframeSystem:
 
         The new system shares this one's cache: ``S``, ``Herm(S)``, its
         spectrum, ``||S||`` and the asymmetry, computed on either system,
-        serve both.  The shift of each ``tol`` depends on the target, so
-        each system keeps its own."""
+        serve both, and the factors a product's ``S`` is formed from.  The
+        shift of each ``tol`` depends on the target, so each system keeps
+        its own."""
         return BiframeSystem(
             measure=self.measure,
             analysis=self.analysis,
             synthesis=self.synthesis,
             target=np.asarray(target),
             _cache=self._cache,
+            _factors=self._factors,
         )
 
 
@@ -217,6 +241,9 @@ def _unit_frame(system: BiframeSystem) -> tuple[np.ndarray, int]:
     return g.T @ (w[:, None] * np.conj(f)), e
 
 
+_SUMS = "the frame operator's sums"
+
+
 def frame_operator(system: BiframeSystem) -> np.ndarray:
     """Accumulated operator ``S = sum_i w_i G_i F_i*`` (so ``<S f, f>`` equals
     the system's quadratic form).  Cached on the system.  ``S`` is summed
@@ -230,9 +257,27 @@ def frame_operator(system: BiframeSystem) -> np.ndarray:
     entry of ``S`` does (it is subnormal at the sum's scale): ``S =
     diag(2^1000, 2^-50)`` keeps about 24 bits of its second entry.  An ``S``
     whose largest entry float64 cannot hold raises ``OverflowError`` ("the
-    frame operator's sums lie outside the float64 range")."""
-    return _cached(system, "frame_operator",
-                   lambda: linalg._ldexp(*_unit_frame(system), "the frame operator's sums"))
+    frame operator's sums lie outside the float64 range").
+
+    The ``S`` of a tensor product (``tensor.tensor_system``) is not summed:
+    over a product measure, ``S = S1 (x) S2``, formed by
+    :func:`linalg._kron` from the factors' own cached ``S``, and shared by
+    its ``with_target`` systems.  A factor whose ``S`` float64 cannot hold
+    enters as its sum divided by a power of two (:func:`_unit_frame`),
+    whose exponent the product takes back, so the product's ``S`` is right
+    wherever it fits."""
+    return _cached(system, "frame_operator", lambda: (
+        _product_frame(*system._factors) if system._factors
+        else linalg._ldexp(*_unit_frame(system), _SUMS)))
+
+
+def _product_frame(left: BiframeSystem, right: BiframeSystem) -> np.ndarray:
+    """``S1 (x) S2`` for the systems ``left`` and ``right``."""
+    try:
+        (s1, e1), (s2, e2) = ((frame_operator(s), 0) for s in (left, right))
+    except OverflowError:  # a factor's S beyond float64: its sum over 2^e, and e
+        (s1, e1), (s2, e2) = (_unit_frame(s) for s in (left, right))
+    return linalg._kron(s1, s2, _SUMS, e1 + e2)
 
 
 def _herm_part(system: BiframeSystem) -> np.ndarray:
@@ -351,13 +396,13 @@ def _tight_defect(system: BiframeSystem, c: float) -> float:
         return math.inf
 
 
-def _gram_is_identity(system: BiframeSystem, c: float, tol: float) -> bool:
-    """Whether ``c K K* = I`` at ``tol``, as ``relative_gap(c K K*, I) <=
-    tol``: the one decider of that equation.  A ``c K K*`` that
-    :func:`gram_target` cannot form in float64 (a non-finite ``c`` among
-    them) is no identity."""
+def _gram_is_identity(system: BiframeSystem, c: float, scale: float, tol: float) -> bool:
+    """Whether ``c K K* = scale I`` at ``tol``, as ``relative_gap(c K K*,
+    scale I) <= tol``: the one decider of that equation, which never forms
+    ``c / scale``.  A ``c K K*`` that :func:`gram_target` cannot form in
+    float64 (a non-finite ``c`` among them) is no multiple of ``I``."""
     try:
-        return linalg.relative_gap(gram_target(system, c), np.eye(system.dim)) <= tol
+        return linalg.relative_gap(gram_target(system, c), scale * np.eye(system.dim)) <= tol
     except OverflowError:
         return False
 

@@ -47,7 +47,8 @@ weights and targets takes one power of two per row, because one row (a
 node's samples or weight) may lie far below another, and each nonzero row
 must fit: :func:`_product` forms mapped families and composed targets so,
 :func:`_kron` Kronecker products (deciding most rows from their exponents
-alone, and only the rows at the edge of the range by :func:`_ldexp`), and
+alone, and only the rows at the edge of the range by :func:`_ldexp`;
+:func:`_kron_split` decides a product without forming it), and
 ``biframe.frame_operator`` and ``biframe.biframe_form`` sum node terms so.
 Dividing by a power of two is exact where the quotient is normal, so a
 result is the plain arithmetic's bit for bit wherever the plain
@@ -255,33 +256,46 @@ def _product(*factors: np.ndarray, what: str) -> np.ndarray:
     return _ldexp(functools.reduce(np.matmul, units), sum(exps), what)
 
 
-def _kron(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """The Kronecker product of ``a`` and ``b`` (left factor major): the one
-    way the package forms tensor samples, weights and targets.  Both factors
-    are split by row (:func:`_binary_normalised`), and row ``(i, j)`` of the
-    product of the quotients is scaled back once by ``2^s``, ``s = r_i +
-    r'_j`` (:func:`_shift`), with the same guarantees as :func:`_product`:
-    the plain ``numpy.kron`` bit for bit wherever the division and the plain
-    products keep every entry normal, and ``OverflowError`` naming ``what``
-    for a nonzero row (so for a weight) that float64 cannot hold.
+def _kron(a: np.ndarray, b: np.ndarray, what: str, exp: int = 0) -> np.ndarray:
+    """The Kronecker product of ``a`` and ``b`` (left factor major), times
+    ``2^exp``: the one way the package forms tensor samples, weights,
+    targets and frame operators.  Both factors are split by row, and row
+    ``(i, j)`` of the product of the quotients is scaled back once by
+    ``2^s``, ``s = r_i + r'_j + exp`` (:func:`_kron_split`, :func:`_shift`),
+    with the same guarantees as :func:`_product`: the plain ``numpy.kron``
+    bit for bit wherever the division and the plain products keep every
+    entry normal, and ``OverflowError`` naming ``what`` for a nonzero row
+    (so for a weight) that float64 cannot hold.  Two passes over the
+    product, one to form it and one to scale it back."""
+    a, b, exps = _kron_split(a, b, what, exp)
+    return _shift(np.kron(a, b), exps)
 
-    Two passes over the product, one to form it and one to scale it back:
-    the range is decided from the exponents.  The top part of a nonzero
+
+def _kron_split(a: np.ndarray, b: np.ndarray, what: str,
+                exp: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a / 2^r, b / 2^r', s)``: both factors split by row
+    (:func:`_binary_normalised`), and the exponent ``s = r_i + r'_j + exp``
+    of each row ``(i, j)`` of their Kronecker product, once the range rule
+    of :func:`_kron` holds: a nonzero product row that float64 cannot hold
+    raises ``OverflowError`` naming ``what``.  The product is not formed.
+
+    The range is decided from the exponents.  The top part of a nonzero
     quotient row lies in ``[1, 2)``, so that of a product row of two lies in
     ``[1/2, 8)`` (a complex product's parts are at least its modulus over
     ``sqrt(2)``), and its scaled top in ``[2^(s-1), 2^(s+3))``.  A row whose
-    bracket lies inside the float64 range fits; only the nonzero rows whose
-    bracket reaches past it are measured, and decided, by :func:`_ldexp`.
+    bracket lies inside the float64 range fits; only the rows whose bracket
+    reaches past it are formed, and decided, by :func:`_ldexp`.
     """
     (a, e), (b, f) = (_binary_normalised(np.asarray(x), rows=True) for x in (a, b))
-    product, exps = np.kron(a, b), np.add.outer(e, f).ravel()
+    exps = np.add.outer(e, f).ravel() + exp
     # 2^(s-1) may round to 0 at s <= low, and 2^(s+3) overflow at s > high
     low, high = sys.float_info.min_exp - sys.float_info.mant_dig, sys.float_info.max_exp - 3
     if exps.size and (exps.min() <= low or exps.max() > high):
-        live = np.logical_and.outer(*(x.any(axis=tuple(range(1, x.ndim))) for x in (a, b)))
-        edge = live.ravel() & ((exps <= low) | (exps > high))
-        _ldexp(product[edge], exps[edge], what)  # raises for a row float64 cannot hold
-    return _shift(product, exps)
+        edge = np.flatnonzero((exps <= low) | (exps > high))
+        (i, j), (m, n) = np.divmod(edge, len(f)), (math.prod(x.shape[1:]) for x in (a, b))
+        rows = a[i].reshape(len(edge), m, 1) * b[j].reshape(len(edge), 1, n)
+        _ldexp(rows.reshape(len(edge), m * n), exps[edge], what)  # raises for a row float64 cannot hold
+    return a, b, exps
 
 
 def _rescaled(value: float, up=(), down=(), what: str = "a guaranteed constant") -> float:

@@ -467,13 +467,13 @@ def tight_scaling_check(system: BiframeSystem, tight_constant: float,
     The input must be tight against its target with constant
     ``tight_constant`` (``Herm(S) = A_1 K K*``, verified, else
     :class:`NotTightError`).  Tightness as a plain system with constant
-    ``A_2`` is then equivalent to ``(A_1/A_2) K K* = I``, which is what this
-    checks.  Each equation has its one decider, ``biframe._tight_defect``
-    and ``biframe._gram_is_identity`` (Frobenius, by
-    ``linalg.relative_gap``), on ``c K K*`` formed by
+    ``A_2`` is then equivalent to ``A_1 K K* = A_2 I``, which is what this
+    checks, with no ratio ``A_1/A_2`` formed, so a ratio beyond float64
+    decides as its equation does.  Each equation has its one decider,
+    ``biframe._tight_defect`` and ``biframe._gram_is_identity`` (Frobenius,
+    by ``linalg.relative_gap``), on ``c K K*`` formed by
     :func:`~biframekit.biframe.gram_target`, right at any scale of ``K``.
-    A ``c K K*`` float64 cannot hold, among them one with a ratio
-    ``A_1/A_2`` beyond float64, reads as "not equal", never as an
+    A ``c K K*`` float64 cannot hold reads as "not equal", never as an
     ``inf``, a false 0 or a ``RuntimeWarning``.
     """
     if not (tight_constant > 0.0 and plain_constant > 0.0):
@@ -483,7 +483,7 @@ def tight_scaling_check(system: BiframeSystem, tight_constant: float,
         raise NotTightError(
             f"system is not tight with constant {tight_constant!r} (relative defect {defect:.3e})"
         )
-    return _gram_is_identity(system, tight_constant / plain_constant, tol)
+    return _gram_is_identity(system, tight_constant, plain_constant, tol)
 
 
 def parseval_check(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> bool:
@@ -494,4 +494,4 @@ def parseval_check(system: BiframeSystem, *, tol: float = DEFAULT_TOL) -> bool:
     :func:`~biframekit.biframe.gram_target`: a ``K K*`` float64 cannot
     hold, too large or rounding to 0, is nowhere near the identity."""
     return (linalg.relative_gap(_herm_part(system), np.eye(system.dim)) <= tol
-            and _gram_is_identity(system, 1.0, tol))
+            and _gram_is_identity(system, 1.0, 1.0, tol))

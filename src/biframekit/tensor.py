@@ -7,6 +7,12 @@ of a combined system uses the same convention through
 :func:`~biframekit.measure.product_measure`, so every structural law
 (``S_combined = S1 (x) S2``, norm multiplicativity, bound products) is a
 plain matrix identity in these coordinates.
+
+A combined system is formed from its factors: its weights and target are
+Kronecker products, its sample families are formed from the factors'
+only when read, and its frame operator is ``S1 (x) S2`` of the factors'
+own (:func:`~biframekit.biframe.frame_operator`), never a sum over the
+``n1*n2`` product nodes.
 """
 
 from __future__ import annotations
@@ -15,10 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biframe import BiframeSystem, BoundsReport, _claim_holds, optimal_bounds
+from . import linalg
+from .biframe import BiframeSystem, BoundsReport, SampledField, _claim_holds, optimal_bounds
 from .errors import FieldMismatchError, NotABiframeError
-from .linalg import DEFAULT_TOL, _kron
+from .linalg import DEFAULT_TOL
 from .measure import product_measure
+
+
+_PRODUCT = "the Kronecker product's entries"
 
 
 def kron(a, b) -> np.ndarray:
@@ -39,7 +49,38 @@ def kron(a, b) -> np.ndarray:
     ``OverflowError`` ("the Kronecker product's entries lie outside the
     float64 range"), never an ``inf``, a false 0 or a ``RuntimeWarning``.
     """
-    return _kron(a, b, "the Kronecker product's entries")
+    return linalg._kron(a, b, _PRODUCT)
+
+
+class _ProductField(SampledField):
+    """The sampled field ``left (x) right`` on the product of the factors'
+    node sets: node ``(i, j)``, at ``i * right.nodes + j``, samples
+    ``left_i (x) right_j``.  Its node count, dimension and scalar field are
+    read off the factors; its samples are formed by :func:`kron` each time
+    they are read, read-only, and not kept.  The factors' samples must make
+    a product float64 can hold (``linalg._kron_split`` decides it)."""
+
+    def __init__(self, left: SampledField, right: SampledField):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    @property
+    def samples(self) -> np.ndarray:
+        product = kron(self.left.samples, self.right.samples)
+        product.flags.writeable = False
+        return product
+
+    @property
+    def nodes(self) -> int:
+        return self.left.nodes * self.right.nodes
+
+    @property
+    def dim(self) -> int:
+        return self.left.dim * self.right.dim
+
+    @property
+    def is_complex(self) -> bool:
+        return self.left.is_complex
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,12 +97,18 @@ def tensor_system(s1: BiframeSystem, s2: BiframeSystem) -> TensorSystem:
 
     Sample families, weights and targets all combine by Kronecker product
     (:func:`kron`, :func:`~biframekit.measure.product_measure`); in
-    particular the combined frame operator is ``S1 (x) S2``.  Each product
-    takes one power of two per row, so it is ``numpy.kron`` bit for bit
-    wherever that division, and the plain products, keep every entry
-    normal, and a product with a nonzero row (a node's samples or weight)
-    that float64 cannot hold raises ``OverflowError`` ("... outside the
-    float64 range").  The factors' bound pairs do not
+    particular the combined frame operator is ``S1 (x) S2``, and it is
+    formed so, from the factors' ``S`` on first use
+    (:func:`~biframekit.biframe.frame_operator`).  The weights and the
+    target are formed here; the sample families are formed from the
+    factors' only when read, and not kept.  Each product takes one power of
+    two per row, so it is ``numpy.kron`` bit for bit wherever that
+    division, and the plain products, keep every entry normal, and a
+    product with a nonzero row (a node's samples or weight) that float64
+    cannot hold raises ``OverflowError`` ("... outside the float64 range")
+    here, decided for the samples from the factor rows' powers of two
+    without forming them.  The parts are products of valid parts, so the
+    combined system is not checked again.  The factors' bound pairs do not
     multiply into a valid pair in general: with
     ``S = H + iJ`` (``H``, ``J`` Hermitian), ``Herm(S1 (x) S2) = H1 (x) H2 -
     J1 (x) J2``, so :func:`product_law` is a theorem only when one factor is
@@ -72,13 +119,13 @@ def tensor_system(s1: BiframeSystem, s2: BiframeSystem) -> TensorSystem:
             f"cannot combine a {s1.field_name} system with a {s2.field_name} one"
         )
     measure = product_measure(s1.measure, s2.measure)
-    products = [kron(a, b) for a, b in ((s1.analysis.samples, s2.analysis.samples),
-                                         (s1.synthesis.samples, s2.synthesis.samples),
-                                         (s1.target, s2.target))]
-    for product in products:  # fresh and read-only, so the system takes them uncopied
-        product.flags.writeable = False
-    return TensorSystem(left=s1, right=s2,
-                        combined=BiframeSystem.from_samples(measure, *products))
+    fields = []
+    for a, b in ((s1.analysis, s2.analysis), (s1.synthesis, s2.synthesis)):
+        linalg._kron_split(a.samples, b.samples, _PRODUCT)  # raises where float64 cannot hold it
+        fields.append(_ProductField(a, b))
+    combined = BiframeSystem._from_valid(measure, *fields, kron(s1.target, s2.target),
+                                         factors=(s1, s2))
+    return TensorSystem(left=s1, right=s2, combined=combined)
 
 
 def factor_bounds_check(ts: TensorSystem, *, tol: float = DEFAULT_TOL) -> bool:

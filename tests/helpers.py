@@ -9,9 +9,11 @@ tests stay reproducible; seeds are fixed in the tests themselves.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +21,37 @@ from biframekit import BiframeSystem, DiscreteMeasure, linalg
 from biframekit.app import FORMAT_VERSION
 from biframekit.biframe import BoundsReport, BoundsVerification, frame_operator, gram_target
 from biframekit.errors import ManifestValidationError
+
+
+def bench_tracing():
+    """``bench/tracing.py``, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def traced_spans(call, extra=()) -> list[list]:
+    """The spans ``[name, start, end, parent, bytes]`` the bench's tracer
+    records while ``call`` runs, in the order they open.  ``extra`` names
+    more callables to record, as ``(owner, attribute, span name)``; a
+    property is recorded at each read."""
+    tracing = bench_tracing()
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    for owner, attr, name in extra:
+        original = vars(owner)[attr] if isinstance(owner, type) else getattr(owner, attr)
+        setattr(owner, attr, property(tracer.wrap(name, original.fget))
+                if isinstance(original, property) else tracer.wrap(name, original))
+        undo.append((owner, attr, original))
+    tracer.active = True
+    try:
+        call()
+    finally:
+        tracer.active = False
+        tracing.uninstall(undo)
+    return tracer.spans
 
 
 def random_measure(rng: np.random.Generator, nodes: int) -> DiscreteMeasure:

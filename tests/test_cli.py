@@ -348,6 +348,32 @@ class TestTensor:
         assert rec.system.dim == 64
         assert "tensor of" in rec.label
 
+    def test_frame_operator_gap_is_the_node_sum_against_the_factors(self, runner, tmp_path):
+        # the combined S is S1 (x) S2 of the factors; the row measures the
+        # sum over the product nodes against it, which rounds differently
+        rng = np.random.default_rng(12)
+        paths = []
+        for name in ("left", "right"):
+            f = rng.normal(size=(5, 3))
+            system = biframekit.BiframeSystem.from_samples(
+                biframekit.DiscreteMeasure(tuple("abcde"), rng.uniform(0.5, 2.0, 5)),
+                f, f + 0.2 * rng.normal(size=(5, 3)), np.eye(3))
+            paths.append(tmp_path / f"{name}.json")
+            save(system, paths[-1])
+        left, right = (load(p).system for p in paths)
+        result = runner.invoke(main, ["--format", "json", "tensor", *map(str, paths),
+                                      "-o", str(tmp_path / "out.json")])
+        assert result.exit_code in (0, 1), result.output
+        gap = json.loads(result.output)["frame_operator_relative_gap"]
+        summed = biframekit.BiframeSystem.from_samples(
+            biframekit.measure.product_measure(left.measure, right.measure),
+            *(np.kron(getattr(left, x).samples, getattr(right, x).samples)
+              for x in ("analysis", "synthesis")), np.eye(9))
+        want = biframekit.linalg.relative_gap(
+            biframekit.frame_operator(summed),
+            np.kron(biframekit.frame_operator(left), biframekit.frame_operator(right)))
+        assert gap == want and 0.0 < gap <= 1e-12
+
     def test_output_flag_required(self, runner, manifests):
         result = runner.invoke(main, ["tensor", manifests["example-5-3-left"],
                                       manifests["example-5-3-right"]])

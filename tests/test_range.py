@@ -403,6 +403,19 @@ def test_a_tensor_product_outside_the_float_range_raises():
         tensor.tensor_system(_huge(), _huge())
 
 
+def test_a_sample_product_outside_the_float_range_raises_where_s_fits():
+    # S1 = S2 = diag(2^491, 1), so S1 (x) S2 = diag(2^982, 2^491, 2^491, 1)
+    # fits, but the samples of node (a, a) are 2^1026 e_1: tensor_system
+    # decides it from the factors' rows, with S formed from the factors
+    system = BiframeSystem.from_samples(DiscreteMeasure(("a", "b"), [2.0 ** -535, 1.0]),
+                                        np.diag([2.0 ** 513, 1.0]), np.diag([2.0 ** 513, 1.0]),
+                                        np.eye(2))
+    s = frame_operator(system)
+    assert np.array_equal(tensor.kron(s, s), np.diag([2.0 ** 982, 2.0 ** 491, 2.0 ** 491, 1.0]))
+    with pytest.raises(OverflowError, match=f"Kronecker product's entries lie {_OUT_OF_RANGE}"):
+        tensor.tensor_system(system, system)
+
+
 def test_cli_tensor_outside_the_float_range_is_usage_error(tmp_path):
     path = tmp_path / "huge.json"
     save(_huge(), path)

@@ -6,7 +6,7 @@ import pytest
 import biframekit as bk
 from biframekit import biframe, errors, linalg, tensor
 from biframekit.app.fixtures import fixture
-from helpers import random_matrix, random_valid_system
+from helpers import random_matrix, random_valid_system, traced_spans
 
 
 def test_kron_identity_blocks():
@@ -145,3 +145,97 @@ class TestFactorBoundsCheck:
                                     combined=tensor.tensor_system(valid, valid).combined)
         with pytest.raises(errors.NotABiframeError, match="left factor"):
             tensor.factor_bounds_check(mixed)
+
+
+def _pair(rng, dim: int, nodes: int, complex_: bool, scale: int = 0):
+    """Two valid ``dim``-dimensional factors on ``nodes`` nodes each, with
+    skew parts; the left one's weights times ``2^scale``, the right one's
+    times ``2^-scale``."""
+    pair = []
+    for j in (scale, -scale):
+        s = random_valid_system(rng, dim, complex_=complex_, nodes=nodes, asym=0.3)
+        measure = bk.DiscreteMeasure(s.measure.ids, np.ldexp(s.measure.weights, j))
+        pair.append(bk.BiframeSystem(measure, s.analysis, s.synthesis, s.target))
+    return pair
+
+
+def _node_sum(s1, s2) -> np.ndarray:
+    """``sum w G F*`` over the product nodes, on ``numpy.kron`` samples."""
+    w = np.kron(s1.measure.weights, s2.measure.weights)
+    f, g = (np.kron(getattr(s1, x).samples, getattr(s2, x).samples)
+            for x in ("analysis", "synthesis"))
+    return g.T @ (w[:, None] * np.conj(f))
+
+
+class TestFactorFormedSystem:
+    @pytest.mark.parametrize("scale", [0, 600, -600])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_s_is_the_node_sum_over_the_product(self, complex_, scale):
+        s1, s2 = _pair(np.random.default_rng([4, complex_, abs(scale)]), 3, 5, complex_, scale)
+        got = biframe.frame_operator(tensor.tensor_system(s1, s2).combined)
+        assert linalg.relative_gap(_node_sum(s1, s2), got) <= 1e-12
+
+    def test_s_fits_where_a_factors_does_not(self):
+        # S1 = 2^1030 I is no float64, S2 = 2^-200 I; S1 (x) S2 = 2^830 I is
+        m = bk.DiscreteMeasure(("a", "b"), np.ones(2))
+        s1, s2 = (bk.BiframeSystem.from_samples(m, 2.0 ** j * np.eye(2), 2.0 ** j * np.eye(2),
+                                                np.eye(2)) for j in (515, -100))
+        with pytest.raises(OverflowError, match="frame operator's sums"):
+            biframe.frame_operator(s1)
+        combined = tensor.tensor_system(s1, s2).combined
+        assert np.array_equal(biframe.frame_operator(combined), 2.0 ** 830 * np.eye(4))
+        report = biframe.optimal_bounds(combined)
+        assert (report.lower_opt, report.upper_opt) == (2.0 ** 830, 2.0 ** 830)
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_samples_once_read_are_numpys_kron_bit_for_bit(self, complex_):
+        s1, s2 = _pair(np.random.default_rng(9), 3, 4, complex_)
+        combined = tensor.tensor_system(s1, s2).combined
+        for name in ("analysis", "synthesis"):
+            field = getattr(combined, name)
+            want = np.kron(getattr(s1, name).samples, getattr(s2, name).samples)
+            first, second = field.samples, field.samples
+            assert first.tobytes() == want.tobytes() and first.dtype == want.dtype
+            assert not first.flags.writeable
+            assert second is not first and np.array_equal(second, first)  # formed, not kept
+            assert (field.nodes, field.dim, field.is_complex) == (*want.shape, complex_)
+        assert combined.target.tobytes() == np.kron(s1.target, s2.target).tobytes()
+
+    def test_with_target_shares_s_and_swap_sums_its_own(self):
+        s1, s2 = _pair(np.random.default_rng(10), 3, 4, True)
+        combined = tensor.tensor_system(s1, s2).combined
+        retargeted = combined.with_target(np.eye(9, dtype=complex))
+        s = biframe.frame_operator(retargeted)  # formed on the retargeted system first
+        assert biframe.frame_operator(combined) is s
+        swapped = biframe.swap(combined)
+        s_star = biframe.frame_operator(swapped)
+        assert s_star is not s and linalg.relative_gap(s_star, s.conj().T) <= 1e-12
+        assert np.array_equal(s_star, biframe.frame_operator(bk.BiframeSystem.from_samples(
+            combined.measure, combined.synthesis.samples, combined.analysis.samples,
+            combined.target)))
+
+
+def _counted(call) -> list[str]:
+    """Names of the spans the bench's tracer records while ``call`` runs,
+    with three more: every Kronecker product, every node sum of ``S`` and
+    every read of a combined system's samples."""
+    extra = ((np, "kron", "numpy.kron"), (biframe, "_unit_frame", "node sum"),
+             (tensor._ProductField, "samples", "combined samples"))
+    return [span[0] for span in traced_spans(call, extra)]
+
+
+def test_the_bench_pair_forms_products_only_for_what_is_read():
+    # the bench's 8x8 pair, 24 nodes a factor: tensor_system forms the
+    # weights and the target, and no sample product and no node sum; the
+    # law reads S1 (x) S2, one product of the factors' two node sums
+    s1, s2 = _pair(np.random.default_rng(11), 8, 24, False)
+    holder = {}
+    names = _counted(lambda: holder.setdefault("ts", tensor.tensor_system(s1, s2)))
+    assert names.count("numpy.kron") == 2
+    assert names.count("node sum") == names.count("combined samples") == 0
+    assert names.count("biframe.frame_operator") == 0
+
+    names = _counted(lambda: tensor.factor_bounds_check(holder["ts"]))
+    assert names.count("combined samples") == 0
+    assert names.count("node sum") == 2
+    assert names.count("numpy.kron") == 1

@@ -308,6 +308,19 @@ def test_tight_scaling_check_decides_where_c_kk_leaves_float64():
         opcalc.tight_scaling_check(system.with_target(2.0**500 * np.eye(2)), 2.0**100, 1.0)
 
 
+def test_tight_scaling_check_decides_a_ratio_beyond_float64():
+    # Herm(S) = 2^-100 I = 2^1000 K K* for K = 2^-550 I: tight with A_1 =
+    # 2^1000 and plain-tight with A_2 = 2^-100, though A_1 / A_2 = 2^1100 is
+    # no float; the same system scaled by 2^100 has a ratio that is
+    f = 2.0**-50 * np.eye(2)
+    system = BiframeSystem.from_samples(DiscreteMeasure(("a", "b"), np.ones(2)), f, f,
+                                        2.0**-550 * np.eye(2))
+    assert opcalc.tight_scaling_check(system, 2.0**1000, 2.0**-100) is True
+    assert opcalc.tight_scaling_check(system.with_target(2.0**-450 * np.eye(2)),
+                                      2.0**800, 2.0**-100) is True
+    assert opcalc.tight_scaling_check(system, 2.0**1000, 2.0**-99) is False
+
+
 @pytest.mark.parametrize("c, scale", [(math.inf, -500), (math.inf, 0), (2.0**100, 500),
                                       (2.0**-100, -500)])
 def test_gram_target_raises_naming_c_kk_outside_float64(c, scale):

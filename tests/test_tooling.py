@@ -9,7 +9,6 @@ dependencies."""
 
 import ast
 import importlib
-import importlib.util
 import re
 import subprocess
 import sys
@@ -21,6 +20,7 @@ from click.testing import CliRunner
 
 from biframekit import BiframeSystem, DiscreteMeasure, biframe, opcalc, quotient, tensor
 from biframekit.app.cli import main
+from helpers import bench_tracing, traced_spans
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "biframekit"
 
@@ -52,30 +52,6 @@ def test_failing_hypothesis_test_does_not_abort_the_session(tmp_path, pytestconf
     assert "1 failed, 1 passed" in run.stdout
 
 
-def _tracing():
-    """``bench/tracing.py``, loaded as a module."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
-
-
-def _spans(call) -> list[list]:
-    """The spans ``[name, start, end, parent, bytes]`` the bench's tracer
-    records while ``call`` runs, in the order they open."""
-    tracing = _tracing()
-    tracer = tracing.Tracer()
-    undo = tracing.install(tracer)
-    tracer.active = True
-    try:
-        call()
-    finally:
-        tracer.active = False
-        tracing.uninstall(undo)
-    return tracer.spans
-
-
 def _below(spans: list[list], root: int) -> list[int]:
     """Indices of the spans that open inside span ``root``."""
     inside = {root}
@@ -87,7 +63,7 @@ def _below(spans: list[list], root: int) -> list[int]:
 
 def _traced(call) -> list[str]:
     """Names of the spans the bench's tracer records while ``call`` runs."""
-    return [span[0] for span in _spans(call)]
+    return [span[0] for span in traced_spans(call)]
 
 
 def _system() -> BiframeSystem:
@@ -99,7 +75,7 @@ def _system() -> BiframeSystem:
 def test_every_traced_name_resolves():
     # bench/tracing.py wraps these by name; a rename in the package would
     # otherwise surface only as a crash of a traced benchmark run
-    tracing = _tracing()
+    tracing = bench_tracing()
     names = [(module, attr) for _, module, attr in tracing.LAYERS] + list(tracing.BUILD_CLASSES)
     assert len(names) > 40
     missing = [f"{module}.{attr}" for module, attr in names
@@ -315,7 +291,7 @@ def test_traced_demo_computes_one_bound_report():
     # a second report read off the cache: no SVD and no eigensolve under it
     runner = CliRunner()
     for name in ("example-3-4", "example-5-3"):
-        spans = _spans(lambda: runner.invoke(main, ["demo", name], catch_exceptions=False))
+        spans = traced_spans(lambda: runner.invoke(main, ["demo", name], catch_exceptions=False))
         names = [span[0] for span in spans]
         assert names.count("app.cli.command") == 1
         reports = [i for i, name in enumerate(names) if name == "biframe.optimal_bounds"]
@@ -348,6 +324,36 @@ def test_only_the_cache_door_touches_the_cache():
                 hit = f"{name}:{number}: {line.strip()}"
                 (seen if (name, number) in allowed else found).append(hit)
     assert seen, "the pattern no longer matches biframe._cached itself"
+    assert not found, "\n".join(found)
+
+
+def _unchecked_builds(source: str) -> list[tuple[int, str]]:
+    """``(line, owner)`` of each use of an attribute ``_from_valid`` in
+    ``source``: the name it is read from (``BiframeSystem``,
+    ``DiscreteMeasure``), or the expression, unparsed, for anything else."""
+    return sorted((node.lineno, ast.unparse(node.value)) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "_from_valid")
+
+
+def test_only_tensor_builds_a_system_unchecked():
+    """``BiframeSystem._from_valid`` skips every check of a system's parts,
+    which holds only for the products ``tensor.tensor_system`` forms; any
+    other caller, or a use through another name, could build a system no
+    check has seen.  ``DiscreteMeasure._from_valid`` is ``product_measure``'s
+    alone, likewise."""
+    probe = "x = BiframeSystem._from_valid(m)\ny = cls._from_valid\nz = a.b._from_valid(1)\n"
+    assert _unchecked_builds(probe) == [(1, "BiframeSystem"), (2, "cls"), (3, "a.b")], \
+        "the walk no longer sees them"
+    allowed = {("tensor.py", "BiframeSystem"), ("measure.py", "DiscreteMeasure")}
+    found, seen = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        for number, owner in _unchecked_builds(path.read_text(encoding="utf-8")):
+            if (name, owner) in allowed:
+                seen.add((name, owner))
+            else:
+                found.append(f"{name}:{number}: {owner}._from_valid")
+    assert seen == allowed, "the walk no longer sees the two builders"
     assert not found, "\n".join(found)
 
 
@@ -414,7 +420,7 @@ def test_only_the_traced_svd_helpers_call_lapacks_svd():
              "y = np.linalg.norm(a, 2)\nz = numpy.linalg.norm(a, ord=-2)\n"
              "w = np.linalg.norm(a)\nv = np.linalg.norm(a, 'fro')\nu = linalg.svd(a)\n")
     assert _raw_svds(probe) == [2, 3, 4, 5], "the walk no longer sees a raw SVD"
-    helpers = [attr for span, _, attr in _tracing().LAYERS if span == "linalg.svd"]
+    helpers = [attr for span, _, attr in bench_tracing().LAYERS if span == "linalg.svd"]
     tree = ast.parse((SRC / "linalg.py").read_text(encoding="utf-8"))
     allowed = {("linalg.py", number) for name in helpers
                for number in _function_lines(tree, name)}
